@@ -32,13 +32,13 @@ from .cheeger import Cut, candidate_cuts_grushin, cut_from_level_set, \
     verify_inequality, write_cuts_csv
 from .discretization import AssembledForms, BCSegment, BoundarySpec, Grid2D, \
     assemble, build_grid
-from .eigensolver import ConvergenceError, Eigenpairs, solve_smallest
+from .eigensolver import DENSE_THRESHOLD, ConvergenceError, Eigenpairs, solve_smallest
 from .expressions import ExpressionError, compile_expression
 from .geometry import CCStructure, Chart2D, HorizontalField, \
     builtin_euclidean, builtin_grushin_cylinder
 from .grushin import ModeProblem, ModeTable, WindowExhaustedError, \
     build_table, cross_validate, find_eigenvalues, write_table_csv
-from .nodal import check_courant, nodal_domains, write_labels_pgm
+from .nodal import check_courant, write_labels_pgm
 from .pgm import field_to_gray, write_pgm
 
 EXIT_OK = 0
@@ -246,7 +246,7 @@ class SolverConfig:
     k: int = 6
     tol: float = 1e-8
     seed: int = 0
-    dense_threshold: int = 2000
+    dense_threshold: int = DENSE_THRESHOLD
     method: str = "auto"
 
     @classmethod
@@ -256,7 +256,7 @@ class SolverConfig:
             k=_as_int(d.get("k", 6), "solver.k"),
             tol=_as_float(d.get("tol", 1e-8), "solver.tol"),
             seed=_as_int(d.get("seed", 0), "solver.seed"),
-            dense_threshold=_as_int(d.get("dense_threshold", 2000), "solver.dense_threshold"),
+            dense_threshold=_as_int(d.get("dense_threshold", DENSE_THRESHOLD), "solver.dense_threshold"),
             method=_as_str(d.get("method", "auto"), "solver.method"),
         )
         if out.k < 1:
@@ -482,8 +482,13 @@ def build_problem(config: RunConfig) -> tuple[CCStructure, Grid2D, BoundarySpec]
 
 def _solve(config: RunConfig, forms: AssembledForms, k: int) -> Eigenpairs:
     s = config.solver
-    return solve_smallest(forms, k=k, tol=s.tol, method=s.method,
-                          dense_threshold=s.dense_threshold, seed=s.seed)
+    try:
+        return solve_smallest(forms, k=k, tol=s.tol, method=s.method,
+                              dense_threshold=s.dense_threshold, seed=s.seed)
+    except np.linalg.LinAlgError:  # a ValueError, but numerical, not the config's
+        raise
+    except ValueError as exc:  # k or method does not fit this grid
+        raise ConfigError(f"solver: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +523,17 @@ def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_eigenvalues_csv(pairs, out / "eigenvalues.csv")
     _say(quiet, f"structure {structure.name}, grid {grid.nx}x{grid.ny}, "
-                f"bc {config.bc.kind}, k={pairs.k}")
-    for i in range(pairs.k):
-        full = forms.expand(pairs.vectors[:, i])
-        values2d = full.reshape(grid.nx, grid.ny)
-        write_pgm(field_to_gray(values2d), out / f"eig_{i + 1}.pgm")
-        decomp = nodal_domains(grid, full, rel_threshold=config.nodal.rel_threshold)
-        write_labels_pgm(grid, decomp, out / f"nodal_{i + 1}.pgm")
-        _say(quiet, f"  {i + 1:3d}  lambda = {pairs.lambdas[i]:.12g}  "
-                    f"residual = {pairs.residuals[i]:.3e}  domains = {decomp.n_domains}")
-
+                f"bc {config.bc.kind}, k={pairs.k}, solver {pairs.info['path']} "
+                f"({pairs.info['reason']})")
     report = check_courant(pairs, forms, rel_threshold=config.nodal.rel_threshold,
                            gap_rel_tol=config.nodal.gap_rel_tol)
+    for i, entry in enumerate(report.entries):
+        full = forms.expand(pairs.vectors[:, i])
+        write_pgm(field_to_gray(full.reshape(grid.nx, grid.ny)), out / f"eig_{i + 1}.pgm")
+        write_labels_pgm(grid, entry.decomposition, out / f"nodal_{i + 1}.pgm")
+        _say(quiet, f"  {i + 1:3d}  lambda = {pairs.lambdas[i]:.12g}  "
+                    f"residual = {pairs.residuals[i]:.3e}  domains = {entry.n_domains}")
+
     _write_json({
         "ok": report.ok,
         "rel_threshold": config.nodal.rel_threshold,

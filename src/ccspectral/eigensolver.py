@@ -4,7 +4,9 @@ A is the assembled energy matrix (symmetric positive semidefinite) and M
 the lumped mass diagonal.  Small problems go through a dense symmetric
 solve; large ones through shift-invert Lanczos on the regularized pencil
 (A + eps M, M), which is positive definite even when constants span the
-kernel of A.  Both paths finish with a Rayleigh-Ritz polish against the
+kernel of A.  The shifted matrix is factorized once: the same sparse LU
+applies the inverse operator inside Lanczos and drives the inverse-iteration
+polish.  Both paths finish with a Rayleigh-Ritz polish against the
 unshifted pencil, so the regularization never leaks into the results.
 Runs are deterministic: the iterative start vector is drawn from a seeded
 generator.
@@ -12,7 +14,8 @@ generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 import numpy as np
 import scipy.linalg as la
@@ -24,6 +27,11 @@ from .discretization import AssembledForms
 __all__ = ["Eigenpairs", "ConvergenceError", "solve_smallest", "check_minmax", "MinMaxReport"]
 
 
+# Largest n_active "auto" solves densely: the dense/shift-invert crossover for
+# k = 6..8 on a 2-vCPU x86 VM, one BLAS thread (10.5 vs 10.3 ms at n = 128).
+DENSE_THRESHOLD = 150
+
+
 class ConvergenceError(RuntimeError):
     """The iterative eigensolver missed the requested residual tolerance."""
 
@@ -32,12 +40,15 @@ class ConvergenceError(RuntimeError):
 class Eigenpairs:
     """Ascending eigenvalues, M-orthonormal vectors (columns), residuals.
 
-    residuals[i] = ||A v_i - lambda_i M v_i||_2 with ||v_i||_M = 1.
+    residuals[i] = ||A v_i - lambda_i M v_i||_2 with ||v_i||_M = 1.  info says
+    how they were found: path and reason, factor fill and inverse-operator
+    applies (shift-invert), Rayleigh-Ritz polish passes, M-orthonormality defect.
     """
 
     lambdas: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
+    info: Mapping[str, Any] = field(default_factory=dict, compare=False)
 
     @property
     def k(self) -> int:
@@ -77,7 +88,7 @@ def _solve_dense(forms: AssembledForms, k: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _solve_iterative(forms: AssembledForms, k: int, seed: int,
-                     maxiter_per_mode: int) -> tuple[np.ndarray, np.ndarray]:
+                     maxiter_per_mode: int) -> tuple[np.ndarray, np.ndarray, dict]:
     A = forms.A
     mass = forms.mass
     n = forms.n_active
@@ -86,11 +97,22 @@ def _solve_iterative(forms: AssembledForms, k: int, seed: int,
     eps = 1e-8 * float(A.diagonal().sum()) / float(mass.sum())
     K = (A + sp.diags(eps * mass)).tocsc()
     M = sp.diags(mass, format="csr")
+    # The one factorization: K is symmetric, so order on A + A^T and let
+    # SuperLU prefer diagonal pivots.
+    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    applies = 0
+
+    def apply_inverse(x):
+        nonlocal applies
+        applies += 1
+        return lu.solve(x)
+
+    OPinv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     ncv = min(n, max(2 * k + 10, 30))
     try:
-        mu, V = spla.eigsh(K, k=k, M=M, sigma=0.0, which="LM", v0=v0,
+        mu, V = spla.eigsh(K, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=OPinv,
                            ncv=ncv, maxiter=maxiter_per_mode * k, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
@@ -99,15 +121,14 @@ def _solve_iterative(forms: AssembledForms, k: int, seed: int,
     order = np.argsort(mu)
     V = V[:, order]
     # Inverse-iteration polish against K, then Ritz values from the true pencil.
-    lu = spla.splu(K)
     for _ in range(2):
         V = lu.solve(mass[:, None] * V)
         w, V = _rayleigh_ritz(A, mass, V)
-    return w, V
+    return w, V, {"factor_nnz": int(lu.nnz), "opinv_applies": applies}
 
 
 def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
-                   method: str = "auto", dense_threshold: int = 2000,
+                   method: str = "auto", dense_threshold: int = DENSE_THRESHOLD,
                    seed: int = 0, maxiter_per_mode: int = 50) -> Eigenpairs:
     """Compute the k smallest eigenpairs of (A, M).
 
@@ -115,8 +136,10 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
         forms: assembled energy and mass forms.
         k: number of eigenpairs, 1 <= k <= n_active.
         tol: admissible residual ||A v - lambda M v||_2 per pair.
-        method: "auto" picks dense below dense_threshold active nodes,
-            otherwise shift-invert; "dense" / "shift-invert" force a path.
+        method: "auto" picks dense up to dense_threshold active nodes, or
+            when k >= n_active - 1 leaves Lanczos nothing to reduce; otherwise
+            shift-invert.  "dense" / "shift-invert" force a path; shift-invert
+            needs k < n_active.
         dense_threshold: crossover size for the automatic choice.
         seed: seed for the iterative start vector (determinism).
         maxiter_per_mode: Lanczos iteration budget per requested mode.
@@ -129,18 +152,30 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
         raise ValueError(f"k must be between 1 and {n}, got {k}")
     if method not in ("auto", "dense", "shift-invert"):
         raise ValueError(f"unknown method {method!r}")
-    use_dense = method == "dense" or (method == "auto" and n <= dense_threshold)
-    if use_dense:
+    if method == "shift-invert" and k >= n:
+        raise ValueError(f"shift-invert needs k < n_active = {n}, got k = {k}")
+    if method != "auto":
+        path, reason = method, "forced"
+    elif k >= n - 1:
+        path, reason = "dense", f"k = {k} >= n_active - 1 = {n - 1}"
+    elif n <= dense_threshold:
+        path, reason = "dense", f"n_active = {n} <= dense_threshold = {dense_threshold}"
+    else:
+        path, reason = "shift-invert", f"n_active = {n} > dense_threshold = {dense_threshold}"
+    info: dict[str, Any] = {"path": path, "reason": reason}
+    if path == "dense":
         w, V = _solve_dense(forms, k)
     else:
-        w, V = _solve_iterative(forms, k, seed, maxiter_per_mode)
+        w, V, stats = _solve_iterative(forms, k, seed, maxiter_per_mode)
+        info.update(stats)
     # One more projection pass tightens clustered pairs at machine precision.
-    for _ in range(3):
+    for passes in range(3):
         res = _residuals(forms.A, forms.mass, w, V)
         if np.all(res <= tol):
             break
         w, V = _rayleigh_ritz(forms.A, forms.mass, V)
     else:
+        passes = 3
         res = _residuals(forms.A, forms.mass, w, V)
         if not np.all(res <= tol):
             raise ConvergenceError(
@@ -148,12 +183,13 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
     gram_err = np.abs(V.T @ (forms.mass[:, None] * V) - np.eye(k)).max()
     if gram_err > 1e-8:
         raise ConvergenceError(f"M-orthonormality defect {gram_err:.3e} exceeds 1e-8")
+    info.update(polish_passes=passes, gram_defect=float(gram_err))
     # Fix signs for reproducibility: largest-magnitude entry positive.
     idx = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[idx, np.arange(k)])
     signs[signs == 0] = 1.0
     V = V * signs[None, :]
-    return Eigenpairs(lambdas=w.copy(), vectors=V, residuals=res)
+    return Eigenpairs(lambdas=w.copy(), vectors=V, residuals=res, info=info)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 A nodal domain is a connected component (4-neighbor adjacency, wrapping
 across periodic axes) of the set where the function is strictly positive
-or strictly negative outside a near-zero band.  Connectivity is computed
-with a union-find structure.  The Courant check compares the number of
+or strictly negative outside a near-zero band.  The components are the
+connected components of the graph of same-sign grid edges
+(scipy.sparse.csgraph).  The Courant check compares the number of
 nodal domains of the i-th eigenfunction against i, crediting clusters of
 numerically equal eigenvalues with the top index of the cluster.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .discretization import AssembledForms, Grid2D
 from .eigensolver import Eigenpairs
@@ -26,32 +29,6 @@ __all__ = [
     "check_courant",
     "write_labels_pgm",
 ]
-
-
-class _DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass(frozen=True)
@@ -97,31 +74,25 @@ def nodal_domains(grid: Grid2D, u, rel_threshold: float = 1e-6) -> NodalDecompos
     vmax = np.abs(values).max()
     sign = np.sign(values)
     sign[np.abs(values) <= rel_threshold * vmax] = 0
-    dsu = _DisjointSet(grid.n_nodes)
     edges = _grid_edges(grid)
     same = (sign[edges[:, 0]] == sign[edges[:, 1]]) & (sign[edges[:, 0]] != 0)
-    for a, b in edges[same]:
-        dsu.union(int(a), int(b))
+    i, j = edges[same].T
+    graph = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(grid.n_nodes, grid.n_nodes))
+    _, component = connected_components(graph, directed=False)
+    # Number the components by their first nonzero node: positives 1, 2, ...
+    # and negatives -1, -2, ..., each in order of first appearance.
+    nonzero = np.flatnonzero(sign)
+    _, first, inverse = np.unique(component[nonzero], return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    signs = sign[nonzero[first[order]]]
+    number = np.empty(first.size, dtype=int)
+    number[order] = np.where(signs > 0, np.cumsum(signs > 0), -np.cumsum(signs < 0))
     labels = np.zeros(grid.n_nodes, dtype=int)
-    next_pos, next_neg = 1, -1
-    assigned: dict[int, int] = {}
-    for node in range(grid.n_nodes):
-        s = sign[node]
-        if s == 0:
-            continue
-        root = dsu.find(node)
-        if root not in assigned:
-            if s > 0:
-                assigned[root] = next_pos
-                next_pos += 1
-            else:
-                assigned[root] = next_neg
-                next_neg -= 1
-        labels[node] = assigned[root]
-    n_pos = next_pos - 1
-    n_neg = -next_neg - 1
-    return NodalDecomposition(labels=labels, n_domains=n_pos + n_neg,
-                              n_positive=n_pos, n_negative=n_neg,
+    labels[nonzero] = number[inverse]
+    n_pos = int(np.count_nonzero(signs > 0))
+    return NodalDecomposition(labels=labels, n_domains=first.size,
+                              n_positive=n_pos, n_negative=first.size - n_pos,
                               rel_threshold=rel_threshold)
 
 
@@ -132,6 +103,7 @@ class CourantEntry:
     n_domains: int
     bound: int          # top index of the numerically equal cluster
     ok: bool
+    decomposition: NodalDecomposition  # the labels n_domains was counted on
 
 
 @dataclass(frozen=True)
@@ -180,7 +152,8 @@ def check_courant(pairs: Eigenpairs, forms: AssembledForms,
         decomp = nodal_domains(forms.grid, full, rel_threshold)
         ok = decomp.n_domains <= bounds[i]
         entries.append(CourantEntry(index=i + 1, eigenvalue=float(pairs.lambdas[i]),
-                                    n_domains=decomp.n_domains, bound=bounds[i], ok=ok))
+                                    n_domains=decomp.n_domains, bound=bounds[i], ok=ok,
+                                    decomposition=decomp))
     return CourantReport(entries=tuple(entries), ok=all(e.ok for e in entries))
 
 

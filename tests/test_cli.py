@@ -80,6 +80,26 @@ def test_spectrum_quiet_silences_stdout(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().out
 
 
+def test_spectrum_labels_each_eigenfunction_once(tmp_path, monkeypatch):
+    import ccspectral.cli as cli
+    import ccspectral.nodal as nodal
+
+    calls = []
+    original = nodal.nodal_domains
+
+    def counting(grid, u, *args, **kwargs):
+        calls.append(1)
+        return original(grid, u, *args, **kwargs)
+
+    # count calls under every name the package binds the function to
+    for module in (cc, cli, nodal):
+        if getattr(module, "nodal_domains", None) is original:
+            monkeypatch.setattr(module, "nodal_domains", counting)
+    cfg = write_config(tmp_path, GRUSHIN_SPECTRUM)
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path / "run", "--quiet"]) == 0
+    assert len(calls) == GRUSHIN_SPECTRUM["solver"]["k"]
+
+
 def test_spectrum_custom_structure(tmp_path):
     doc = {
         "structure": {
@@ -288,6 +308,17 @@ def test_bc_segment_on_periodic_edge(tmp_path, capsys):
     assert run(["spectrum", "--config", write_config(tmp_path, doc),
                 "--out", tmp_path]) == 2
     assert "periodic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", [{"k": 20}, {"k": 16, "method": "shift-invert"}])
+def test_k_too_large_for_grid(tmp_path, capsys, solver):
+    # a 4x4 periodic-y Neumann grid has 16 active nodes
+    doc = dict(GRUSHIN_SPECTRUM, grid={"nx": 4, "ny": 4}, solver=solver)
+    assert run(["spectrum", "--config", write_config(tmp_path, doc),
+                "--out", tmp_path / "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

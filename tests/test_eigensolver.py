@@ -65,11 +65,54 @@ def test_dense_and_shift_invert_agree(grushin):
 def test_auto_matches_forced_paths(grushin):
     grid = cc.build_grid(grushin.chart, 16, 24)
     forms = cc.assemble(grushin, grid, cc.BoundarySpec.all_neumann())
-    auto_small = cc.solve_smallest(forms, k=4)
+    # n_active = 384 is above the default crossover, so pin the threshold
+    # to check that auto below it is exactly the dense path.
+    auto_small = cc.solve_smallest(forms, k=4, dense_threshold=400)
     dense = cc.solve_smallest(forms, k=4, method="dense")
     assert np.array_equal(auto_small.lambdas, dense.lambdas)
+    assert auto_small.info["path"] == "dense"
     auto_big = cc.solve_smallest(forms, k=4, dense_threshold=10)
     assert np.abs(auto_big.lambdas - dense.lambdas).max() <= 1e-8
+    assert auto_big.info["path"] == "shift-invert"
+    assert cc.solve_smallest(forms, k=4).info["path"] == "shift-invert"
+
+
+def test_auto_takes_dense_when_k_near_n(euclidean):
+    grid = cc.build_grid(euclidean.chart, 4, 4)
+    forms = cc.assemble(euclidean, grid, cc.BoundarySpec.all_neumann())
+    n = forms.n_active
+    dense = cc.solve_smallest(forms, k=n, method="dense")
+    for k in (n - 1, n):
+        auto = cc.solve_smallest(forms, k=k, dense_threshold=0)
+        assert auto.info["path"] == "dense"
+        assert "n_active - 1" in auto.info["reason"]
+        assert np.array_equal(auto.lambdas, dense.lambdas[:k])
+    with pytest.raises(ValueError, match="shift-invert"):
+        cc.solve_smallest(forms, k=n, method="shift-invert")
+
+
+def test_shift_invert_factorizes_once(grushin, monkeypatch):
+    import scipy.sparse.linalg._dsolve.linsolve as linsolve
+
+    gstrf = linsolve._superlu.gstrf
+    fills = []
+
+    def counting_gstrf(*args, **kwargs):
+        lu = gstrf(*args, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(linsolve._superlu, "gstrf", counting_gstrf)
+    grid = cc.build_grid(grushin.chart, 32, 64)
+    forms = cc.assemble(grushin, grid, cc.BoundarySpec.all_neumann())
+    pairs = cc.solve_smallest(forms, k=6, method="shift-invert")
+    assert len(fills) == 1
+    info = pairs.info
+    assert info["path"] == "shift-invert" and info["reason"] == "forced"
+    assert info["factor_nnz"] == fills[0]
+    assert info["opinv_applies"] > 0
+    assert 0 <= info["polish_passes"] <= 3
+    assert 0.0 <= info["gram_defect"] <= 1e-8
 
 
 def test_deterministic_across_runs(grushin_neumann_forms):

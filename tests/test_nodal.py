@@ -114,3 +114,57 @@ def test_write_labels_pgm(tmp_path, grushin_grid):
     header = data.split(b"\n", 3)
     assert header[1].split() == [str(grushin_grid.nx).encode(),
                                  str(grushin_grid.ny).encode()]
+
+
+def _flood_fill_labels(grid, u, rel_threshold):
+    """Reference labeller: flood fill from each unlabelled node in index order."""
+    nx, ny = grid.nx, grid.ny
+    values = np.asarray(u, dtype=float).reshape(nx, ny)
+    sign = np.sign(values)
+    sign[np.abs(values) <= rel_threshold * np.abs(values).max()] = 0
+    labels = np.zeros((nx, ny), dtype=int)
+    counts = {1: 0, -1: 0}
+    for i0 in range(nx):
+        for j0 in range(ny):
+            s = int(sign[i0, j0])
+            if s == 0 or labels[i0, j0] != 0:
+                continue
+            counts[s] += 1
+            labels[i0, j0] = s * counts[s]
+            stack = [(i0, j0)]
+            while stack:
+                i, j = stack.pop()
+                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    a, b = i + di, j + dj
+                    if grid.chart.periodic_x:
+                        a %= nx
+                    if grid.chart.periodic_y:
+                        b %= ny
+                    if 0 <= a < nx and 0 <= b < ny and labels[a, b] == 0 and sign[a, b] == s:
+                        labels[a, b] = labels[i0, j0]
+                        stack.append((a, b))
+    return labels.ravel(), counts[1], counts[-1]
+
+
+@pytest.mark.parametrize("periodic", [(False, False), (True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("rel_threshold", [0.0, 1e-6, 0.05])
+def test_labels_match_flood_fill(periodic, rel_threshold):
+    chart = cc.Chart2D((0.0, 1.0), (0.0, 1.0), periodic_x=periodic[0], periodic_y=periodic[1])
+    grid = cc.build_grid(chart, 11, 14)
+    X, Y = grid.meshes()
+    rng = np.random.default_rng(7)
+    fields = [np.sin(3.0 * np.pi * X) * np.cos(5.0 * np.pi * Y) + 0.1]
+    for _ in range(3):
+        u = rng.standard_normal(grid.n_nodes)
+        u[rng.random(grid.n_nodes) < 0.2] = 0.0  # exact zeros split domains
+        fields.append(u)
+    striped = np.cos(2.0 * np.pi * Y).ravel()
+    striped[np.abs(striped) < 0.3] = 0.0
+    fields.append(striped)
+    for u in fields:
+        got = cc.nodal_domains(grid, u.ravel(), rel_threshold=rel_threshold)
+        labels, n_pos, n_neg = _flood_fill_labels(grid, u, rel_threshold)
+        assert got.labels.dtype == labels.dtype
+        assert np.array_equal(got.labels, labels)
+        assert (got.n_positive, got.n_negative) == (n_pos, n_neg)
+        assert got.n_domains == n_pos + n_neg
