@@ -16,8 +16,8 @@ from .cheeger import (CoareaReport, Cut, FlowCertificate, InequalityReport,
                       candidate_cuts_grushin, coarea_check,
                       cut_from_level_set, dirichlet_cheeger_upper,
                       horizontal_perimeter, mfmc_certify, region_volume,
-                      sweep_level_sets, verify_inequality, write_cuts_csv,
-                      write_cut_segments_csv)
+                      superlevel_cuts, sweep_level_sets, verify_inequality,
+                      write_cuts_csv, write_cut_segments_csv)
 from .cli import RunConfig, main
 from .discretization import (AssembledForms, BCSegment, BoundarySpec, Grid2D,
                              assemble, build_grid, rayleigh_quotient,
@@ -57,8 +57,8 @@ __all__ = [
     "homogeneous_dimension", "horizontal_gradient", "horizontal_perimeter",
     "labels_to_gray", "main", "mfmc_certify", "mode_zero_crossings",
     "nodal_domains", "rayleigh_quotient", "region_volume", "shoot",
-    "solve_smallest", "sub_laplacian_apply", "sweep_level_sets",
-    "unit_ball_volume", "verify_inequality", "write_cut_segments_csv",
+    "solve_smallest", "sub_laplacian_apply", "superlevel_cuts",
+    "sweep_level_sets", "unit_ball_volume", "verify_inequality", "write_cut_segments_csv",
     "write_cuts_csv", "write_labels_pgm", "write_matrix_market", "write_pgm",
     "write_table_csv",
 ]

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .discretization import Grid2D
+from .discretization import Grid2D, _cell_origin_meshes
 from .geometry import CCStructure, GridFunction, HorizontalField, divergence
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "cut_from_level_set",
     "sweep_level_sets",
     "candidate_cuts_grushin",
+    "superlevel_cuts",
     "dirichlet_cheeger_upper",
     "FlowCertificate",
     "mfmc_certify",
@@ -135,82 +137,83 @@ def region_volume(structure: CCStructure, grid: Grid2D, cell_mask: np.ndarray) -
     return float(np.sum(rho[cell_mask]) * grid.hx * grid.hy)
 
 
-# Marching squares: corner bits are BL=1, BR=2, TR=4, TL=8; for each case the
-# contour is a list of (entry edge, exit edge) pairs among b, r, t, l.
-_MS_TABLE: dict[int, tuple[tuple[str, str], ...]] = {
-    0: (), 15: (),
-    1: (("l", "b"),), 14: (("l", "b"),),
-    2: (("b", "r"),), 13: (("b", "r"),),
-    4: (("r", "t"),), 11: (("r", "t"),),
-    8: (("t", "l"),), 7: (("t", "l"),),
-    3: (("l", "r"),), 12: (("l", "r"),),
-    6: (("b", "t"),), 9: (("b", "t"),),
-}
-_MS_SADDLE_HIGH = {5: (("b", "r"), ("t", "l")), 10: (("l", "b"), ("r", "t"))}
-_MS_SADDLE_LOW = {5: (("l", "b"), ("r", "t")), 10: (("b", "r"), ("t", "l"))}
+# Marching squares: corner bits are BL=1, BR=2, TR=4, TL=8.  Rows are
+# (case, above, edge pairs) in emission order; each pair joins the crossing
+# points on two of the cell's edges b, r, t, l.  Saddle cases 5 and 10 split
+# on whether the corner average lies above the level (above=None: either).
+_MS_ORDER = (
+    (1, None, ("lb",)), (14, None, ("lb",)), (2, None, ("br",)), (13, None, ("br",)),
+    (4, None, ("rt",)), (11, None, ("rt",)), (8, None, ("tl",)), (7, None, ("tl",)),
+    (3, None, ("lr",)), (12, None, ("lr",)), (6, None, ("bt",)), (9, None, ("bt",)),
+    (5, True, ("br", "tl")), (5, False, ("lb", "rt")),
+    (10, True, ("lb", "rt")), (10, False, ("br", "tl")),
+)
 
 
-def _level_segments(grid: Grid2D, values2d: np.ndarray, t: float) -> np.ndarray:
+class _LevelSweep:
+    """The level-independent part of the level sets of one grid function:
+    cell corner values (BL, BR, TR, TL), their sum, average (which side of
+    {u = t} a cell is on) and extremes (which cells a level crosses), cell
+    origins and, on first use, cell-centre densities.  Each level then
+    marches only the cells it crosses (_level_segments) and sums cached
+    densities (cut_from_level_set)."""
+
+    def __init__(self, structure: CCStructure | None, grid: Grid2D, values2d: np.ndarray):
+        self.structure, self.grid = structure, grid
+        ix = np.arange(grid.n_cells_x)
+        iy = np.arange(grid.n_cells_y)
+        ixp = (ix + 1) % grid.nx
+        iyp = (iy + 1) % grid.ny
+        self.corners = (values2d[np.ix_(ix, iy)], values2d[np.ix_(ixp, iy)],
+                        values2d[np.ix_(ixp, iyp)], values2d[np.ix_(ix, iyp)])
+        w00, w10, w11, w01 = self.corners
+        self.corner_sum = w00 + w10 + w01 + w11
+        self.center = self.corner_sum / 4.0
+        self.low = np.minimum(np.minimum(w00, w10), np.minimum(w11, w01))
+        self.high = np.maximum(np.maximum(w00, w10), np.maximum(w11, w01))
+        self.origins = _cell_origin_meshes(grid)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Density at the cell centres (midpoint quadrature of side volumes)."""
+        Xc, Yc = _cell_center_meshes(self.grid)
+        return self.structure.density_at(Xc, Yc)
+
+
+def _level_segments(grid: Grid2D, values2d: np.ndarray, t: float,
+                    sweep: _LevelSweep | None = None) -> np.ndarray:
     """Marching-squares contour of {u = t}; shape (S, 2, 2).
 
     Crossing points are linearly interpolated on cell edges; saddle cells
     are disambiguated by the sign of the corner average.  Cells wrap on
-    periodic axes, so contours close across the seam.
+    periodic axes, so contours close across the seam.  Segments come out
+    grouped by case in table order, row-major within a case.  ``sweep`` is
+    the _LevelSweep of values2d when the caller sweeps several levels.
     """
-    nx, ny = grid.nx, grid.ny
-    ix = np.arange(grid.n_cells_x)
-    iy = np.arange(grid.n_cells_y)
-    ixp = (ix + 1) % nx
-    iyp = (iy + 1) % ny
-    w00 = values2d[np.ix_(ix, iy)]
-    w10 = values2d[np.ix_(ixp, iy)]
-    w01 = values2d[np.ix_(ix, iyp)]
-    w11 = values2d[np.ix_(ixp, iyp)]
+    if sweep is None:
+        sweep = _LevelSweep(None, grid, values2d)
+    cells = np.flatnonzero((sweep.low <= t) & (sweep.high > t))  # case not 0 or 15
+    w00, w10, w11, w01 = (w.ravel()[cells] for w in sweep.corners)
     case = ((w00 > t).astype(int) + 2 * (w10 > t) + 4 * (w11 > t) + 8 * (w01 > t))
 
-    x0 = grid.chart.x_range[0] + grid.hx * ix
-    y0 = grid.chart.y_range[0] + grid.hy * iy
-    X0, Y0 = np.meshgrid(x0, y0, indexing="ij")
+    X0, Y0 = (o.ravel()[cells] for o in sweep.origins)
     with np.errstate(divide="ignore", invalid="ignore"):
         sb = np.clip((t - w00) / (w10 - w00), 0.0, 1.0)
         sr = np.clip((t - w10) / (w11 - w10), 0.0, 1.0)
         st = np.clip((t - w01) / (w11 - w01), 0.0, 1.0)
         sl = np.clip((t - w00) / (w01 - w00), 0.0, 1.0)
     points = {
-        "b": (X0 + sb * grid.hx, Y0),
-        "r": (X0 + grid.hx, Y0 + sr * grid.hy),
-        "t": (X0 + st * grid.hx, Y0 + grid.hy),
-        "l": (X0, Y0 + sl * grid.hy),
+        "b": np.stack([X0 + sb * grid.hx, Y0], axis=-1),
+        "r": np.stack([X0 + grid.hx, Y0 + sr * grid.hy], axis=-1),
+        "t": np.stack([X0 + st * grid.hx, Y0 + grid.hy], axis=-1),
+        "l": np.stack([X0, Y0 + sl * grid.hy], axis=-1),
     }
-
+    above = sweep.corner_sum.ravel()[cells] > 4.0 * t
     out = []
-
-    def emit(cells: np.ndarray, pairs) -> None:
-        for ea, eb in pairs:
-            ax, ay = points[ea]
-            bx, by = points[eb]
-            seg = np.stack([
-                np.stack([ax[cells], ay[cells]], axis=-1),
-                np.stack([bx[cells], by[cells]], axis=-1),
-            ], axis=1)
-            out.append(seg)
-
-    for k, pairs in _MS_TABLE.items():
-        if not pairs:
-            continue
-        cells = case == k
-        if np.any(cells):
-            emit(cells, pairs)
-    center_high = (w00 + w10 + w01 + w11) > 4.0 * t
-    for k in (5, 10):
-        cells = case == k
-        if np.any(cells):
-            hi = cells & center_high
-            lo = cells & ~center_high
-            if np.any(hi):
-                emit(hi, _MS_SADDLE_HIGH[k])
-            if np.any(lo):
-                emit(lo, _MS_SADDLE_LOW[k])
+    for k, side, pairs in _MS_ORDER:
+        sel = case == k if side is None else (case == k) & (above == side)
+        if np.any(sel):
+            out.extend(np.stack([points[a][sel], points[b][sel]], axis=1) for a, b in pairs)
     if not out:
         return np.zeros((0, 2, 2))
     segs = np.concatenate(out, axis=0)
@@ -225,29 +228,26 @@ def _node_values(grid: Grid2D, u) -> np.ndarray:
     return values.reshape(grid.nx, grid.ny)
 
 
-def cut_from_level_set(structure: CCStructure, grid: Grid2D, u, t: float) -> Cut:
+def cut_from_level_set(structure: CCStructure, grid: Grid2D, u, t: float,
+                       sweep: _LevelSweep | None = None) -> Cut:
     """Cut along the level set {u = t}; vol1 is the omega-volume of {u > t}.
 
     Side volumes are summed over cells classified by their corner average,
-    so vol1 + vol2 equals the total volume exactly.
+    so vol1 + vol2 equals the total volume exactly.  ``sweep`` is the
+    _LevelSweep of u when the caller cuts several levels of it.
     """
     values2d = _node_values(grid, u)
     umin, umax = values2d.min(), values2d.max()
     if not umin < t < umax:
         raise ValueError(f"level t={t} outside the open range ({umin}, {umax}) of u")
-    segments = _level_segments(grid, values2d, t)
+    if sweep is None:
+        sweep = _LevelSweep(structure, grid, values2d)
+    segments = _level_segments(grid, values2d, t, sweep)
     sigma = horizontal_perimeter(structure, segments)
-    ix = np.arange(grid.n_cells_x)
-    iy = np.arange(grid.n_cells_y)
-    ixp = (ix + 1) % grid.nx
-    iyp = (iy + 1) % grid.ny
-    center = (values2d[np.ix_(ix, iy)] + values2d[np.ix_(ixp, iy)]
-              + values2d[np.ix_(ix, iyp)] + values2d[np.ix_(ixp, iyp)]) / 4.0
-    mask = center > t
-    vol1 = region_volume(structure, grid, mask)
-    vol2 = region_volume(structure, grid, ~mask)
-    seg_tuples = tuple(((float(s[0, 0]), float(s[0, 1])), (float(s[1, 0]), float(s[1, 1])))
-                       for s in segments)
+    mask = sweep.center > t
+    vol1 = float(np.sum(sweep.rho[mask]) * grid.hx * grid.hy)
+    vol2 = float(np.sum(sweep.rho[~mask]) * grid.hx * grid.hy)
+    seg_tuples = tuple((tuple(a), tuple(b)) for a, b in segments.tolist())
     return Cut(kind="level_set", segments=seg_tuples, sigma=sigma, vol1=vol1, vol2=vol2)
 
 
@@ -255,16 +255,18 @@ def sweep_level_sets(structure: CCStructure, grid: Grid2D, u, n_levels: int = 40
     """Best (smallest-ratio) level-set cut over n_levels quantiles of u."""
     if n_levels < 1:
         raise ValueError(f"n_levels must be positive, got {n_levels}")
-    values = _node_values(grid, u).ravel()
+    values2d = _node_values(grid, u)
+    values = values2d.ravel()
     umin, umax = values.min(), values.max()
     if umax - umin <= 1e-300:
         raise ValueError("cannot sweep level sets of a constant function")
     qs = (np.arange(n_levels) + 1.0) / (n_levels + 1.0)
+    sweep = _LevelSweep(structure, grid, values2d)
     best: Cut | None = None
     for t in np.unique(np.quantile(values, qs)):
         if not umin < t < umax:
             continue
-        cut = cut_from_level_set(structure, grid, values, float(t))
+        cut = cut_from_level_set(structure, grid, values2d, float(t), sweep)
         if not np.isfinite(cut.ratio):
             continue
         if best is None or cut.ratio < best.ratio:
@@ -304,73 +306,63 @@ def candidate_cuts_grushin(structure: CCStructure, grid: Grid2D,
     return cuts
 
 
-def _superlevel_upper(structure: CCStructure, grid: Grid2D, values2d: np.ndarray,
-                      n_levels: int) -> float:
-    """min over positive super-levels t of sigma({u = t}) / vol({u > t})."""
-    vmax = values2d.max()
+def superlevel_cuts(structure: CCStructure, grid: Grid2D, u, n_levels: int = 40) -> list[Cut]:
+    """Cuts along {u = t} at the (i + 1/2) / n_levels quantiles t of the
+    positive values of u (negated first if its largest magnitude is
+    negative) inside its open range; vol1 is the volume of {u > t}.
+    One-sided cuts are kept: dirichlet_cheeger_upper reads vol1 alone."""
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be positive, got {n_levels}")
+    values2d = _node_values(grid, u)
+    if -values2d.min() > values2d.max():
+        values2d = -values2d
     positives = values2d[values2d > 0.0]
     if positives.size == 0:
         raise ValueError("u has no positive part to sweep")
+    umin, umax = values2d.min(), values2d.max()
     qs = (np.arange(n_levels) + 0.5) / n_levels
-    best = float("inf")
-    ix = np.arange(grid.n_cells_x)
-    iy = np.arange(grid.n_cells_y)
-    ixp = (ix + 1) % grid.nx
-    iyp = (iy + 1) % grid.ny
-    center = (values2d[np.ix_(ix, iy)] + values2d[np.ix_(ixp, iy)]
-              + values2d[np.ix_(ix, iyp)] + values2d[np.ix_(ixp, iyp)]) / 4.0
-    for t in np.unique(np.quantile(positives, qs)):
-        if not 0.0 < t < vmax:
-            continue
-        segments = _level_segments(grid, values2d, float(t))
-        if segments.shape[0] == 0:
-            continue
-        sigma = horizontal_perimeter(structure, segments)
-        vol = region_volume(structure, grid, center > t)
-        if vol <= 0.0:
-            continue
-        best = min(best, sigma / vol)
-    if not np.isfinite(best):
-        raise ValueError("no positive level produced a non-empty region")
-    return best
+    sweep = _LevelSweep(structure, grid, values2d)
+    return [cut_from_level_set(structure, grid, values2d, float(t), sweep)
+            for t in np.unique(np.quantile(positives, qs)) if umin < t < umax]
 
 
 def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u,
-                            n_levels: int = 40) -> float:
+                            n_levels: int = 40, cuts=None) -> float:
     """Upper bound for the Dirichlet Cheeger constant from super-level sets.
 
     u must vanish on the non-periodic boundary (e.g. a Dirichlet
     eigenfunction expanded to the full grid); its super-level sets then
     stay away from the boundary and sigma(boundary of {u > t}) / vol({u > t})
-    bounds the constant from above for every admissible t.
+    bounds the constant from above for every admissible t.  The bound is
+    the least such ratio over the superlevel_cuts of u with a non-empty
+    level set and region; a caller that already has those cuts passes them
+    as ``cuts``.
     """
     values2d = _node_values(grid, u)
     vmax = np.abs(values2d).max()
     if vmax == 0.0:
         raise ValueError("u is identically zero")
-    boundary_max = 0.0
-    if not grid.chart.periodic_x:
-        boundary_max = max(boundary_max, np.abs(values2d[0, :]).max(),
-                           np.abs(values2d[-1, :]).max())
-    if not grid.chart.periodic_y:
-        boundary_max = max(boundary_max, np.abs(values2d[:, 0]).max(),
-                           np.abs(values2d[:, -1]).max())
-    if boundary_max > 1e-10 * vmax:
+    edges = ([] if grid.chart.periodic_x else [values2d[0, :], values2d[-1, :]]) \
+        + ([] if grid.chart.periodic_y else [values2d[:, 0], values2d[:, -1]])
+    if edges and np.abs(np.concatenate(edges)).max() > 1e-10 * vmax:
         raise ValueError("u does not vanish on the boundary")
-    if -values2d.min() > values2d.max():
-        values2d = -values2d
-    return _superlevel_upper(structure, grid, values2d, n_levels)
+    if cuts is None:
+        cuts = superlevel_cuts(structure, grid, values2d, n_levels)
+    ratios = [c.sigma / c.vol1 for c in cuts if c.segments and c.vol1 > 0.0]
+    if not ratios:
+        raise ValueError("no positive level produced a non-empty region")
+    return min(ratios)
 
 
 @dataclass(frozen=True)
 class FlowCertificate:
     """Divergence lower-bound certificate carried by a horizontal field.
 
-    Valid means: the coefficient norm never exceeds 1 (up to tol), the
-    interior divergence never drops below h_certified (up to tol), and in
-    neumann mode the field points inward along the non-periodic boundary.
-    The divergence is only trusted away from non-periodic boundaries,
-    where the stencils are centered.
+    Valid means: the coefficient norm never exceeds 1 (up to tol) and, in
+    neumann mode, the field points inward along the non-periodic boundary.
+    h_certified is the least divergence sampled on the interior nodes (away
+    from non-periodic boundaries, where the stencils are centered): a node
+    sample, not a proof, which to_dict records as "sampling": "nodes".
     """
 
     mode: str
@@ -390,6 +382,7 @@ class FlowCertificate:
             "min_divergence": self.min_divergence,
             "boundary_inward_min": self.boundary_inward_min,
             "tol": self.tol,
+            "sampling": "nodes",
         }
 
     def to_json(self) -> str:
@@ -417,7 +410,6 @@ def mfmc_certify(structure: CCStructure, grid: Grid2D, V: HorizontalField,
     if interior.size == 0:
         raise ValueError("grid has no interior nodes")
     min_div = float(interior.min())
-    h_certified = min_div
     max_norm = float(np.sqrt(V.squared_length().max()))
     vx, vy = V.chart_components(structure)
     inward_min = float("inf")
@@ -425,10 +417,10 @@ def mfmc_certify(structure: CCStructure, grid: Grid2D, V: HorizontalField,
         inward_min = min(inward_min, float(vx[0, :].min()), float((-vx[-1, :]).min()))
     if not grid.chart.periodic_y:
         inward_min = min(inward_min, float(vy[:, 0].min()), float((-vy[:, -1]).min()))
-    valid = (max_norm <= 1.0 + tol) and (min_div >= h_certified - tol)
+    valid = max_norm <= 1.0 + tol
     if mode == "neumann" and np.isfinite(inward_min):
         valid = valid and (inward_min >= -tol)
-    return FlowCertificate(mode=mode, h_certified=h_certified,
+    return FlowCertificate(mode=mode, h_certified=min_div,
                            max_coeff_norm=max_norm, min_divergence=min_div,
                            boundary_inward_min=inward_min, valid=bool(valid), tol=tol)
 
@@ -501,24 +493,17 @@ def coarea_check(structure: CCStructure, grid: Grid2D, u,
     umin, umax = float(values2d.min()), float(values2d.max())
     if umax - umin <= 1e-300:
         raise ValueError("coarea check needs a non-constant function")
-    ix = np.arange(grid.n_cells_x)
-    iy = np.arange(grid.n_cells_y)
-    ixp = (ix + 1) % grid.nx
-    iyp = (iy + 1) % grid.ny
-    w00 = values2d[np.ix_(ix, iy)]
-    w10 = values2d[np.ix_(ixp, iy)]
-    w01 = values2d[np.ix_(ix, iyp)]
-    w11 = values2d[np.ix_(ixp, iyp)]
+    sweep = _LevelSweep(structure, grid, values2d)
+    w00, w10, w11, w01 = sweep.corners
     gx = ((w10 - w00) + (w11 - w01)) / (2.0 * grid.hx)
     gy = ((w01 - w00) + (w11 - w10)) / (2.0 * grid.hy)
     Xc, Yc = _cell_center_meshes(grid)
     coeffs = structure.coefficients_at(Xc, Yc)
-    rho = structure.density_at(Xc, Yc)
     grad_norm = np.sqrt(np.sum((coeffs[:, 0] * gx + coeffs[:, 1] * gy) ** 2, axis=0))
-    lhs = float(np.sum(rho * grad_norm) * grid.hx * grid.hy)
+    lhs = float(np.sum(sweep.rho * grad_norm) * grid.hx * grid.hy)
 
     ts = np.linspace(umin, umax, n_levels + 2)[1:-1]
-    perims = [horizontal_perimeter(structure, _level_segments(grid, values2d, float(t)))
+    perims = [horizontal_perimeter(structure, _level_segments(grid, values2d, float(t), sweep))
               for t in ts]
     t_ext = np.concatenate(([umin], ts, [umax]))
     p_ext = np.concatenate(([0.0], perims, [0.0]))
@@ -527,12 +512,14 @@ def coarea_check(structure: CCStructure, grid: Grid2D, u,
     return CoareaReport(lhs=lhs, rhs=rhs, rel_gap=rel_gap, n_levels=n_levels)
 
 
+def _csv_floats(*values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
 def write_cuts_csv(cuts, path) -> None:
     """Summary CSV, one row per cut: kind,sigma,vol1,vol2,ratio."""
     lines = ["kind,sigma,vol1,vol2,ratio"]
-    for cut in cuts:
-        lines.append(f"{cut.kind},{repr(float(cut.sigma))},{repr(float(cut.vol1))},"
-                     f"{repr(float(cut.vol2))},{repr(float(cut.ratio))}")
+    lines += [f"{c.kind},{_csv_floats(c.sigma, c.vol1, c.vol2, c.ratio)}" for c in cuts]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -540,10 +527,7 @@ def write_cuts_csv(cuts, path) -> None:
 def write_cut_segments_csv(cut: Cut, path) -> None:
     """Full CSV for one cut: metadata columns plus one row per segment."""
     lines = ["kind,sigma,vol1,vol2,ratio,x0,y0,x1,y1"]
-    meta = (f"{cut.kind},{repr(float(cut.sigma))},{repr(float(cut.vol1))},"
-            f"{repr(float(cut.vol2))},{repr(float(cut.ratio))}")
-    for (x0, y0), (x1, y1) in cut.segments:
-        lines.append(f"{meta},{repr(float(x0))},{repr(float(y0))},"
-                     f"{repr(float(x1))},{repr(float(y1))}")
+    meta = f"{cut.kind},{_csv_floats(cut.sigma, cut.vol1, cut.vol2, cut.ratio)}"
+    lines += [f"{meta},{_csv_floats(x0, y0, x1, y1)}" for (x0, y0), (x1, y1) in cut.segments]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

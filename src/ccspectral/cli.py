@@ -27,14 +27,14 @@ import numpy as np
 
 from .carnot import hausdorff_constant_heisenberg, heisenberg_spec, \
     homogeneous_dimension, unit_ball_volume
-from .cheeger import Cut, candidate_cuts_grushin, cut_from_level_set, \
-    dirichlet_cheeger_upper, mfmc_certify, sweep_level_sets, \
-    verify_inequality, write_cuts_csv
+from .cheeger import candidate_cuts_grushin, dirichlet_cheeger_upper, \
+    mfmc_certify, superlevel_cuts, sweep_level_sets, verify_inequality, \
+    write_cuts_csv
 from .discretization import AssembledForms, BCSegment, BoundarySpec, Grid2D, \
     assemble, build_grid
 from .eigensolver import DENSE_THRESHOLD, ConvergenceError, Eigenpairs, solve_smallest
 from .expressions import ExpressionError, compile_expression
-from .geometry import CCStructure, Chart2D, HorizontalField, \
+from .geometry import CCStructure, Chart2D, HorizontalField, SampleError, \
     builtin_euclidean, builtin_grushin_cylinder
 from .grushin import ModeProblem, ModeTable, WindowExhaustedError, \
     build_table, cross_validate, find_eigenvalues, write_table_csv
@@ -558,7 +558,12 @@ def _certificate_field(config: RunConfig, structure: CCStructure,
     except ExpressionError as exc:
         raise ConfigError(f"bad certificate expression:\n{exc}") from exc
     X, Y = grid.meshes()
-    phi = np.stack([e(X.ravel(), Y.ravel()) for e in exprs])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = np.stack([e(X.ravel(), Y.ravel()) for e in exprs])
+    if not np.all(np.isfinite(phi)):
+        i = np.argwhere(~np.isfinite(phi))[0][0]
+        raise SampleError(f"cheeger.certificate.phi[{i}]", exprs[i], "not finite",
+                          phi[i], X.ravel(), Y.ravel())
     return HorizontalField(grid=grid, phi=phi)
 
 
@@ -570,31 +575,22 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
     pairs = _solve(config, forms, k)
     out.mkdir(parents=True, exist_ok=True)
 
-    cuts: list[Cut] = []
+    index = 1 if flavor == "neumann" else 0
+    lam = float(pairs.lambdas[index])
+    u = forms.expand(pairs.vectors[:, index])
     if flavor == "neumann":
-        lam = float(pairs.lambdas[1])
-        u = forms.expand(pairs.vectors[:, 1])
-        if structure.name == "grushin-cylinder":
-            cuts.extend(candidate_cuts_grushin(structure, grid))
+        cuts = (candidate_cuts_grushin(structure, grid)
+                if structure.name == "grushin-cylinder" else [])
         cuts.append(sweep_level_sets(structure, grid, u, n_levels=config.cheeger.levels))
         h_upper = min(c.ratio for c in cuts)
     else:
-        lam = float(pairs.lambdas[0])
-        u = forms.expand(pairs.vectors[:, 0])
-        values = u if u[np.argmax(np.abs(u))] > 0 else -u
-        positives = values[values > 0.0]
-        qs = (np.arange(config.cheeger.levels) + 0.5) / config.cheeger.levels
-        for t in np.unique(np.quantile(positives, qs)):
-            if not values.min() < t < values.max():
-                continue
-            cut = cut_from_level_set(structure, grid, values, float(t))
-            if np.isfinite(cut.ratio):
-                cuts.append(cut)
+        # cuts.csv lists the two-sided level cuts; the Dirichlet bound reads them all
+        level_cuts = superlevel_cuts(structure, grid, u, n_levels=config.cheeger.levels)
+        cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
         if flavor == "dirichlet":
-            h_upper = dirichlet_cheeger_upper(structure, grid, u,
-                                              n_levels=config.cheeger.levels)
+            h_upper = dirichlet_cheeger_upper(structure, grid, u, cuts=level_cuts)
         else:
-            h_upper = min(c.ratio for c in cuts) if cuts else float("inf")
+            h_upper = min((c.ratio for c in cuts), default=float("inf"))
 
     write_cuts_csv(cuts, out / "cuts.csv")
     best = min(cuts, key=lambda c: c.ratio) if cuts else None
@@ -762,7 +758,7 @@ def main(argv=None) -> int:
             return cmd_grushin_table(config, out, quiet=args.quiet,
                                      do_cross_validate=args.cross_validate)
         return cmd_carnot(config, out, quiet=args.quiet)
-    except (ConfigError, ExpressionError) as exc:
+    except (ConfigError, ExpressionError, SampleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

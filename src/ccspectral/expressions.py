@@ -3,8 +3,10 @@
 The grammar is deliberately tiny: numbers, the variables ``x`` and ``y``,
 the constants ``pi`` and ``e``, the operators ``+ - * / ^`` (with ``^``
 right-associative), unary minus, parentheses, and the functions ``sin``,
-``cos``, ``exp``, ``abs``.  Compiled expressions evaluate vectorized over
-numpy arrays and never touch ``eval``.
+``cos``, ``tan``, ``exp``, ``log``, ``sqrt``, ``abs``.  Compiled
+expressions evaluate vectorized over numpy arrays and never touch ``eval``;
+outside a function's domain (``log(0)``, ``sqrt(-1)``) they yield numpy's
+``-inf`` or ``nan``, which the callers reject.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ import numpy as np
 __all__ = ["ExpressionError", "Expression", "compile_expression"]
 
 _FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "abs": np.abs,
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+    "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
 }
 
 _CONSTANTS: dict[str, float] = {"pi": float(np.pi), "e": float(np.e)}

@@ -25,6 +25,7 @@ __all__ = [
     "CCStructure",
     "GridFunction",
     "HorizontalField",
+    "SampleError",
     "constant_coefficient",
     "builtin_grushin_cylinder",
     "builtin_euclidean",
@@ -114,23 +115,41 @@ class CCStructure:
         xw, yw = self.chart.wrap(x, y)
         shape = np.broadcast_shapes(np.shape(xw), np.shape(yw))
         out = np.empty((self.m, 2) + shape)
-        for i, (a1, a2) in enumerate(self.field_coeffs):
-            out[i, 0] = _eval_coeff(a1, xw, yw, shape)
-            out[i, 1] = _eval_coeff(a2, xw, yw, shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i, (a1, a2) in enumerate(self.field_coeffs):
+                out[i, 0] = _eval_coeff(a1, xw, yw, shape)
+                out[i, 1] = _eval_coeff(a2, xw, yw, shape)
         if not np.all(np.isfinite(out)):
-            raise ValueError("non-finite field coefficient sample")
+            i, j = np.argwhere(~np.isfinite(out))[0][:2]
+            raise SampleError(f"field {i} component {j}", self.field_coeffs[i][j],
+                              "not finite", out[i, j], xw, yw)
         return out
 
     def density_at(self, x, y) -> np.ndarray:
-        """Evaluate rho; raises on non-positive or non-finite samples."""
+        """Evaluate rho; raises SampleError on non-positive or non-finite samples."""
         xw, yw = self.chart.wrap(x, y)
         shape = np.broadcast_shapes(np.shape(xw), np.shape(yw))
-        rho = _eval_coeff(self.density, xw, yw, shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rho = _eval_coeff(self.density, xw, yw, shape)
         if not np.all(np.isfinite(rho)):
-            raise ValueError("non-finite density sample")
+            raise SampleError("density", self.density, "not finite", rho, xw, yw)
         if np.any(rho <= 0.0):
-            raise ValueError("non-positive density sample")
+            raise SampleError("density", self.density, "not positive", rho, xw, yw)
         return rho
+
+
+class SampleError(ValueError):
+    """A coefficient or density sample that is not finite (or a density
+    sample that is not positive); the message names the function, its source
+    when it is a compiled expression, and the first failing sample point."""
+
+    def __init__(self, name: str, fn, problem: str, values, x, y):
+        bad = ~np.isfinite(values) if problem == "not finite" else ~(values > 0.0)
+        index = tuple(np.argwhere(bad)[0])
+        px, py = (float(np.broadcast_to(c, bad.shape)[index]) for c in (x, y))
+        label = f"{name} {fn.source!r}" if hasattr(fn, "source") else name
+        super().__init__(f"{label} is {problem} at (x, y) = ({px!r}, {py!r}): "
+                         f"sample {float(values[index])!r}")
 
 
 def _eval_coeff(fn: Coefficient, x: np.ndarray, y: np.ndarray, shape) -> np.ndarray:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,7 @@ def test_cheeger_neumann_presumes_upper_bound(tmp_path):
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["mode"] == "dirichlet" and cert["valid"] is True
     assert cert["h_certified"] == pytest.approx(1.0, abs=1e-9)
+    assert cert["sampling"] == "nodes"
 
 
 def test_cheeger_dirichlet_uses_certificate(tmp_path):
@@ -175,6 +177,29 @@ def test_cheeger_dirichlet_uses_certificate(tmp_path):
     assert report["h_lower"] == pytest.approx(1.0, abs=1e-9)
     assert report["lower_bound"] == pytest.approx(0.25, abs=1e-9)
     assert report["satisfied"] is True
+
+
+def test_cheeger_dirichlet_builds_each_level_once(tmp_path, monkeypatch):
+    import ccspectral.cheeger as cheeger
+
+    calls = []
+    original = cheeger._level_segments
+
+    def counting(grid, values2d, t, *args, **kwargs):
+        calls.append((values2d.tobytes(), float(t)))
+        return original(grid, values2d, t, *args, **kwargs)
+
+    monkeypatch.setattr(cheeger, "_level_segments", counting)
+    doc = dict(GRUSHIN_CHEEGER, bc="dirichlet")
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc),
+                "--out", out, "--quiet"]) == 0
+    assert calls and len(set(calls)) == len(calls)
+    # h_upper is min sigma/vol1 over the very level sets listed in cuts.csv
+    rows = [line.split(",") for line in (out / "cuts.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(calls)
+    report = json.loads((out / "inequality_report.json").read_text())
+    assert report["h_upper"] == min(float(r[1]) / float(r[2]) for r in rows)
 
 
 def test_cheeger_without_certificate(tmp_path):
@@ -283,6 +308,42 @@ def test_bad_expression_reports_position(tmp_path, capsys):
                 "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "^" in err
+
+
+SINGULAR = {
+    "structure": {"kind": "custom", "chart": {"x_range": [0, 1], "y_range": [0, 1]},
+                  "fields": [["1", "0"], ["0", "1"]], "density": "1"},
+    "grid": {"nx": 8, "ny": 8},
+    "bc": "dirichlet",
+    "solver": {"k": 1, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("command, change, expected", [
+    ("spectrum", {"density": "1/x"},
+     ["density '1/x' is not finite at (x, y) = (0.0, 0.0): sample inf"]),
+    ("spectrum", {"density": "x-0.5"}, ["density 'x-0.5' is not positive at (x, y) = ("]),
+    ("spectrum", {"fields": [["1", "0"], ["0", "sqrt(x-0.5)"]]},
+     ["field 1 component 1 'sqrt(x-0.5)' is not finite at (x, y) = (", "sample nan"]),
+    ("cheeger", {"density": "1+log(x)^2"},
+     ["density '1+log(x)^2' is not finite at (x, y) = (0.0, ", "sample inf"]),
+    ("cheeger", {"certificate": ["log(x)", "0"]},
+     ["cheeger.certificate.phi[0] 'log(x)' is not finite at (x, y) = (0.0, ", "sample -inf"]),
+])
+def test_singular_expression_is_a_config_error(tmp_path, capsys, command, change, expected):
+    doc = json.loads(json.dumps(SINGULAR))
+    if "certificate" in change:
+        doc["cheeger"] = {"certificate": {"phi": change["certificate"]}}
+    else:
+        doc["structure"].update(change)
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        assert run([command, "--config", cfg, "--out", tmp_path / "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    for text in expected:
+        assert text in err
 
 
 def test_bad_structure_kind(tmp_path, capsys):

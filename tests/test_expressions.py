@@ -55,6 +55,25 @@ def test_functions():
     assert ev("sin(x)^2 + cos(x)^2", x=0.7) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_tan_log_sqrt():
+    assert ev("tan(pi/4)") == pytest.approx(1.0, rel=1e-15)
+    assert ev("log(e^2)") == pytest.approx(2.0, rel=1e-15)
+    assert ev("sqrt(1+x)", x=3.0) == 2.0
+    assert ev("exp(log(x)) - sqrt(x)^2", x=2.5) == pytest.approx(0.0, abs=1e-15)
+    # each parses as a call node, not as an unknown name
+    for name in ("tan", "log", "sqrt"):
+        assert compile_expression(f"{name}(x)").ast[:2] == ("call", name)
+        with pytest.raises(ExpressionError):
+            compile_expression(f"{name} x")
+
+
+def test_domain_errors_yield_non_finite_values():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert ev("log(x)", x=0.0) == -math.inf
+        assert math.isnan(ev("sqrt(x)", x=-1.0))
+        assert math.isnan(ev("log(x)", x=-1.0))
+
+
 def test_nested_parentheses():
     assert ev("((2 + 3) * (4 - 1))") == 15.0
 
