@@ -47,10 +47,13 @@ _KINDS = ("dirichlet", "neumann", "mixed")
 
 @dataclass(frozen=True)
 class Cut:
-    """A candidate cut: straight segments with its perimeter and side volumes."""
+    """A candidate cut: straight segments with its perimeter and side volumes.
+
+    ``segments`` is an (S, 2, 2) float array of segment endpoints.
+    """
 
     kind: str
-    segments: tuple
+    segments: np.ndarray
     sigma: float
     vol1: float
     vol2: float
@@ -247,8 +250,7 @@ def cut_from_level_set(structure: CCStructure, grid: Grid2D, u, t: float,
     mask = sweep.center > t
     vol1 = float(np.sum(sweep.rho[mask]) * grid.hx * grid.hy)
     vol2 = float(np.sum(sweep.rho[~mask]) * grid.hx * grid.hy)
-    seg_tuples = tuple((tuple(a), tuple(b)) for a, b in segments.tolist())
-    return Cut(kind="level_set", segments=seg_tuples, sigma=sigma, vol1=vol1, vol2=vol2)
+    return Cut(kind="level_set", segments=segments, sigma=sigma, vol1=vol1, vol2=vol2)
 
 
 def sweep_level_sets(structure: CCStructure, grid: Grid2D, u, n_levels: int = 40) -> Cut:
@@ -291,15 +293,15 @@ def candidate_cuts_grushin(structure: CCStructure, grid: Grid2D,
     y_lo, y_hi = chart.y_range
     cuts: list[Cut] = []
     for h in np.linspace(0.0, 1.0, n_circles + 2)[1:-1]:
-        segments = (((float(h), y_lo), (float(h), y_hi)),)
+        segments = np.array([[[h, y_lo], [h, y_hi]]])
         sigma = horizontal_perimeter(structure, segments)
         vol1 = float(h) * chart.y_length
         cuts.append(Cut(kind="vertical_circle", segments=segments, sigma=sigma,
                         vol1=vol1, vol2=chart.y_length - vol1))
     half = chart.y_length / 2.0
     for y0 in y_lo + half * np.arange(n_line_pairs) / n_line_pairs:
-        segments = (((0.0, float(y0)), (1.0, float(y0))),
-                    ((0.0, float(y0 + half)), (1.0, float(y0 + half))))
+        segments = np.array([[[0.0, y0], [1.0, y0]],
+                             [[0.0, y0 + half], [1.0, y0 + half]]])
         sigma = horizontal_perimeter(structure, segments)
         cuts.append(Cut(kind="line_pair", segments=segments, sigma=sigma,
                         vol1=half, vol2=half))
@@ -348,7 +350,7 @@ def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u,
         raise ValueError("u does not vanish on the boundary")
     if cuts is None:
         cuts = superlevel_cuts(structure, grid, values2d, n_levels)
-    ratios = [c.sigma / c.vol1 for c in cuts if c.segments and c.vol1 > 0.0]
+    ratios = [c.sigma / c.vol1 for c in cuts if len(c.segments) and c.vol1 > 0.0]
     if not ratios:
         raise ValueError("no positive level produced a non-empty region")
     return min(ratios)
@@ -528,6 +530,7 @@ def write_cut_segments_csv(cut: Cut, path) -> None:
     """Full CSV for one cut: metadata columns plus one row per segment."""
     lines = ["kind,sigma,vol1,vol2,ratio,x0,y0,x1,y1"]
     meta = f"{cut.kind},{_csv_floats(cut.sigma, cut.vol1, cut.vol2, cut.ratio)}"
-    lines += [f"{meta},{_csv_floats(x0, y0, x1, y1)}" for (x0, y0), (x1, y1) in cut.segments]
+    lines += [f"{meta},{_csv_floats(*row)}"
+              for row in _segments_array(cut.segments).reshape(-1, 4).tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

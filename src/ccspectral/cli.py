@@ -522,9 +522,11 @@ def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     _write_eigenvalues_csv(pairs, out / "eigenvalues.csv")
+    info = pairs.info
+    inverse = f", inverse {info['inverse']} ({info['inverse_reason']})" if "inverse" in info else ""
     _say(quiet, f"structure {structure.name}, grid {grid.nx}x{grid.ny}, "
-                f"bc {config.bc.kind}, k={pairs.k}, solver {pairs.info['path']} "
-                f"({pairs.info['reason']})")
+                f"bc {config.bc.kind}, k={pairs.k}, solver {info['path']} "
+                f"({info['reason']}){inverse}")
     report = check_courant(pairs, forms, rel_threshold=config.nodal.rel_threshold,
                            gap_rel_tol=config.nodal.gap_rel_tol)
     for i, entry in enumerate(report.entries):

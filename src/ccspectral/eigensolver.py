@@ -4,21 +4,26 @@ A is the assembled energy matrix (symmetric positive semidefinite) and M
 the lumped mass diagonal.  Small problems go through a dense symmetric
 solve; large ones through shift-invert Lanczos on the regularized pencil
 (A + eps M, M), which is positive definite even when constants span the
-kernel of A.  The shifted matrix is factorized once: the same sparse LU
-applies the inverse operator inside Lanczos and drives the inverse-iteration
-polish.  Both paths finish with a Rayleigh-Ritz polish against the
-unshifted pencil, so the regularization never leaks into the results.
-Runs are deterministic: the iterative start vector is drawn from a seeded
-generator.
+kernel of A.  The shifted matrix K = A + eps M is inverted once: the same
+inverse operator serves Lanczos and drives the inverse-iteration polish.
+When K is invariant under y-translation (a y-periodic chart whose mass and
+nearest-neighbour stencil do not vary along y, such as the Grushin
+cylinder), an FFT along y turns K into one Hermitian tridiagonal system per
+frequency, which is factorized directly (the fast direct solver of Hockney
+1965 and Buzbee-Golub-Nielson 1970); any other K gets a sparse LU.  Both
+paths finish with a Rayleigh-Ritz polish against the unshifted pencil, so
+the regularization never leaks into the results.  Runs are deterministic:
+the iterative start vector is drawn from a seeded generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 import scipy.linalg as la
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -41,8 +46,10 @@ class Eigenpairs:
     """Ascending eigenvalues, M-orthonormal vectors (columns), residuals.
 
     residuals[i] = ||A v_i - lambda_i M v_i||_2 with ||v_i||_M = 1.  info says
-    how they were found: path and reason, factor fill and inverse-operator
-    applies (shift-invert), Rayleigh-Ritz polish passes, M-orthonormality defect.
+    how they were found: path and reason; for shift-invert the inverse used
+    ("fft-y" or "splu") and why, the LU fill (splu only) and the count of
+    inverse-operator applies; Rayleigh-Ritz polish passes, M-orthonormality
+    defect.
     """
 
     lambdas: np.ndarray
@@ -87,6 +94,87 @@ def _solve_dense(forms: AssembledForms, k: int) -> tuple[np.ndarray, np.ndarray]
     return w[:k], V
 
 
+def _y_stencil(forms: AssembledForms) -> tuple[np.ndarray | None, str]:
+    """The y-independent stencil of A, or None and why A + eps M is not y-invariant.
+
+    The stencil S has shape (rows, 3, 3): S[i, 1 + dx, 1 + dy] couples node
+    (i, j) of the active x-rows to node (i + dx, j + dy mod ny), the same for
+    every j to within 1e-14 max|A|.  The O(1) and O(n) tests run first, so a
+    partial boundary segment or a y-dependent density is rejected before A
+    is read.
+    """
+    grid = forms.grid
+    ny = grid.ny
+    if not grid.chart.periodic_y:
+        return None, "chart not periodic in y"
+    if grid.chart.periodic_x:
+        return None, "chart periodic in x"
+    active = forms.active_nodes
+    n = active.size
+    if n % ny or active[0] % ny or active[-1] - active[0] != n - 1:
+        return None, "active nodes are not full y-rows"
+    mass = forms.mass.reshape(-1, ny)
+    if np.any(mass != mass[:, :1]):
+        return None, "mass varies along y"
+    A = forms.A.tocoo()
+    ix, iy = np.divmod(A.row, ny)
+    dx = A.col // ny - ix
+    dy = (A.col - A.row) % ny
+    dy[dy == ny - 1] = -1
+    if np.any(np.abs(dx) > 1) or np.any(dy > 1):
+        return None, "A couples nodes that are not x- or y-neighbours"
+    S = np.zeros((n // ny, ny, 3, 3))
+    S[ix, iy, dx + 1, dy + 1] = A.data
+    stencil = S[:, ny // 2]  # an interior row: the wrap row sums in another order
+    if np.abs(S - stencil[:, None]).max() > 1e-14 * np.abs(A.data).max(initial=0.0):
+        return None, "A varies along y"
+    return stencil, "A + eps M is invariant under y-translation"
+
+
+def _fft_y_inverse(stencil: np.ndarray, mass_row: np.ndarray, eps: float,
+                   ny: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact solver for the y-invariant K = A + eps M with that stencil.
+
+    An rfft along y takes K to the Hermitian positive-definite tridiagonal
+    symbols K_m = sum_s C_s e^{i theta_m s}, theta_m = 2 pi m / ny, one per
+    frequency; the symbols are laid end to end as one tridiagonal matrix with
+    zero couplings between blocks, LDL^H-factorized once (LAPACK pttrf) and
+    solved for all frequencies and right-hand sides in one pttrs call.
+    """
+    rows = stencil.shape[0]
+    phase = np.exp(2j * np.pi * np.arange(ny // 2 + 1) / ny)[:, None]
+    # diagonal: C_0 + eps m + C_1 e^{i theta} + C_{-1} e^{-i theta}, real as K is symmetric
+    diag = (stencil[:, 1, 1] + eps * mass_row) + phase.real * (stencil[:, 1, 0] + stencil[:, 1, 2])
+    sub = np.zeros((phase.size, rows), dtype=complex)
+    sub[:, :-1] = (stencil[1:, 0, 1] + phase * stencil[1:, 0, 2]
+                   + phase.conj() * stencil[1:, 0, 0])
+    d, e, info = lapack.zpttrf(diag.ravel(), sub.ravel()[:-1])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"y-frequency symbol not positive definite (pttrf info {info})")
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        X = np.fft.rfft(x.reshape(rows, ny, -1), axis=1)
+        B = X.transpose(1, 0, 2).reshape(d.size, -1)
+        Y, _ = lapack.zpttrs(d, e, B, lower=1)
+        Y = Y.reshape(phase.size, rows, -1).transpose(1, 0, 2)
+        return np.fft.irfft(Y, n=ny, axis=1).reshape(x.shape)
+
+    return solve
+
+
+def _shifted_inverse(forms: AssembledForms, K: sp.spmatrix,
+                     eps: float) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
+    """A solver for K = A + eps M and how it was built: FFT in y, else sparse LU."""
+    stencil, reason = _y_stencil(forms)
+    if stencil is not None:
+        mass_row = forms.mass.reshape(stencil.shape[0], -1)[:, 0]
+        solve = _fft_y_inverse(stencil, mass_row, eps, forms.grid.ny)
+        return solve, {"inverse": "fft-y", "inverse_reason": reason}
+    # K is symmetric, so order on A + A^T and let SuperLU prefer diagonal pivots.
+    lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    return lu.solve, {"inverse": "splu", "inverse_reason": reason, "factor_nnz": int(lu.nnz)}
+
+
 def _solve_iterative(forms: AssembledForms, k: int, seed: int,
                      maxiter_per_mode: int) -> tuple[np.ndarray, np.ndarray, dict]:
     A = forms.A
@@ -95,17 +183,16 @@ def _solve_iterative(forms: AssembledForms, k: int, seed: int,
     # Eigenvalue-scale shift keeps the pencil positive definite without
     # drowning in roundoff; it is removed exactly by the final polish.
     eps = 1e-8 * float(A.diagonal().sum()) / float(mass.sum())
-    K = (A + sp.diags(eps * mass)).tocsc()
+    K = A + sp.diags(eps * mass)
     M = sp.diags(mass, format="csr")
-    # The one factorization: K is symmetric, so order on A + A^T and let
-    # SuperLU prefer diagonal pivots.
-    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    # The one inverse of K, shared by Lanczos and the polish.
+    solve, stats = _shifted_inverse(forms, K, eps)
     applies = 0
 
     def apply_inverse(x):
         nonlocal applies
         applies += 1
-        return lu.solve(x)
+        return solve(x)
 
     OPinv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
     rng = np.random.default_rng(seed)
@@ -122,9 +209,9 @@ def _solve_iterative(forms: AssembledForms, k: int, seed: int,
     V = V[:, order]
     # Inverse-iteration polish against K, then Ritz values from the true pencil.
     for _ in range(2):
-        V = lu.solve(mass[:, None] * V)
+        V = solve(mass[:, None] * V)
         w, V = _rayleigh_ritz(A, mass, V)
-    return w, V, {"factor_nnz": int(lu.nnz), "opinv_applies": applies}
+    return w, V, {**stats, "opinv_applies": applies}
 
 
 def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "ModeProblem",
@@ -79,6 +78,8 @@ def shoot(problem: ModeProblem, lam: float) -> float:
     tolerance ode_tol; the mismatch is a smooth function of lambda whose
     zeros are the mode eigenvalues.
     """
+    from scipy.integrate import solve_ivp  # deferred: keeps `import ccspectral` light
+
     n2 = float(problem.n) ** 2
     lam = float(lam)
 
@@ -95,6 +96,8 @@ def shoot(problem: ModeProblem, lam: float) -> float:
 
 def mode_zero_crossings(problem: ModeProblem, lam: float, n_points: int = 2001) -> int:
     """Number of interior sign changes of v on (0, 1) at the given lambda."""
+    from scipy.integrate import solve_ivp
+
     n2 = float(problem.n) ** 2
     lam = float(lam)
 

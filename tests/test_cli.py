@@ -81,6 +81,16 @@ def test_spectrum_quiet_silences_stdout(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().out
 
 
+def test_spectrum_names_the_inverse_on_stdout_only(tmp_path, capsys):
+    cfg = write_config(tmp_path, GRUSHIN_SPECTRUM)
+    out = tmp_path / "run"
+    assert run(["spectrum", "--config", cfg, "--out", out]) == 0
+    assert ("solver shift-invert (n_active = 1152 > dense_threshold = 150), inverse fft-y"
+            in capsys.readouterr().out)
+    for path in out.iterdir():
+        assert b"fft-y" not in path.read_bytes(), path.name
+
+
 def test_spectrum_labels_each_eigenfunction_once(tmp_path, monkeypatch):
     import ccspectral.cli as cli
     import ccspectral.nodal as nodal

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ccspectral as cc
+from ccspectral import eigensolver
 
 
 def test_validation():
@@ -91,7 +93,25 @@ def test_auto_takes_dense_when_k_near_n(euclidean):
         cc.solve_smallest(forms, k=n, method="shift-invert")
 
 
-def test_shift_invert_factorizes_once(grushin, monkeypatch):
+def _custom(fields, density=lambda x, y: np.ones(np.shape(x))):
+    """A structure on the Grushin cylinder's chart."""
+    return cc.CCStructure(chart=cc.builtin_grushin_cylinder().chart,
+                          field_coeffs=tuple(fields), density=density)
+
+
+ONE = cc.constant_coefficient(1.0)
+ZERO = cc.constant_coefficient(0.0)
+
+
+def _y_dependent_structure():
+    """The cheeger benchmark's structure: y-dependent field and density."""
+    return _custom(((ONE, ZERO), (ZERO, lambda x, y: x * (1.0 + 0.25 * np.sin(y)))),
+                   density=lambda x, y: 1.0 + 0.5 * np.cos(y) ** 2)
+
+
+@pytest.fixture
+def count_gstrf(monkeypatch):
+    """List of the fills of every SuperLU factorization made while it is active."""
     import scipy.sparse.linalg._dsolve.linsolve as linsolve
 
     gstrf = linsolve._superlu.gstrf
@@ -103,16 +123,110 @@ def test_shift_invert_factorizes_once(grushin, monkeypatch):
         return lu
 
     monkeypatch.setattr(linsolve._superlu, "gstrf", counting_gstrf)
-    grid = cc.build_grid(grushin.chart, 32, 64)
-    forms = cc.assemble(grushin, grid, cc.BoundarySpec.all_neumann())
+    return fills
+
+
+def test_shift_invert_factorizes_once(count_gstrf):
+    structure = _y_dependent_structure()
+    grid = cc.build_grid(structure.chart, 32, 64)
+    forms = cc.assemble(structure, grid, cc.BoundarySpec.all_neumann())
     pairs = cc.solve_smallest(forms, k=6, method="shift-invert")
-    assert len(fills) == 1
+    assert len(count_gstrf) == 1
     info = pairs.info
     assert info["path"] == "shift-invert" and info["reason"] == "forced"
-    assert info["factor_nnz"] == fills[0]
+    assert info["inverse"] == "splu" and info["inverse_reason"] == "mass varies along y"
+    assert info["factor_nnz"] == count_gstrf[0]
     assert info["opinv_applies"] > 0
     assert 0 <= info["polish_passes"] <= 3
     assert 0.0 <= info["gram_defect"] <= 1e-8
+
+
+def _shifted(forms):
+    eps = 1e-8 * float(forms.A.diagonal().sum()) / float(forms.mass.sum())
+    return forms.A + sp.diags(eps * forms.mass), eps
+
+
+CROSS_TERM = ((ONE, lambda x, y: np.asarray(x, dtype=float)), (ZERO, ONE))
+
+
+@pytest.mark.parametrize("structure, nx, ny", [
+    ("grushin", 24, 48), ("grushin", 17, 33), ("grushin", 5, 3), ("cross", 20, 31)])
+def test_fft_inverse_backward_error(grushin, structure, nx, ny):
+    structure = grushin if structure == "grushin" else _custom(CROSS_TERM)
+    grid = cc.build_grid(structure.chart, nx, ny)
+    forms = cc.assemble(structure, grid, cc.BoundarySpec.all_neumann())
+    K, eps = _shifted(forms)
+    solve, info = eigensolver._shifted_inverse(forms, K, eps)
+    assert info["inverse"] == "fft-y" and "factor_nnz" not in info
+    rng = np.random.default_rng(7)
+    scale = abs(K).sum(axis=1).max()
+    for x in (rng.standard_normal(forms.n_active), rng.standard_normal((forms.n_active, 3))):
+        y = solve(x)
+        assert y.shape == x.shape and y.dtype == np.float64
+        # normwise backward error; y itself is only as good as cond(K) ~ 1e8 allows
+        assert np.abs(K @ y - x).max() <= 1e-14 * scale * np.abs(y).max()
+
+
+def test_cross_term_symbol_is_complex():
+    structure = _custom(CROSS_TERM)
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, 12, 16),
+                        cc.BoundarySpec.all_neumann())
+    stencil, _ = eigensolver._y_stencil(forms)
+    # diagonal neighbours (i+1, j+1) and (i+1, j-1) couple differently,
+    # so the sub-diagonal of the y-frequency symbol has an imaginary part
+    assert np.abs(stencil[:-1, 2, 2] - stencil[:-1, 2, 0]).max() > 1e-3 * np.abs(stencil).max()
+
+
+MIXED_X_MAX = cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet"),))
+
+
+@pytest.mark.parametrize("ny", [32, 33])
+@pytest.mark.parametrize("structure, bc", [
+    ("grushin", "neumann"), ("grushin", "dirichlet"), ("grushin", "mixed"),
+    ("cross", "neumann")])
+def test_fft_inverse_matches_splu(grushin, monkeypatch, count_gstrf, structure, bc, ny):
+    structure = grushin if structure == "grushin" else _custom(CROSS_TERM)
+    bc = {"neumann": cc.BoundarySpec.all_neumann(),
+          "dirichlet": cc.BoundarySpec.all_dirichlet(structure.chart),
+          "mixed": MIXED_X_MAX}[bc]
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, 20, ny), bc)
+    fft = cc.solve_smallest(forms, k=6, method="shift-invert")
+    assert fft.info["inverse"] == "fft-y" and not count_gstrf
+    monkeypatch.setattr(eigensolver, "_y_stencil", lambda forms: (None, "disabled"))
+    lu = cc.solve_smallest(forms, k=6, method="shift-invert")
+    assert lu.info["inverse"] == "splu" and len(count_gstrf) == 1
+    assert np.all(np.abs(fft.lambdas - lu.lambdas) <= 1e-12 * np.maximum(1.0, np.abs(lu.lambdas)))
+    assert fft.info["opinv_applies"] > 0
+
+
+def _fallback_cases():
+    grushin = cc.builtin_grushin_cylinder()
+    return {
+        "y-dependent field": (
+            _custom(((ONE, ZERO), (ZERO, lambda x, y: x * (1.0 + 0.25 * np.sin(y))))),
+            cc.BoundarySpec.all_neumann(), "A varies along y"),
+        "y-dependent density": (
+            _custom(grushin.field_coeffs, density=lambda x, y: 1.0 + 0.5 * np.cos(y) ** 2),
+            cc.BoundarySpec.all_neumann(), "mass varies along y"),
+        "partial x_max segment": (
+            grushin, cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet", lo=1.0, hi=3.0),)),
+            "active nodes are not full y-rows"),
+        "non-periodic y": (
+            cc.builtin_euclidean(), cc.BoundarySpec.all_neumann(), "chart not periodic in y"),
+        "periodic x": (
+            cc.builtin_euclidean(periodic_x=True, periodic_y=True),
+            cc.BoundarySpec.all_neumann(), "chart periodic in x"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fallback_cases()))
+def test_y_dependent_operators_fall_back_to_splu(count_gstrf, case):
+    structure, bc, reason = _fallback_cases()[case]
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, 12, 16), bc)
+    pairs = cc.solve_smallest(forms, k=3, method="shift-invert")
+    assert len(count_gstrf) == 1
+    assert pairs.info["inverse"] == "splu" and pairs.info["inverse_reason"] == reason
+    assert pairs.info["factor_nnz"] == count_gstrf[0]
 
 
 def test_deterministic_across_runs(grushin_neumann_forms):

@@ -1,5 +1,10 @@
 """Separated angular modes of the Grushin cylinder: shooting and tables."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -138,3 +143,14 @@ def test_dirichlet_table_dominates_neumann(neumann_table):
     dirichlet = cc.build_table(1, 1, bc="dirichlet")
     for e in dirichlet.entries:
         assert e.lam > neumann_table.lam(e.n, e.m)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # solve_ivp is imported where the shooting needs it, not with the package
+    src = str(Path(cc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, ccspectral; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
