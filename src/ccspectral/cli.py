@@ -10,7 +10,8 @@ Four subcommands drive the library end to end from a JSON configuration:
 
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 ``--quiet``.  Exit codes: 0 on success, 2 on a configuration error, 3 when
-a solver or root finder fails to converge.  CSV artifacts use the shortest
+a solver or root finder fails to converge or a certified lower Cheeger bound
+contradicts the upper bound from cuts.  CSV artifacts use the shortest
 round-trip decimal representation for floats so identical runs produce
 byte-identical files.
 """
@@ -615,6 +616,10 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
             h_lower = certificate.h_certified
             h_source = "certificate"
             _say(quiet, f"certificate valid: h >= {h_lower:.9g}")
+            if h_lower > h_upper * (1.0 + 1e-9):
+                print(f"solver error: certified lower bound h >= {h_lower!r} exceeds "
+                      f"the upper bound h <= {h_upper!r}", file=sys.stderr)
+                return EXIT_SOLVER
         else:
             _say(quiet, f"certificate valid for mode {certificate.mode}; "
                         f"not used for the {flavor} inequality")

@@ -9,9 +9,18 @@ non-periodic edges and quarter weights at corners.  Dirichlet conditions
 are imposed by eliminating boundary nodes; Neumann conditions are
 natural (no boundary term).
 
-The assembled stiffness matrix is exactly symmetric: local cell matrices
-are mirrored bitwise across the diagonal and duplicate triplets are
-summed in a deterministic order that is identical for (r, c) and (c, r).
+A couples each node only to its eight neighbours, so it is assembled as a
+nine-point stencil, one offset (dx, dy) at a time, straight from the 4x4
+cell matrices, and compressed to CSR.  The stencil is kept with the forms:
+it is what the FFT inverse of the eigensolver reads.
+
+Summation-order contract: an entry of A sums the contributions of the (up
+to four) cells that hold both of its nodes in ascending flat cell index,
+in the order np.add.reduceat sums a group, v0 + ((v1 + v2) + v3); a single
+contribution is used as is, signed zero included.  Cell matrices are
+mirrored bitwise across the diagonal and the cells shared by nodes r and c
+are the same for (r, c) and (c, r), so A is exactly symmetric, and the
+same bits come out for the same grid on every run.
 """
 
 from __future__ import annotations
@@ -174,13 +183,21 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class AssembledForms:
-    """Stiffness matrix A, lumped mass diagonal and the active-node map."""
+    """Stiffness matrix A, lumped mass diagonal, the active-node map and
+    the stencil of A.
+
+    stencil has shape (nx, ny, 3, 3): stencil[i, j, 1 + dx, 1 + dy] is the
+    entry of A coupling node (i, j) to node (i + dx, j + dy), indices wrapping
+    on periodic axes, and 0.0 where A stores none (every coupling of an
+    eliminated node included).
+    """
 
     A: sp.csr_matrix
     mass: np.ndarray
     active_nodes: np.ndarray
     grid: Grid2D
     bc: BoundarySpec
+    stencil: np.ndarray
 
     @property
     def n_active(self) -> int:
@@ -211,27 +228,6 @@ class AssembledForms:
         return u_full[self.active_nodes]
 
 
-def _cell_corner_indices(grid: Grid2D) -> np.ndarray:
-    """Flat node indices of the four corners of every cell; shape (C, 4).
-
-    Corner order: (i,j), (i+1,j), (i,j+1), (i+1,j+1); indices wrap on
-    periodic axes.
-    """
-    ix = np.arange(grid.n_cells_x)
-    iy = np.arange(grid.n_cells_y)
-    ixp = (ix + 1) % grid.nx
-    iyp = (iy + 1) % grid.ny
-    IX, IY = np.meshgrid(ix, iy, indexing="ij")
-    IXp, IYp = np.meshgrid(ixp, iyp, indexing="ij")
-    corners = np.stack([
-        grid.node_index(IX, IY),
-        grid.node_index(IXp, IY),
-        grid.node_index(IX, IYp),
-        grid.node_index(IXp, IYp),
-    ], axis=-1)
-    return corners.reshape(-1, 4)
-
-
 def _cell_origin_meshes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     x0 = grid.chart.x_range[0] + grid.hx * np.arange(grid.n_cells_x)
     y0 = grid.chart.y_range[0] + grid.hy * np.arange(grid.n_cells_y)
@@ -243,12 +239,16 @@ _GAUSS_2D = tuple((gx, gy) for gx in _GAUSS_1D for gy in _GAUSS_1D)
 
 
 def _local_cell_matrices(structure: CCStructure, grid: Grid2D) -> np.ndarray:
-    """Per-cell 4x4 energy contributions, bitwise symmetric; shape (C, 4, 4)."""
+    """Per-cell 4x4 energy contributions L[p, q], each of shape (cells_x,
+    cells_y); bitwise symmetric in (p, q).
+
+    Corner p = px + 2 py of the cell with origin node (i, j) is node
+    (i + px, j + py).
+    """
     X0, Y0 = _cell_origin_meshes(grid)
     x0 = X0.ravel()
     y0 = Y0.ravel()
-    C = x0.size
-    L = np.zeros((C, 4, 4))
+    L = np.zeros((4, 4, x0.size))
     for gx, gy in _GAUSS_2D:
         # bilinear gradient at the Gauss point, as vectors over the corners
         vx = np.array([-(1.0 - gy), (1.0 - gy), -gy, gy]) / grid.hx
@@ -258,43 +258,92 @@ def _local_cell_matrices(structure: CCStructure, grid: Grid2D) -> np.ndarray:
         coeffs = structure.coefficients_at(px, py)  # (m, 2, C)
         rho = structure.density_at(px, py)
         w = rho * (grid.hx * grid.hy / 4.0)
-        alpha = np.sum(coeffs[:, 0] ** 2, axis=0)
-        beta = np.sum(coeffs[:, 0] * coeffs[:, 1], axis=0)
-        gamma = np.sum(coeffs[:, 1] ** 2, axis=0)
-        Vxx = np.outer(vx, vx)
-        Vxy = np.outer(vx, vy) + np.outer(vy, vx)
-        Vyy = np.outer(vy, vy)
-        L += ((w * alpha)[:, None, None] * Vxx
-              + (w * beta)[:, None, None] * Vxy
-              + (w * gamma)[:, None, None] * Vyy)
+        wa = w * np.sum(coeffs[:, 0] ** 2, axis=0)
+        wb = w * np.sum(coeffs[:, 0] * coeffs[:, 1], axis=0)
+        wg = w * np.sum(coeffs[:, 1] ** 2, axis=0)
+        for p in range(4):
+            for q in range(p, 4):
+                L[p, q] += ((wa * (vx[p] * vx[q]) + wb * (vx[p] * vy[q] + vy[p] * vx[q]))
+                            + wg * (vy[p] * vy[q]))
     # mirror the strict upper triangle so symmetry is bitwise, not just nominal
     for p in range(4):
         for q in range(p + 1, 4):
-            L[:, q, p] = L[:, p, q]
-    return L
+            L[q, p] = L[p, q]
+    return L.reshape(4, 4, *X0.shape)
 
 
-def _assemble_stiffness(structure: CCStructure, grid: Grid2D) -> sp.csr_matrix:
-    corners = _cell_corner_indices(grid)
-    L = _local_cell_matrices(structure, grid)
-    rows = np.repeat(corners, 4, axis=1).ravel()          # corner p, varying slowest
-    cols = np.tile(corners, (1, 4)).ravel()               # corner q, varying fastest
-    vals = L.ravel()                                      # L[c, p, q] in the same order
-    # Deterministic duplicate summation: stable lexsort keeps cell order inside
-    # each (row, col) group, and the (col, row) group holds the bitwise-equal
-    # mirrored values in the same order, so A comes out exactly symmetric.
-    n = grid.n_nodes
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    vals = vals[order]
-    keys = rows.astype(np.int64) * n + cols
-    starts = np.flatnonzero(np.diff(keys)) + 1
-    starts = np.concatenate(([0], starts))
-    sums = np.add.reduceat(vals, starts)
-    urows = rows[starts]
-    ucols = cols[starts]
-    A = sp.coo_matrix((sums, (urows, ucols)), shape=(n, n)).tocsr()
+def _reduceat_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """t0 + ((t1 + t2) + t3): the order in which np.add.reduceat sums a group."""
+    total = terms[0]
+    if len(terms) > 1:
+        rest = terms[1]
+        for t in terms[2:]:
+            rest = rest + t
+        total = total + rest
+    return total
+
+
+def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """The nine-point stencil of A on the full grid; shape (nx, ny, 3, 3).
+
+    Entry (a, b, 1 + dx, 1 + dy) sums L[p, q] over the cells in which node
+    (a, b) is corner p and node (a + dx, b + dy) is corner q, in ascending
+    flat cell index.  A missing cell (beyond a non-periodic edge) adds -0.0,
+    which leaves every sum unchanged as long as it is not the first term;
+    it never is, because missing cells sort last in ascending index, as do
+    the wrapped cells of the first node row and column.  Entries with no
+    cell at all are -0.0 here.
+    """
+    nx, ny = grid.nx, grid.ny
+    ncx, ncy = grid.n_cells_x, grid.n_cells_y
+    S = np.empty((nx, ny, 3, 3))
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            # corners (px, py) of the cells that also hold the neighbour
+            corners = [(px, py) for px in (0, 1) if 0 <= px + dx <= 1
+                       for py in (0, 1) if 0 <= py + dy <= 1]
+            terms = {}
+            for px, py in corners:
+                padded = np.full((nx, ny), -0.0)
+                padded[:ncx, :ncy] = L[px + 2 * py, px + dx + 2 * (py + dy)]
+                # terms[a, b] = value of the cell (a - px, b - py)
+                terms[px, py] = np.roll(padded, (px, py), axis=(0, 1))
+            # Cell a - px ascends with -px, except in node row 0, where px = 1
+            # is the wrapped last cell or a missing one; likewise for columns.
+            for first_row in (False, True):
+                rows = slice(0, 1) if first_row else slice(1, None)
+                for first_col in (False, True):
+                    cols = slice(0, 1) if first_col else slice(1, None)
+                    order = sorted(corners, key=lambda c: (c[0] if first_row else -c[0],
+                                                           c[1] if first_col else -c[1]))
+                    S[rows, cols, 1 + dx, 1 + dy] = _reduceat_sum(
+                        [terms[c][rows, cols] for c in order])
+    return S
+
+
+def _stencil_matrix(S: np.ndarray, grid: Grid2D, active: np.ndarray) -> sp.csr_matrix:
+    """A on the active nodes (boolean (nx, ny) mask) in CSR with sorted indices.
+
+    Zeroes S wherever A stores no entry: across a non-periodic edge and at
+    every coupling of an eliminated node.
+    """
+    n_active = int(np.count_nonzero(active))
+    number = np.full(active.shape, -1, dtype=np.int32)  # active index, -1 if eliminated
+    number[active] = np.arange(n_active, dtype=np.int32)
+    # Pad with the wrapped neighbours, or with -1 beyond a non-periodic edge;
+    # cols[a, b, 1 + dx, 1 + dy] is then the active index of (a + dx, b + dy).
+    padded = np.pad(number, 1, mode="wrap")
+    if not grid.chart.periodic_x:
+        padded[[0, -1]] = -1
+    if not grid.chart.periodic_y:
+        padded[:, [0, -1]] = -1
+    cols = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
+    keep = active[:, :, None, None] & (cols >= 0)
+    S[~keep] = 0.0
+    row_nnz = np.count_nonzero(keep, axis=(2, 3))[active]
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    A = sp.csr_matrix((S[keep], cols[keep], indptr), shape=(n_active, n_active))
+    A.sort_indices()
     return A
 
 
@@ -314,16 +363,14 @@ def _lumped_mass(structure: CCStructure, grid: Grid2D) -> np.ndarray:
 def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> AssembledForms:
     """Assemble the energy and mass forms, with Dirichlet nodes eliminated."""
     _check_compatible(structure, grid)
-    A_full = _assemble_stiffness(structure, grid)
+    S = _stencil(_local_cell_matrices(structure, grid), grid)
     mass_full = _lumped_mass(structure, grid)
-    mask = bc.dirichlet_mask(grid).ravel()
-    active = np.flatnonzero(~mask)
-    if active.size == 0:
+    active = ~bc.dirichlet_mask(grid)
+    if not active.any():
         raise ValueError("boundary conditions eliminate every node")
-    A = A_full[active][:, active].tocsr()
-    A.sort_indices()
-    return AssembledForms(A=A, mass=mass_full[active], active_nodes=active,
-                          grid=grid, bc=bc)
+    A = _stencil_matrix(S, grid, active)
+    return AssembledForms(A=A, mass=mass_full[active.ravel()],
+                          active_nodes=np.flatnonzero(active), grid=grid, bc=bc, stencil=S)
 
 
 def rayleigh_quotient(forms: AssembledForms, u: np.ndarray) -> float:

@@ -99,9 +99,9 @@ def _y_stencil(forms: AssembledForms) -> tuple[np.ndarray | None, str]:
 
     The stencil S has shape (rows, 3, 3): S[i, 1 + dx, 1 + dy] couples node
     (i, j) of the active x-rows to node (i + dx, j + dy mod ny), the same for
-    every j to within 1e-14 max|A|.  The O(1) and O(n) tests run first, so a
-    partial boundary segment or a y-dependent density is rejected before A
-    is read.
+    every j to within 1e-14 max|A|.  It is read from the stencil the assembly
+    kept; the O(1) and O(n) tests run first, so a partial boundary segment or
+    a y-dependent density is rejected before any stencil row is compared.
     """
     grid = forms.grid
     ny = grid.ny
@@ -116,17 +116,10 @@ def _y_stencil(forms: AssembledForms) -> tuple[np.ndarray | None, str]:
     mass = forms.mass.reshape(-1, ny)
     if np.any(mass != mass[:, :1]):
         return None, "mass varies along y"
-    A = forms.A.tocoo()
-    ix, iy = np.divmod(A.row, ny)
-    dx = A.col // ny - ix
-    dy = (A.col - A.row) % ny
-    dy[dy == ny - 1] = -1
-    if np.any(np.abs(dx) > 1) or np.any(dy > 1):
-        return None, "A couples nodes that are not x- or y-neighbours"
-    S = np.zeros((n // ny, ny, 3, 3))
-    S[ix, iy, dx + 1, dy + 1] = A.data
+    S = forms.stencil[active[0] // ny:active[-1] // ny + 1]
     stencil = S[:, ny // 2]  # an interior row: the wrap row sums in another order
-    if np.abs(S - stencil[:, None]).max() > 1e-14 * np.abs(A.data).max(initial=0.0):
+    deviation = S - stencil[:, None]
+    if max(deviation.max(), -deviation.min()) > 1e-14 * max(S.max(), -S.min()):
         return None, "A varies along y"
     return stencil, "A + eps M is invariant under y-translation"
 
@@ -162,7 +155,7 @@ def _fft_y_inverse(stencil: np.ndarray, mass_row: np.ndarray, eps: float,
     return solve
 
 
-def _shifted_inverse(forms: AssembledForms, K: sp.spmatrix,
+def _shifted_inverse(forms: AssembledForms,
                      eps: float) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
     """A solver for K = A + eps M and how it was built: FFT in y, else sparse LU."""
     stencil, reason = _y_stencil(forms)
@@ -171,7 +164,10 @@ def _shifted_inverse(forms: AssembledForms, K: sp.spmatrix,
         solve = _fft_y_inverse(stencil, mass_row, eps, forms.grid.ny)
         return solve, {"inverse": "fft-y", "inverse_reason": reason}
     # K is symmetric, so order on A + A^T and let SuperLU prefer diagonal pivots.
-    lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    # It is bitwise symmetric too, so the transpose of its CSR form is K in
+    # CSC form, holding the same arrays, without a copy.
+    K = forms.A + sp.diags(eps * forms.mass)
+    lu = spla.splu(K.T, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     return lu.solve, {"inverse": "splu", "inverse_reason": reason, "factor_nnz": int(lu.nnz)}
 
 
@@ -183,10 +179,8 @@ def _solve_iterative(forms: AssembledForms, k: int, seed: int,
     # Eigenvalue-scale shift keeps the pencil positive definite without
     # drowning in roundoff; it is removed exactly by the final polish.
     eps = 1e-8 * float(A.diagonal().sum()) / float(mass.sum())
-    K = A + sp.diags(eps * mass)
-    M = sp.diags(mass, format="csr")
     # The one inverse of K, shared by Lanczos and the polish.
-    solve, stats = _shifted_inverse(forms, K, eps)
+    solve, stats = _shifted_inverse(forms, eps)
     applies = 0
 
     def apply_inverse(x):
@@ -195,11 +189,18 @@ def _solve_iterative(forms: AssembledForms, k: int, seed: int,
         return solve(x)
 
     OPinv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
+    M = spla.LinearOperator((n, n), matvec=lambda x: mass * x, dtype=float)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     ncv = min(n, max(2 * k + 10, 30))
+    # Shift-invert mode applies only OPinv and M, never its first argument.
+    # tol=0 (machine precision) is load-bearing: single-vector Lanczos finds
+    # the second member of each exactly degenerate pair (the cos/sin y-modes)
+    # only through roundoff, and at a looser tolerance it can converge with
+    # a partner missing while every residual passes (Lehoucq, Sorensen and
+    # Yang, ARPACK Users' Guide, 1998).
     try:
-        mu, V = spla.eigsh(K, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=OPinv,
+        mu, V = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=OPinv,
                            ncv=ncv, maxiter=maxiter_per_mode * k, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(

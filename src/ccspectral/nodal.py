@@ -44,22 +44,6 @@ class NodalDecomposition:
     rel_threshold: float
 
 
-def _grid_edges(grid: Grid2D) -> np.ndarray:
-    """All 4-neighbor node pairs, wrapping on periodic axes; shape (E, 2)."""
-    nx, ny = grid.nx, grid.ny
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    pairs = []
-    right = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
-    pairs.append(right)
-    if grid.chart.periodic_x:
-        pairs.append(np.stack([idx[-1, :], idx[0, :]], axis=1))
-    up = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
-    pairs.append(up)
-    if grid.chart.periodic_y:
-        pairs.append(np.stack([idx[:, -1], idx[:, 0]], axis=1))
-    return np.concatenate(pairs, axis=0)
-
-
 def nodal_domains(grid: Grid2D, u, rel_threshold: float = 1e-6) -> NodalDecomposition:
     """Label the nodal domains of u (values on all grid nodes).
 
@@ -74,9 +58,18 @@ def nodal_domains(grid: Grid2D, u, rel_threshold: float = 1e-6) -> NodalDecompos
     vmax = np.abs(values).max()
     sign = np.sign(values)
     sign[np.abs(values) <= rel_threshold * vmax] = 0
-    edges = _grid_edges(grid)
-    same = (sign[edges[:, 0]] == sign[edges[:, 1]]) & (sign[edges[:, 0]] != 0)
-    i, j = edges[same].T
+    # Same-sign 4-neighbour edges: each node against its successor along
+    # each axis, the last layer against the first only where the axis wraps.
+    sign2d = sign.reshape(grid.nx, grid.ny)
+    node = np.arange(grid.n_nodes).reshape(sign2d.shape)
+    i, j = [], []
+    for axis, periodic in ((0, grid.chart.periodic_x), (1, grid.chart.periodic_y)):
+        same = (sign2d == np.roll(sign2d, -1, axis)) & (sign2d != 0)
+        if not periodic:
+            np.moveaxis(same, axis, 0)[-1] = False
+        i.append(node[same])
+        j.append(np.roll(node, -1, axis)[same])
+    i, j = np.concatenate(i), np.concatenate(j)
     graph = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(grid.n_nodes, grid.n_nodes))
     _, component = connected_components(graph, directed=False)
     # Number the components by their first nonzero node: positives 1, 2, ...

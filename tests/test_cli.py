@@ -1,9 +1,11 @@
 """Command line driver: configs, artifacts, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,33 @@ def test_cheeger_dirichlet_builds_each_level_once(tmp_path, monkeypatch):
     assert len(rows) == len(calls)
     report = json.loads((out / "inequality_report.json").read_text())
     assert report["h_upper"] == min(float(r[1]) / float(r[2]) for r in rows)
+
+
+@pytest.mark.parametrize("excess, code", [(1e-6, 3), (1e-10, 0)])
+def test_cheeger_certificate_above_upper_bound_is_a_solver_error(tmp_path, monkeypatch,
+                                                                 capsys, excess, code):
+    import dataclasses
+
+    import ccspectral.cli as cli
+
+    cfg = write_config(tmp_path, dict(GRUSHIN_CHEEGER, bc="dirichlet"))
+    assert run(["cheeger", "--config", cfg, "--out", tmp_path / "plain", "--quiet"]) == 0
+    h_upper = json.loads((tmp_path / "plain" / "inequality_report.json").read_text())["h_upper"]
+    certify = cli.mfmc_certify
+    monkeypatch.setattr(cli, "mfmc_certify", lambda *args: dataclasses.replace(
+        certify(*args), h_certified=h_upper * (1.0 + excess)))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", cfg, "--out", out, "--quiet"]) == code
+    err = capsys.readouterr().err
+    if code:
+        # a relative excess beyond 1e-9 contradicts the cuts: one line, no report
+        assert err.startswith("solver error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (out / "inequality_report.json").exists()
+    else:
+        assert err == ""
+        assert json.loads((out / "inequality_report.json").read_text())["h_source"] == "certificate"
 
 
 def test_cheeger_without_certificate(tmp_path):
@@ -433,3 +462,28 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for sub in ("spectrum", "cheeger", "grushin-table", "carnot"):
         assert sub in proc.stdout
+
+
+def test_benchmark_tracer_spans_the_layers(tmp_path):
+    # benchmarks/spans.py wraps the package's layer entry points by name;
+    # a renamed or bypassed entry point would silently drop its span.
+    root = Path(__file__).resolve().parents[1]
+    cfg = write_config(tmp_path, GRUSHIN_SPECTRUM)
+    script = (
+        "import json, sys\n"
+        "from spans import Tracer, instrument\n"
+        "import ccspectral.cli as cli\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer)\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'names': sorted({s['name'] for s in tracer.spans})}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "benchmarks"), str(root / "src")]))
+    proc = subprocess.run([sys.executable, "-c", script, "spectrum", "--config", cfg,
+                           "--out", str(tmp_path / "run"), "--quiet"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert {"cli.load_config", "cli.cmd", "discretization.assemble",
+            "eigensolver.solve_smallest", "nodal.nodal_domains",
+            "nodal.check_courant"} <= set(result["names"])
