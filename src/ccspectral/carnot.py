@@ -113,25 +113,19 @@ def homogeneous_dimension(spec: CarnotSpec) -> int:
     return sum((j + 1) * d for j, d in enumerate(spec.strata_dims))
 
 
-def _gamma_half(k: int) -> float:
-    """Gamma(k/2) for integer k >= 1, by the half-integer recurrence."""
-    if k < 1:
-        raise ValueError(f"Gamma argument k/2 needs k >= 1, got k={k}")
-    if k == 1:
-        return float(np.sqrt(np.pi))
-    if k == 2:
-        return 1.0
-    return (k / 2.0 - 1.0) * _gamma_half(k - 2)
-
-
 def unit_ball_volume(a: int) -> float:
     """Volume omega_a = pi^(a/2) / Gamma(1 + a/2) of the Euclidean unit
-    a-ball, for integer a >= 0 (the recurrence from Gamma(1) and
-    Gamma(1/2) reaches exactly these)."""
+    a-ball, for integer a >= 0, by the two-step recurrence
+    omega_a = omega_(a-2) * 2 pi / a from omega_0 = 1 and omega_1 = 2.
+    omega_a peaks at a = 5 and falls from there on, so the product never
+    overflows; for a in the hundreds it underflows to 0."""
     a_int = int(round(float(a)))
     if abs(float(a) - a_int) > 1e-12 or a_int < 0:
         raise ValueError(f"dimension must be a non-negative integer, got {a}")
-    return float(np.pi ** (a_int / 2.0)) / _gamma_half(a_int + 2)
+    omega = 2.0 if a_int % 2 else 1.0
+    for b in range(2 + a_int % 2, a_int + 1, 2):
+        omega = omega / b * 2.0 * np.pi  # the least rounding error of the orders tried
+    return float(omega)
 
 
 def hausdorff_constant_heisenberg(n: int) -> float:
@@ -139,10 +133,12 @@ def hausdorff_constant_heisenberg(n: int) -> float:
     and the horizontal perimeter on the (2n+1)-Heisenberg group:
     alpha = 2 omega_{2n-1} / omega_{Q-1} with Q = 2n + 2.
 
-    For n = 1 this is 3/pi.
+    With omega_a = pi^(a/2) / Gamma(1 + a/2) this is
+    2 pi^(n-1/2) Gamma(n+3/2) / (pi^(n+1/2) Gamma(n+1/2)) = 2 (n+1/2) / pi,
+    since Gamma(n+3/2) = (n+1/2) Gamma(n+1/2); so alpha = (2n+1)/pi, which
+    for n = 1 is 3/pi.  The closed form stays finite where omega_{Q-1}
+    underflows (n >= 200 or so).
     """
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    n = int(n)
-    Q = homogeneous_dimension(heisenberg_spec(n))
-    return 2.0 * unit_ball_volume(2 * n - 1) / unit_ball_volume(Q - 1)
+    return (2 * int(n) + 1) / np.pi

@@ -10,18 +10,22 @@ Four subcommands drive the library end to end from a JSON configuration:
 
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 ``--quiet``.  Exit codes: 0 on success, 2 on a configuration error, 3 when
-a solver or root finder fails to converge or a certified lower Cheeger bound
-contradicts the upper bound from cuts.  CSV artifacts use the shortest
+a solver or root finder fails to converge, a certified lower Cheeger bound
+contradicts the upper bound from cuts, or a Dirichlet grid is too coarse for
+any level set to enclose a region.  CSV artifacts use the shortest
 round-trip decimal representation for floats so identical runs produce
 byte-identical files.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
+import math
+import operator
 import sys
-from dataclasses import dataclass
+import types
+import typing
+from contextlib import suppress
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,328 +58,188 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration schema
 # ---------------------------------------------------------------------------
+#
+# The dataclasses below are the schema: a field's name is its JSON key, its
+# annotation the JSON type (``_parse``), its default what an omitted key
+# means, and its metadata the range or enum rules of ``_RULES``.  JSON null
+# is a value only where the metadata says ``nullable``; it means omitted.
 
-def _check_keys(d: dict, allowed: tuple[str, ...], where: str) -> None:
-    extra = sorted(set(d) - set(allowed))
+# metadata key -> (test the parsed value must pass, what the error says)
+_RULES = {
+    # a bc segment list is not one of the named choices
+    "choices": (lambda v, c: not isinstance(v, str) or v in c,
+                lambda c: "must be one of " + ", ".join(c)),
+    "min": (operator.ge, "must be >= {}".format),
+    "gt": (operator.gt, "must be > {}".format),
+    "max": (operator.le, "must be <= {}".format),
+    "increasing": (lambda v, _: v[0] < v[1], lambda _: "must increase"),
+    "nonempty": (lambda v, _: len(v) > 0, lambda _: "must not be empty"),
+}
+
+# JSON scalar type -> (Python types accepted for it, its name in errors)
+_SCALARS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+            float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _spec(default=MISSING, **rules):
+    """A schema field with its default, the ``_RULES`` it must pass and
+    whether it is ``nullable``."""
+    return field(default=default, metadata=rules)
+
+
+def _parse(tp, value, path: str):
+    """``value``, decoded from JSON, as an instance of the annotation ``tp``;
+    ``path`` names it in errors (``structure.chart.x_range[1]``)."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        # members are tried in order and the last one's error is reported,
+        # so the structured member goes last
+        *first, last = [a for a in args if a is not type(None)]
+        for member in first:
+            with suppress(ConfigError):
+                return _parse(member, value, path)
+        return _parse(last, value, path)
+    if is_dataclass(tp):
+        return _parse_object(tp, value, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path} must be a list of {len(args)}, got {value!r}")
+        return tuple(_parse(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    accepted, noun = _SCALARS[tp]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{path} must be {noun}, got {value!r}")
+    if tp is not float:
+        return value
+    # json.loads accepts NaN and Infinity; no number in the schema may be either
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    return number
+
+
+def _parse_object(cls, value, path: str):
+    where = path or "configuration"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    names = [f.name for f in fields(cls)]
+    extra = sorted(set(value) - set(names))
     if extra:
-        raise ConfigError(f"unknown key(s) {extra} in {where}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"unknown key(s) {extra} in {where}; allowed: {sorted(names)}")
+    kwargs = {}
+    for f in fields(cls):
+        key = f"{path}.{f.name}" if path else f.name
+        if f.name not in value:
+            if f.default is MISSING:
+                raise ConfigError(f"{key} is required")
+            continue
+        if value[f.name] is None and f.metadata.get("nullable"):
+            continue
+        kwargs[f.name] = parsed = _parse(f.type, value[f.name], key)
+        for rule, (passes, says) in _RULES.items():
+            if rule in f.metadata and not passes(parsed, f.metadata[rule]):
+                raise ConfigError(f"{key} {says(f.metadata[rule])}, got {value[f.name]!r}")
+    return cls(**kwargs)
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+def _to_json(value):
+    """Inverse of ``_parse``: omitted optional keys stay omitted."""
+    if is_dataclass(value):
+        return {k: _to_json(v) for k, v in vars(value).items() if v is not None}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
     return value
-
-
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
-    return value
-
-
-def _as_pair(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{where} must be a pair [lo, hi], got {value!r}")
-    return (_as_float(value[0], where + "[0]"), _as_float(value[1], where + "[1]"))
 
 
 @dataclass(frozen=True)
 class ChartConfig:
-    x_range: tuple[float, float] = (0.0, 1.0)
-    y_range: tuple[float, float] = (0.0, 1.0)
+    x_range: tuple[float, float] = _spec((0.0, 1.0), increasing=True)
+    y_range: tuple[float, float] = _spec((0.0, 1.0), increasing=True)
     periodic_x: bool = False
     periodic_y: bool = False
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChartConfig":
-        _check_keys(d, ("x_range", "y_range", "periodic_x", "periodic_y"), "structure.chart")
-        out = cls(
-            x_range=_as_pair(d.get("x_range", (0.0, 1.0)), "chart.x_range"),
-            y_range=_as_pair(d.get("y_range", (0.0, 1.0)), "chart.y_range"),
-            periodic_x=_as_bool(d.get("periodic_x", False), "chart.periodic_x"),
-            periodic_y=_as_bool(d.get("periodic_y", False), "chart.periodic_y"),
-        )
-        if not out.x_range[1] > out.x_range[0]:
-            raise ConfigError(f"chart.x_range must increase, got {list(out.x_range)}")
-        if not out.y_range[1] > out.y_range[0]:
-            raise ConfigError(f"chart.y_range must increase, got {list(out.y_range)}")
-        return out
-
-    def to_dict(self) -> dict:
-        return {"x_range": list(self.x_range), "y_range": list(self.y_range),
-                "periodic_x": self.periodic_x, "periodic_y": self.periodic_y}
 
 
 @dataclass(frozen=True)
 class StructureConfig:
-    kind: str = "grushin"
+    kind: str = _spec("grushin", choices=("grushin", "euclidean", "custom"))
     chart: ChartConfig | None = None
-    fields: tuple[tuple[str, str], ...] | None = None
-    density: str = "1"
+    fields: tuple[tuple[str, str], ...] | None = _spec(None, nonempty=True)
+    density: str | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StructureConfig":
-        _check_keys(d, ("kind", "chart", "fields", "density"), "structure")
-        kind = _as_str(d.get("kind", "grushin"), "structure.kind")
-        if kind not in ("grushin", "euclidean", "custom"):
-            raise ConfigError(f"structure.kind must be grushin, euclidean or custom, got {kind!r}")
-        chart = None
-        if "chart" in d:
-            if kind == "grushin":
-                raise ConfigError("structure.chart cannot be overridden for kind 'grushin'")
-            chart = ChartConfig.from_dict(d["chart"])
-        fields = None
-        if "fields" in d:
-            if kind != "custom":
-                raise ConfigError("structure.fields is only valid for kind 'custom'")
-            raw = d["fields"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError("structure.fields must be a non-empty list of [a_x, a_y] pairs")
-            pairs = []
-            for i, pair in enumerate(raw):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ConfigError(f"structure.fields[{i}] must be a pair of expressions")
-                pairs.append((_as_str(pair[0], f"structure.fields[{i}][0]"),
-                              _as_str(pair[1], f"structure.fields[{i}][1]")))
-            fields = tuple(pairs)
-        if kind == "custom":
-            if chart is None:
-                raise ConfigError("structure.chart is required for kind 'custom'")
-            if fields is None:
-                raise ConfigError("structure.fields is required for kind 'custom'")
-        density = _as_str(d.get("density", "1"), "structure.density")
-        if "density" in d and kind != "custom":
-            raise ConfigError("structure.density is only valid for kind 'custom'")
-        return cls(kind=kind, chart=chart, fields=fields, density=density)
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.chart is not None:
-            out["chart"] = self.chart.to_dict()
-        if self.fields is not None:
-            out["fields"] = [list(pair) for pair in self.fields]
-        if self.kind == "custom":
-            out["density"] = self.density
-        return out
+    def __post_init__(self):
+        # Which keys each kind takes; build_structure relies on these.
+        custom = self.kind == "custom"
+        if self.kind == "grushin" and self.chart is not None:
+            raise ConfigError("structure.chart cannot be overridden for kind 'grushin'")
+        for name in ("chart", "fields"):
+            if custom and getattr(self, name) is None:
+                raise ConfigError(f"structure.{name} is required for kind 'custom'")
+        for name in ("fields", "density"):
+            if not custom and getattr(self, name) is not None:
+                raise ConfigError(f"structure.{name} is only valid for kind 'custom'")
+        if custom and self.density is None:
+            object.__setattr__(self, "density", "1")
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    nx: int = 64
-    ny: int = 128
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridConfig":
-        _check_keys(d, ("nx", "ny"), "grid")
-        nx = _as_int(d.get("nx", 64), "grid.nx")
-        ny = _as_int(d.get("ny", 128), "grid.ny")
-        if nx < 3 or ny < 3:
-            raise ConfigError(f"grid must have nx, ny >= 3, got {nx}x{ny}")
-        return cls(nx=nx, ny=ny)
-
-    def to_dict(self) -> dict:
-        return {"nx": self.nx, "ny": self.ny}
+    nx: int = _spec(64, min=3)
+    ny: int = _spec(128, min=3)
 
 
 @dataclass(frozen=True)
 class SegmentConfig:
     edge: str
     condition: str
-    lo: float | None = None
-    hi: float | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str) -> "SegmentConfig":
-        _check_keys(d, ("edge", "condition", "range"), where)
-        if "edge" not in d or "condition" not in d:
-            raise ConfigError(f"{where} needs 'edge' and 'condition'")
-        edge = _as_str(d["edge"], where + ".edge")
-        condition = _as_str(d["condition"], where + ".condition")
-        lo = hi = None
-        if "range" in d:
-            lo, hi = _as_pair(d["range"], where + ".range")
-        return cls(edge=edge, condition=condition, lo=lo, hi=hi)
-
-    def to_dict(self) -> dict:
-        out: dict = {"edge": self.edge, "condition": self.condition}
-        if self.lo is not None or self.hi is not None:
-            out["range"] = [self.lo, self.hi]
-        return out
-
-
-@dataclass(frozen=True)
-class BCConfig:
-    kind: str = "neumann"  # neumann | dirichlet | segments
-    segments: tuple[SegmentConfig, ...] = ()
-
-    @classmethod
-    def from_value(cls, value) -> "BCConfig":
-        if isinstance(value, str):
-            if value not in ("neumann", "dirichlet"):
-                raise ConfigError(f"bc must be 'neumann', 'dirichlet' or a segment list, got {value!r}")
-            return cls(kind=value)
-        if isinstance(value, list):
-            segs = tuple(SegmentConfig.from_dict(s, f"bc[{i}]") if isinstance(s, dict)
-                         else _bad_segment(i) for i, s in enumerate(value))
-            return cls(kind="segments", segments=segs)
-        raise ConfigError(f"bc must be a string or a list of segments, got {value!r}")
-
-    def to_value(self):
-        if self.kind == "segments":
-            return [s.to_dict() for s in self.segments]
-        return self.kind
-
-
-def _bad_segment(i: int):
-    raise ConfigError(f"bc[{i}] must be an object with edge/condition")
+    range: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    k: int = 6
-    tol: float = 1e-8
+    k: int = _spec(6, min=1)
+    tol: float = _spec(1e-8, gt=0.0)
     seed: int = 0
     dense_threshold: int = DENSE_THRESHOLD
-    method: str = "auto"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        _check_keys(d, ("k", "tol", "seed", "dense_threshold", "method"), "solver")
-        out = cls(
-            k=_as_int(d.get("k", 6), "solver.k"),
-            tol=_as_float(d.get("tol", 1e-8), "solver.tol"),
-            seed=_as_int(d.get("seed", 0), "solver.seed"),
-            dense_threshold=_as_int(d.get("dense_threshold", DENSE_THRESHOLD), "solver.dense_threshold"),
-            method=_as_str(d.get("method", "auto"), "solver.method"),
-        )
-        if out.k < 1:
-            raise ConfigError(f"solver.k must be >= 1, got {out.k}")
-        if out.method not in ("auto", "dense", "shift-invert"):
-            raise ConfigError(f"solver.method must be auto, dense or shift-invert, got {out.method!r}")
-        if not out.tol > 0.0:
-            raise ConfigError(f"solver.tol must be positive, got {out.tol}")
-        return out
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "tol": self.tol, "seed": self.seed,
-                "dense_threshold": self.dense_threshold, "method": self.method}
+    method: str = _spec("auto", choices=("auto", "dense", "shift-invert"))
 
 
 @dataclass(frozen=True)
 class NodalConfig:
-    rel_threshold: float = 1e-6
-    gap_rel_tol: float = 1e-6
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NodalConfig":
-        _check_keys(d, ("rel_threshold", "gap_rel_tol"), "nodal")
-        return cls(rel_threshold=_as_float(d.get("rel_threshold", 1e-6), "nodal.rel_threshold"),
-                   gap_rel_tol=_as_float(d.get("gap_rel_tol", 1e-6), "nodal.gap_rel_tol"))
-
-    def to_dict(self) -> dict:
-        return {"rel_threshold": self.rel_threshold, "gap_rel_tol": self.gap_rel_tol}
+    rel_threshold: float = _spec(1e-6, min=0.0, max=0.1)
+    gap_rel_tol: float = _spec(1e-6, min=0.0)
 
 
 @dataclass(frozen=True)
 class CertificateConfig:
-    phi: tuple[str, ...]
-    mode: str = "dirichlet"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CertificateConfig":
-        _check_keys(d, ("phi", "mode"), "cheeger.certificate")
-        if "phi" not in d or not isinstance(d["phi"], list) or not d["phi"]:
-            raise ConfigError("cheeger.certificate.phi must be a non-empty list of expressions")
-        phi = tuple(_as_str(p, f"cheeger.certificate.phi[{i}]") for i, p in enumerate(d["phi"]))
-        mode = _as_str(d.get("mode", "dirichlet"), "cheeger.certificate.mode")
-        if mode not in ("dirichlet", "neumann"):
-            raise ConfigError(f"certificate mode must be dirichlet or neumann, got {mode!r}")
-        return cls(phi=phi, mode=mode)
-
-    def to_dict(self) -> dict:
-        return {"phi": list(self.phi), "mode": self.mode}
+    phi: tuple[str, ...] = _spec(nonempty=True)
+    mode: str = _spec("dirichlet", choices=("dirichlet", "neumann"))
 
 
 @dataclass(frozen=True)
 class CheegerConfig:
-    levels: int = 40
-    certificate: CertificateConfig | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheegerConfig":
-        _check_keys(d, ("levels", "certificate"), "cheeger")
-        levels = _as_int(d.get("levels", 40), "cheeger.levels")
-        if levels < 1:
-            raise ConfigError(f"cheeger.levels must be >= 1, got {levels}")
-        certificate = None
-        if "certificate" in d and d["certificate"] is not None:
-            if not isinstance(d["certificate"], dict):
-                raise ConfigError("cheeger.certificate must be an object")
-            certificate = CertificateConfig.from_dict(d["certificate"])
-        return cls(levels=levels, certificate=certificate)
-
-    def to_dict(self) -> dict:
-        out: dict = {"levels": self.levels}
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_dict()
-        return out
+    levels: int = _spec(40, min=1)
+    certificate: CertificateConfig | None = _spec(None, nullable=True)
 
 
 @dataclass(frozen=True)
 class TableConfig:
-    max_n: int = 2
-    max_m: int = 2
-    bc: str = "neumann"
-    lambda_window: tuple[float, float] = (0.0, 120.0)
-    tol: float = 1e-8
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TableConfig":
-        _check_keys(d, ("max_n", "max_m", "bc", "lambda_window", "tol"), "table")
-        out = cls(
-            max_n=_as_int(d.get("max_n", 2), "table.max_n"),
-            max_m=_as_int(d.get("max_m", 2), "table.max_m"),
-            bc=_as_str(d.get("bc", "neumann"), "table.bc"),
-            lambda_window=_as_pair(d.get("lambda_window", (0.0, 120.0)), "table.lambda_window"),
-            tol=_as_float(d.get("tol", 1e-8), "table.tol"),
-        )
-        if out.max_n < 0 or out.max_m < 1:
-            raise ConfigError(f"table needs max_n >= 0 and max_m >= 1, got {out.max_n}, {out.max_m}")
-        if out.bc not in ("neumann", "dirichlet"):
-            raise ConfigError(f"table.bc must be neumann or dirichlet, got {out.bc!r}")
-        return out
-
-    def to_dict(self) -> dict:
-        return {"max_n": self.max_n, "max_m": self.max_m, "bc": self.bc,
-                "lambda_window": list(self.lambda_window), "tol": self.tol}
+    max_n: int = _spec(2, min=0)
+    max_m: int = _spec(2, min=1)
+    bc: str = _spec("neumann", choices=("neumann", "dirichlet"))
+    lambda_window: tuple[float, float] = _spec((0.0, 120.0), increasing=True)
+    # bisection stops once its bracket is narrower than tol
+    tol: float = _spec(1e-8, gt=0.0)
 
 
 @dataclass(frozen=True)
 class CarnotConfig:
-    n: int = 1
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CarnotConfig":
-        _check_keys(d, ("n",), "carnot")
-        n = _as_int(d.get("n", 1), "carnot.n")
-        if n < 1:
-            raise ConfigError(f"carnot.n must be >= 1, got {n}")
-        return cls(n=n)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n}
+    n: int = _spec(1, min=1)
 
 
 @dataclass(frozen=True)
@@ -384,7 +248,7 @@ class RunConfig:
 
     structure: StructureConfig = StructureConfig()
     grid: GridConfig = GridConfig()
-    bc: BCConfig = BCConfig()
+    bc: str | tuple[SegmentConfig, ...] = _spec("neumann", choices=("neumann", "dirichlet"))
     solver: SolverConfig = SolverConfig()
     nodal: NodalConfig = NodalConfig()
     cheeger: CheegerConfig = CheegerConfig()
@@ -392,40 +256,11 @@ class RunConfig:
     carnot: CarnotConfig = CarnotConfig()
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"configuration must be a JSON object, got {type(data).__name__}")
-        _check_keys(data, ("structure", "grid", "bc", "solver", "nodal",
-                           "cheeger", "table", "carnot"), "the top level")
-
-        def section(key):
-            val = data.get(key, {})
-            if not isinstance(val, dict):
-                raise ConfigError(f"'{key}' must be an object")
-            return val
-
-        return cls(
-            structure=StructureConfig.from_dict(section("structure")),
-            grid=GridConfig.from_dict(section("grid")),
-            bc=BCConfig.from_value(data.get("bc", "neumann")),
-            solver=SolverConfig.from_dict(section("solver")),
-            nodal=NodalConfig.from_dict(section("nodal")),
-            cheeger=CheegerConfig.from_dict(section("cheeger")),
-            table=TableConfig.from_dict(section("table")),
-            carnot=CarnotConfig.from_dict(section("carnot")),
-        )
+    def from_dict(cls, data) -> "RunConfig":
+        return _parse(cls, data, "")
 
     def to_dict(self) -> dict:
-        return {
-            "structure": self.structure.to_dict(),
-            "grid": self.grid.to_dict(),
-            "bc": self.bc.to_value(),
-            "solver": self.solver.to_dict(),
-            "nodal": self.nodal.to_dict(),
-            "cheeger": self.cheeger.to_dict(),
-            "table": self.table.to_dict(),
-            "carnot": self.carnot.to_dict(),
-        }
+        return _to_json(self)
 
 
 def load_config(path) -> RunConfig:
@@ -447,10 +282,9 @@ def load_config(path) -> RunConfig:
 def build_structure(cfg: StructureConfig) -> CCStructure:
     if cfg.kind == "grushin":
         return builtin_grushin_cylinder()
+    c = cfg.chart or ChartConfig()
     if cfg.kind == "euclidean":
-        c = cfg.chart if cfg.chart is not None else ChartConfig()
         return builtin_euclidean(c.x_range, c.y_range, c.periodic_x, c.periodic_y)
-    c = cfg.chart
     chart = Chart2D(c.x_range, c.y_range, periodic_x=c.periodic_x, periodic_y=c.periodic_y)
     try:
         coeffs = tuple((compile_expression(ax), compile_expression(ay))
@@ -466,19 +300,34 @@ def build_problem(config: RunConfig) -> tuple[CCStructure, Grid2D, BoundarySpec]
     try:
         structure = build_structure(config.structure)
         grid = build_grid(structure.chart, config.grid.nx, config.grid.ny)
-        if config.bc.kind == "neumann":
-            bc = BoundarySpec.all_neumann()
-        elif config.bc.kind == "dirichlet":
-            bc = BoundarySpec.all_dirichlet(structure.chart)
-        else:
-            bc = BoundarySpec(tuple(BCSegment(s.edge, s.condition, s.lo, s.hi)
-                                    for s in config.bc.segments))
+        bc = _boundary_spec(config.bc, structure.chart)
         bc.dirichlet_mask(grid)  # runs the edge/range validation up front
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return structure, grid, bc
+
+
+def _boundary_spec(bc: str | tuple[SegmentConfig, ...], chart: Chart2D) -> BoundarySpec:
+    """The conditions a ``bc`` value names: "neumann", "dirichlet" or segments."""
+    if bc == "neumann":
+        return BoundarySpec.all_neumann()
+    if bc == "dirichlet":
+        return BoundarySpec.all_dirichlet(chart)
+    return BoundarySpec(tuple(BCSegment(s.edge, s.condition, *(s.range or (None, None)))
+                              for s in bc))
+
+
+def _flavor(bc: BoundarySpec, grid: Grid2D) -> str:
+    """Which Cheeger problem ``bc`` poses on ``grid``, from its Dirichlet nodes:
+    none is neumann, every boundary node is dirichlet, anything else mixed."""
+    mask = bc.dirichlet_mask(grid)
+    if not mask.any():
+        return "neumann"
+    if np.array_equal(mask, BoundarySpec.all_dirichlet(grid.chart).dirichlet_mask(grid)):
+        return "dirichlet"
+    return "mixed"
 
 
 def _solve(config: RunConfig, forms: AssembledForms, k: int) -> Eigenpairs:
@@ -526,7 +375,7 @@ def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
     info = pairs.info
     inverse = f", inverse {info['inverse']} ({info['inverse_reason']})" if "inverse" in info else ""
     _say(quiet, f"structure {structure.name}, grid {grid.nx}x{grid.ny}, "
-                f"bc {config.bc.kind}, k={pairs.k}, solver {info['path']} "
+                f"bc {_flavor(bc, grid)}, k={pairs.k}, solver {info['path']} "
                 f"({info['reason']}){inverse}")
     report = check_courant(pairs, forms, rel_threshold=config.nodal.rel_threshold,
                            gap_rel_tol=config.nodal.gap_rel_tol)
@@ -572,7 +421,7 @@ def _certificate_field(config: RunConfig, structure: CCStructure,
 
 def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
     structure, grid, bc = build_problem(config)
-    flavor = {"neumann": "neumann", "dirichlet": "dirichlet"}.get(config.bc.kind, "mixed")
+    flavor = _flavor(bc, grid)
     forms = assemble(structure, grid, bc)
     k = max(config.solver.k, 2 if flavor == "neumann" else 1)
     pairs = _solve(config, forms, k)
@@ -591,7 +440,12 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
         level_cuts = superlevel_cuts(structure, grid, u, n_levels=config.cheeger.levels)
         cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
         if flavor == "dirichlet":
-            h_upper = dirichlet_cheeger_upper(structure, grid, u, cuts=level_cuts)
+            try:
+                h_upper = dirichlet_cheeger_upper(structure, grid, u, cuts=level_cuts)
+            except ValueError as exc:  # too coarse a grid for any admissible level set
+                print(f"solver error: {exc} on the {grid.nx}x{grid.ny} grid with "
+                      f"{config.cheeger.levels} levels", file=sys.stderr)
+                return EXIT_SOLVER
         else:
             h_upper = min((c.ratio for c in cuts), default=float("inf"))
 
@@ -657,9 +511,7 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
 
     structure = builtin_grushin_cylinder()
     grid = build_grid(structure.chart, config.grid.nx, config.grid.ny)
-    bc = BoundarySpec.all_neumann() if t.bc == "neumann" \
-        else BoundarySpec.all_dirichlet(structure.chart)
-    forms = assemble(structure, grid, bc)
+    forms = assemble(structure, grid, _boundary_spec(t.bc, structure.chart))
     threshold = _table_complete_below(table, t)
     covered = [e for e in table.expanded()
                if e.lam < threshold - 1e-9 * max(1.0, threshold)]

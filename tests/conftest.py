@@ -1,8 +1,15 @@
 """Shared fixtures: one moderate Grushin Neumann solve reused across suites."""
 
 import pytest
+from hypothesis import settings
 
 import ccspectral as cc
+
+# Property tests only parse configs, so a few dozen examples each keep the
+# suite's time where it was; no deadline, since a cold first example can take
+# longer than hypothesis' default 200 ms.
+settings.register_profile("ccspectral", deadline=None, max_examples=60)
+settings.load_profile("ccspectral")
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ccspectral as cc
-from ccspectral.cli import RunConfig
+from ccspectral.cli import RunConfig, SegmentConfig
 
 GRUSHIN_SPECTRUM = {
     "structure": {"kind": "grushin"},
@@ -258,6 +258,44 @@ def test_cheeger_without_certificate(tmp_path):
     assert report["satisfied"] is True
 
 
+ALL_EDGES_DIRICHLET = [{"edge": e, "condition": "dirichlet"}
+                       for e in ("x_min", "x_max", "y_min", "y_max")]
+
+
+@pytest.mark.parametrize("structure, bc, flavor", [
+    ({"kind": "grushin"}, [], "neumann"),
+    ({"kind": "grushin"}, [{"edge": "x_min", "condition": "neumann"}], "neumann"),
+    ({"kind": "euclidean"}, ALL_EDGES_DIRICHLET, "dirichlet"),
+    ({"kind": "grushin"}, [{"edge": "x_max", "condition": "dirichlet"}], "mixed"),
+])
+def test_cheeger_flavor_follows_the_boundary(tmp_path, structure, bc, flavor):
+    def artifacts(bc_value, name):
+        doc = {"structure": structure, "grid": {"nx": 12, "ny": 16}, "bc": bc_value,
+               "solver": {"k": 1, "seed": 0}, "cheeger": {"levels": 12}}
+        out = tmp_path / name
+        assert run(["cheeger", "--config", write_config(tmp_path, doc, name + ".json"),
+                    "--out", out, "--quiet"]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    given = artifacts(bc, "given")
+    report = json.loads(given["inequality_report.json"])
+    assert report["kind"] == flavor and report["satisfied"] is True
+    if flavor != "mixed":
+        # the same boundary named by its flavor gives the same run
+        assert given == artifacts(flavor, "named")
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (6, 6)])
+def test_cheeger_dirichlet_grid_too_coarse_for_a_level_set(tmp_path, capsys, nx, ny):
+    doc = {"grid": {"nx": nx, "ny": ny}, "bc": "dirichlet", "solver": {"k": 1, "seed": 0}}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
+    assert f"{nx}x{ny} grid with 40 levels" in err
+    assert not (out / "inequality_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # grushin-table
 # ---------------------------------------------------------------------------
@@ -309,6 +347,18 @@ def test_carnot_output(tmp_path):
     assert doc["omega"]["1"] == pytest.approx(2.0, abs=1e-15)
     assert doc["omega"]["2"] == pytest.approx(np.pi, abs=1e-15)
     assert doc["omega"]["3"] == pytest.approx(4.0 * np.pi / 3.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_carnot_large_n(tmp_path, n):
+    # omega_(2n+1) underflows to 0 from n = 200 on; alpha has a closed form
+    out = tmp_path / "run"
+    assert run(["carnot", "--config", write_config(tmp_path, {"carnot": {"n": n}}),
+                "--out", out, "--quiet"]) == 0
+    doc = json.loads((out / "carnot.json").read_text())
+    assert doc["alpha"] == (2 * n + 1) / np.pi
+    assert len(doc["omega"]) == 2 * n + 1
+    assert all(np.isfinite(w) and w >= 0.0 for w in doc["omega"].values())
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +502,8 @@ def test_config_roundtrip_full():
     config = RunConfig.from_dict(doc)
     again = RunConfig.from_dict(config.to_dict())
     assert again == config
-    assert config.bc.kind == "segments"
+    assert config.bc == (SegmentConfig("x_min", "dirichlet"),
+                         SegmentConfig("x_max", "neumann", (-0.5, 0.5)))
     assert config.solver.k == 3 and config.table.max_n == 3
 
 
