@@ -30,9 +30,8 @@ from .geometry import (CCStructure, Chart2D, GridFunction, HorizontalField,
                        chart_gradient, constant_coefficient, divergence,
                        horizontal_gradient, sub_laplacian_apply)
 from .grushin import (CrossValidationReport, ModeProblem, ModeTable,
-                      WindowExhaustedError, build_table, cross_validate,
-                      find_eigenvalues, mode_zero_crossings, shoot,
-                      write_table_csv)
+                      build_table, cross_validate, find_eigenvalues,
+                      mode_zero_crossings, shoot, write_table_csv)
 from .nodal import (CourantReport, NodalDecomposition, check_courant,
                     nodal_domains, write_labels_pgm)
 from .pgm import field_to_gray, labels_to_gray, write_pgm
@@ -46,7 +45,7 @@ __all__ = [
     "Expression", "ExpressionError", "FlowCertificate", "Grid2D",
     "GridFunction", "HeisenbergPoint", "HorizontalField", "InequalityReport",
     "MinMaxReport", "ModeProblem", "ModeTable", "NodalDecomposition",
-    "RunConfig", "WindowExhaustedError", "assemble", "build_grid",
+    "RunConfig", "assemble", "build_grid",
     "build_table", "builtin_euclidean", "builtin_grushin_cylinder",
     "candidate_cuts_grushin", "chart_gradient", "check_courant",
     "check_minmax", "coarea_check", "compile_expression",

@@ -5,12 +5,13 @@ Four subcommands drive the library end to end from a JSON configuration:
   spectrum       lowest eigenvalues, eigenfunction/nodal images, Courant report
   cheeger        candidate cuts, level-set sweeps, flow certificates and the
                  lambda >= h^2/4 report
-  grushin-table  separated 1D mode table by shooting, optional 2D cross-check
+  grushin-table  separated 1D mode table by shooting, optional 2D cross-check;
+                 the min-max principle bounds the lambda range it scans
   carnot         homogeneous-group constants for the Heisenberg groups
 
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 ``--quiet``.  Exit codes: 0 on success, 2 on a configuration error, 3 when
-a solver or root finder fails to converge, a certified lower Cheeger bound
+the eigensolver fails to converge, a certified lower Cheeger bound
 contradicts the upper bound from cuts, or a Dirichlet grid is too coarse for
 any level set to enclose a region.  CSV artifacts use the shortest
 round-trip decimal representation for floats so identical runs produce
@@ -35,14 +36,14 @@ from .carnot import hausdorff_constant_heisenberg, heisenberg_spec, \
 from .cheeger import candidate_cuts_grushin, dirichlet_cheeger_upper, \
     mfmc_certify, superlevel_cuts, sweep_level_sets, verify_inequality, \
     write_cuts_csv
-from .discretization import AssembledForms, BCSegment, BoundarySpec, Grid2D, \
-    assemble, build_grid
+from .discretization import _CONDITIONS, _EDGES, AssembledForms, BCSegment, \
+    BoundarySpec, Grid2D, assemble, build_grid
 from .eigensolver import DENSE_THRESHOLD, ConvergenceError, Eigenpairs, solve_smallest
 from .expressions import ExpressionError, compile_expression
 from .geometry import CCStructure, Chart2D, HorizontalField, SampleError, \
     builtin_euclidean, builtin_grushin_cylinder
-from .grushin import ModeProblem, ModeTable, WindowExhaustedError, \
-    build_table, cross_validate, find_eigenvalues, write_table_csv
+from .grushin import ModeProblem, ModeTable, build_table, cross_validate, \
+    find_eigenvalues, write_table_csv
 from .nodal import check_courant, write_labels_pgm
 from .pgm import field_to_gray, write_pgm
 
@@ -73,6 +74,7 @@ _RULES = {
     "gt": (operator.gt, "must be > {}".format),
     "max": (operator.le, "must be <= {}".format),
     "increasing": (lambda v, _: v[0] < v[1], lambda _: "must increase"),
+    "ordered": (lambda v, _: v[0] <= v[1], lambda _: "must have lo <= hi"),
     "nonempty": (lambda v, _: len(v) > 0, lambda _: "must not be empty"),
 }
 
@@ -195,9 +197,9 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class SegmentConfig:
-    edge: str
-    condition: str
-    range: tuple[float, float] | None = None
+    edge: str = _spec(choices=_EDGES)
+    condition: str = _spec(choices=_CONDITIONS)
+    range: tuple[float, float] | None = _spec(None, ordered=True)
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,6 @@ class TableConfig:
     max_n: int = _spec(2, min=0)
     max_m: int = _spec(2, min=1)
     bc: str = _spec("neumann", choices=("neumann", "dirichlet"))
-    lambda_window: tuple[float, float] = _spec((0.0, 120.0), increasing=True)
     # bisection stops once its bracket is narrower than tol
     tol: float = _spec(1e-8, gt=0.0)
 
@@ -497,8 +498,7 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
 def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
                       do_cross_validate: bool = False) -> int:
     t = config.table
-    table = build_table(t.max_n, t.max_m, bc=t.bc, lambda_window=t.lambda_window,
-                        tol=t.tol)
+    table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grushin_table.csv"
 
@@ -551,12 +551,8 @@ def _table_complete_below(table: ModeTable, t: TableConfig) -> float:
     """
     per_mode_last = min(max(e.lam for e in table.entries if e.n == n)
                         for n in range(t.max_n + 1))
-    problem = ModeProblem(n=t.max_n + 1, bc=t.bc, lambda_window=t.lambda_window)
-    try:
-        next_first = float(find_eigenvalues(problem, 1, tol=t.tol)[0])
-    except WindowExhaustedError:
-        next_first = float("inf")
-    return min(per_mode_last, next_first)
+    next_first = find_eigenvalues(ModeProblem(n=t.max_n + 1, bc=t.bc), 1, tol=t.tol)[0]
+    return min(per_mode_last, float(next_first))
 
 
 def cmd_carnot(config: RunConfig, out: Path, quiet: bool = False) -> int:
@@ -622,9 +618,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except WindowExhaustedError as exc:
-        print(f"root-finding error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -11,6 +11,7 @@ outside a function's domain (``log(0)``, ``sqrt(-1)``) they yield numpy's
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -24,6 +25,9 @@ _FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 _CONSTANTS: dict[str, float] = {"pi": float(np.pi), "e": float(np.e)}
+
+_BINARY: dict[str, Callable] = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                                "/": operator.truediv, "^": np.power}
 
 
 class ExpressionError(ValueError):
@@ -79,16 +83,8 @@ def _tokenize(source: str) -> list[_Token]:
             tokens.append(_Token("name", source[i:j], i))
             i = j
             continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, i))
+        if c in "+-*/^()":
+            tokens.append(_Token({"(": "lparen", ")": "rparen"}.get(c, "op"), c, i))
             i += 1
             continue
         raise ExpressionError(f"unexpected character {c!r}", source, i)
@@ -99,15 +95,27 @@ def _tokenize(source: str) -> list[_Token]:
 # AST nodes are plain tuples: ("num", v) | ("var", name) | ("const", v)
 # | ("neg", a) | ("bin", op, a, b) | ("call", fname, a)
 _Node = tuple
+_Parsed = tuple[_Node, int]  # a node and its height
+
+# How deep an expression may nest.  The parser recurses once per open
+# parenthesis, call, sign or exponent, and _evaluate once per level of the
+# syntax tree (a sum of k terms is k levels deep); this bound keeps both far
+# below Python's recursion limit.
+_MAX_DEPTH = 100
 
 
 class _Parser:
-    """Recursive descent over the token stream."""
+    """Recursive descent over the token stream.
+
+    The grammar methods return (node, height) pairs, where the height counts
+    the nodes on the longest path down from the node.
+    """
 
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.open = 0  # parentheses, calls, signs and exponents being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -125,64 +133,83 @@ class _Parser:
                                   self.source, tok.position)
         return self.advance()
 
+    def bounded(self, tok: _Token, depth: int) -> int:
+        """``depth``, which is an error at ``tok`` past _MAX_DEPTH."""
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {_MAX_DEPTH} levels",
+                                  self.source, tok.position)
+        return depth
+
+    def node(self, tok: _Token, head: tuple, *children: _Parsed) -> _Parsed:
+        """The node ``head`` + children, built at ``tok``, and its height."""
+        height = self.bounded(tok, 1 + max(h for _, h in children))
+        return (*head, *(child for child, _ in children)), height
+
+    def nested(self, tok: _Token, parse) -> _Parsed:
+        """``parse()`` inside the construct that opens at ``tok``."""
+        self.open = self.bounded(tok, self.open + 1)
+        result = parse()
+        self.open -= 1
+        return result
+
     def parse(self) -> _Node:
-        node = self.sum()
+        node, _ = self.sum()
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionError(f"unexpected {tok.text!r}", self.source, tok.position)
         return node
 
-    def sum(self) -> _Node:
+    def sum(self) -> _Parsed:
         node = self.product()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = ("bin", op, node, self.product())
+            tok = self.advance()
+            node = self.node(tok, ("bin", tok.text), node, self.product())
         return node
 
-    def product(self) -> _Node:
+    def product(self) -> _Parsed:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = ("bin", op, node, self.unary())
+            tok = self.advance()
+            node = self.node(tok, ("bin", tok.text), node, self.unary())
         return node
 
-    def unary(self) -> _Node:
+    def unary(self) -> _Parsed:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return ("neg", self.unary())
+            return self.node(tok, ("neg",), self.nested(tok, self.unary))
         return self.power()
 
-    def power(self) -> _Node:
+    def power(self) -> _Parsed:
         base = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             # right-associative; the exponent may carry a unary minus
-            return ("bin", "^", base, self.unary())
+            return self.node(tok, ("bin", "^"), base, self.nested(tok, self.unary))
         return base
 
-    def atom(self) -> _Node:
+    def atom(self) -> _Parsed:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return ("num", float(tok.text))
+            return ("num", float(tok.text)), 1
         if tok.kind == "name":
             self.advance()
             name = tok.text
             if name in _FUNCTIONS:
                 self.expect("lparen")
-                arg = self.sum()
+                arg = self.nested(tok, self.sum)
                 self.expect("rparen")
-                return ("call", name, arg)
+                return self.node(tok, ("call", name), arg)
             if name in ("x", "y"):
-                return ("var", name)
+                return ("var", name), 1
             if name in _CONSTANTS:
-                return ("const", _CONSTANTS[name])
+                return ("const", _CONSTANTS[name]), 1
             raise ExpressionError(f"unknown name {name!r}", self.source, tok.position)
         if tok.kind == "lparen":
             self.advance()
-            node = self.sum()
+            node = self.nested(tok, self.sum)
             self.expect("rparen")
             return node
         raise ExpressionError(f"expected a value, found {tok.text or 'end of input'!r}",
@@ -200,17 +227,7 @@ def _evaluate(node: _Node, x: np.ndarray, y: np.ndarray) -> Union[np.ndarray, fl
     if tag == "call":
         return _FUNCTIONS[node[1]](np.asarray(_evaluate(node[2], x, y), dtype=float))
     _, op, a, b = node
-    va = _evaluate(a, x, y)
-    vb = _evaluate(b, x, y)
-    if op == "+":
-        return va + vb
-    if op == "-":
-        return va - vb
-    if op == "*":
-        return va * vb
-    if op == "/":
-        return va / vb
-    return np.power(va, vb)
+    return _BINARY[op](_evaluate(a, x, y), _evaluate(b, x, y))
 
 
 @dataclass(frozen=True)
@@ -231,7 +248,8 @@ class Expression:
 def compile_expression(source: str) -> Expression:
     """Parse ``source`` and return a vectorized callable of (x, y).
 
-    Raises ExpressionError (with the offending position) on malformed input.
+    Raises ExpressionError (with the offending position) on malformed input
+    or on nesting deeper than _MAX_DEPTH.
     """
     if not isinstance(source, str):
         raise ExpressionError("expression must be a string", str(source), 0)

@@ -1,13 +1,20 @@
 """Separated radial modes of the Grushin cylinder by shooting.
 
 Writing an eigenfunction as v(x) e^{i n y} reduces the cylinder problem
-to the ODE v'' + (lambda - n^2 x^2) v = 0 on (0, 1) with v'(0) = 0 (the
-x = 0 side carries no boundary term) and v'(1) = 0 (neumann) or
-v(1) = 0 (dirichlet).  Eigenvalues are located by scanning the mismatch
-at x = 1 over a lambda window with a vectorized fixed-step integrator,
-then refined by bisection on an adaptive high-accuracy integration.
+to the ODE v'' + (lambda - n^2 x^2) v = 0 on (0, 1), with the same
+condition at both ends: v'(0) = v'(1) = 0 (neumann; the x = 0 side
+carries no boundary term) or v(0) = v(1) = 0 (dirichlet).  Eigenvalues
+are located by scanning the mismatch at x = 1 over a lambda grid in one
+batched integration, then refined by bisection on single integrations.
 Every n >= 1 eigenvalue of the cylinder is a doublet (e^{+-iny}); n = 0
 modes are simple.
+
+The scan needs no search window.  On (0, 1) the potential satisfies
+0 <= n^2 x^2 <= n^2, so by the min-max principle (Courant-Hilbert,
+Methods of Mathematical Physics I, ch. VI) lambda_{n,m} lies in
+[((m+s) pi)^2, ((m+s) pi)^2 + n^2], with s = 0 for neumann and s = 1 for
+dirichlet; the scan stops one grid step past the upper end for the last
+requested m.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "ModeProblem",
-    "WindowExhaustedError",
     "shoot",
     "mode_zero_crossings",
     "find_eigenvalues",
@@ -32,13 +38,8 @@ __all__ = [
 
 _BCS = ("neumann", "dirichlet")
 
-
-class WindowExhaustedError(RuntimeError):
-    """The lambda window ended before the requested number of roots."""
-
-    def __init__(self, message: str, found: np.ndarray):
-        super().__init__(message)
-        self.found = found
+ODE_TOL = 1e-10  # relative local tolerance of every integration; atol is 1e-2 of it
+SCAN_STEP = 0.05  # spacing of the lambda grid scanned for sign changes
 
 
 @dataclass(frozen=True)
@@ -47,98 +48,82 @@ class ModeProblem:
 
     n: int
     bc: str = "neumann"
-    lambda_window: tuple[float, float] = (0.0, 120.0)
-    ode_tol: float = 1e-10
-    scan_step: float = 0.05
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"mode frequency must be non-negative, got {self.n}")
         if self.bc not in _BCS:
             raise ValueError(f"bc must be one of {_BCS}, got {self.bc!r}")
-        lo, hi = self.lambda_window
-        if not lo < hi:
-            raise ValueError(f"empty lambda window {self.lambda_window}")
-        if self.ode_tol <= 0 or self.scan_step <= 0:
-            raise ValueError("ode_tol and scan_step must be positive")
 
 
-def _initial_state(problem: ModeProblem) -> tuple[float, float]:
-    # The x = 0 end carries the same condition as x = 1: v'(0) = 0 for
-    # neumann, v(0) = 0 for dirichlet.  Unit size keeps the solution O(1).
-    if problem.bc == "neumann":
-        return (1.0, 0.0)
-    return (0.0, 1.0)
+# (v, v') at x = 0, which carries the same condition as x = 1: v'(0) = 0
+# for neumann, v(0) = 0 for dirichlet.  Unit size keeps the solution O(1).
+_INITIAL_STATE = {"neumann": (1.0, 0.0), "dirichlet": (0.0, 1.0)}
+
+
+def _integrate(rhs, y0, xs: np.ndarray | None = None) -> np.ndarray:
+    """Integrate y' = rhs(x, y) from x = 0 to 1 by scipy's RK45 at ODE_TOL.
+
+    The solver is stepped directly, so no step history is kept.  Returns the
+    state at x = 1, or, given ascending ``xs`` in [0, 1], the dense output
+    at those points, one column each.
+    """
+    from scipy.integrate import RK45  # deferred: keeps `import ccspectral` light
+
+    solver = RK45(rhs, 0.0, y0, 1.0, rtol=ODE_TOL, atol=ODE_TOL * 1e-2)
+    columns, done = [], 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise RuntimeError(f"mode integration failed: {message}")
+        if xs is not None:
+            upto = np.searchsorted(xs, solver.t, side="right")
+            if upto > done:
+                columns.append(solver.dense_output()(xs[done:upto]))
+                done = upto
+    return solver.y if xs is None else np.hstack(columns)
+
+
+def _mode(problem: ModeProblem, lam: float, xs: np.ndarray | None = None) -> np.ndarray:
+    """(v, v') of the mode at one lambda: at x = 1, or at the points ``xs``."""
+    n2 = float(problem.n) ** 2
+    lam = float(lam)
+
+    def rhs(x, y):
+        return (y[1], (n2 * x * x - lam) * y[0])
+
+    return _integrate(rhs, _INITIAL_STATE[problem.bc], xs)
 
 
 def shoot(problem: ModeProblem, lam: float) -> float:
     """Boundary mismatch at x = 1: v'(1) for neumann, v(1) for dirichlet.
 
     Integrates with an adaptive embedded Runge-Kutta pair at local
-    tolerance ode_tol; the mismatch is a smooth function of lambda whose
+    tolerance ODE_TOL; the mismatch is a smooth function of lambda whose
     zeros are the mode eigenvalues.
     """
-    from scipy.integrate import solve_ivp  # deferred: keeps `import ccspectral` light
-
-    n2 = float(problem.n) ** 2
-    lam = float(lam)
-
-    def rhs(x, y):
-        return (y[1], (n2 * x * x - lam) * y[0])
-
-    sol = solve_ivp(rhs, (0.0, 1.0), _initial_state(problem), method="RK45",
-                    rtol=problem.ode_tol, atol=problem.ode_tol * 1e-2)
-    if not sol.success:
-        raise RuntimeError(f"mode integration failed: {sol.message}")
-    v, dv = sol.y[0, -1], sol.y[1, -1]
+    v, dv = _mode(problem, lam)
     return float(dv if problem.bc == "neumann" else v)
 
 
 def mode_zero_crossings(problem: ModeProblem, lam: float, n_points: int = 2001) -> int:
     """Number of interior sign changes of v on (0, 1) at the given lambda."""
-    from scipy.integrate import solve_ivp
-
-    n2 = float(problem.n) ** 2
-    lam = float(lam)
-
-    def rhs(x, y):
-        return (y[1], (n2 * x * x - lam) * y[0])
-
-    xs = np.linspace(0.0, 1.0, n_points)
-    sol = solve_ivp(rhs, (0.0, 1.0), _initial_state(problem), method="RK45",
-                    rtol=problem.ode_tol, atol=problem.ode_tol * 1e-2, t_eval=xs)
-    if not sol.success:
-        raise RuntimeError(f"mode integration failed: {sol.message}")
-    v = sol.y[0]
+    v = _mode(problem, lam, np.linspace(0.0, 1.0, n_points))[0]
     signs = np.sign(v[np.abs(v) > 1e-13 * np.abs(v).max()])
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def _scan_mismatch(problem: ModeProblem, lams: np.ndarray, n_steps: int = 2048) -> np.ndarray:
-    """Mismatch at x = 1 for a batch of lambdas, fixed-step RK4."""
+def _scan(problem: ModeProblem, lams: np.ndarray) -> np.ndarray:
+    """The mismatch at x = 1 for every lambda in ``lams``, integrated as one
+    system [v..., v'...]."""
     n2 = float(problem.n) ** 2
-    h = 1.0 / n_steps
-    v0, w0 = _initial_state(problem)
-    v = np.full_like(lams, v0)
-    w = np.full_like(lams, w0)
+    size = lams.size
 
-    def acc(x, vv):
-        return (n2 * x * x - lams) * vv
+    def rhs(x, y):
+        return np.concatenate((y[size:], (n2 * x * x - lams) * y[:size]))
 
-    x = 0.0
-    for _ in range(n_steps):
-        k1v = w
-        k1w = acc(x, v)
-        k2v = w + 0.5 * h * k1w
-        k2w = acc(x + 0.5 * h, v + 0.5 * h * k1v)
-        k3v = w + 0.5 * h * k2w
-        k3w = acc(x + 0.5 * h, v + 0.5 * h * k2v)
-        k4v = w + h * k3w
-        k4w = acc(x + h, v + h * k3v)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        x += h
-    return w if problem.bc == "neumann" else v
+    end = _integrate(rhs, np.repeat(_INITIAL_STATE[problem.bc], size))
+    return end[size:] if problem.bc == "neumann" else end[:size]
 
 
 def _bisect(problem: ModeProblem, a: float, fa: float, b: float, fb: float,
@@ -164,69 +149,45 @@ def _bisect(problem: ModeProblem, a: float, fa: float, b: float, fb: float,
 def find_eigenvalues(problem: ModeProblem, count: int, tol: float = 1e-8) -> np.ndarray:
     """The first ``count`` eigenvalues of the mode, ascending.
 
-    Scans the window in chunks for sign changes of the mismatch, confirms
-    each bracket with the adaptive integrator, and bisects to |dlambda|
-    <= tol.  Raises WindowExhaustedError (carrying the roots found) if the
-    window ends early.
+    Scans the grid k * SCAN_STEP up to the min-max bound of the last
+    requested eigenvalue (module docstring) for sign changes of the
+    mismatch, confirms each bracket with ``shoot``, and bisects to
+    |dlambda| <= tol.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    lo, hi = problem.lambda_window
-    step = problem.scan_step
-    grid = np.arange(lo, hi + 0.5 * step, step)
-    grid[-1] = min(grid[-1], hi)
+    shift = 0 if problem.bc == "neumann" else 1
+    bound = ((count - 1 + shift) * np.pi) ** 2 + problem.n ** 2
+    lams = SCAN_STEP * np.arange(int(bound / SCAN_STEP) + 2)
+    F = _scan(problem, lams)
     roots: list[float] = []
-    chunk = 512
-    prev_lam = None
-    prev_f = None
-    for start in range(0, grid.size, chunk):
-        lams = grid[start:start + chunk]
-        F = _scan_mismatch(problem, lams)
-        if prev_lam is not None:
-            lams = np.concatenate(([prev_lam], lams))
-            F = np.concatenate(([prev_f], F))
-        for i in range(lams.size - 1):
-            if len(roots) >= count:
-                break
-            fa, fb = F[i], F[i + 1]
-            if fa == 0.0:
-                lam = float(lams[i])
-                if not roots or lam > roots[-1] + tol:
-                    roots.append(lam)
-                continue
-            if fa * fb >= 0.0:
-                continue
-            a, b = float(lams[i]), float(lams[i + 1])
-            ga, gb = shoot(problem, a), shoot(problem, b)
-            if ga == 0.0:
-                roots.append(a)
-                continue
-            if ga * gb > 0.0:
-                # near-tangent pair: rescan the cell with the accurate mismatch
-                sub = np.linspace(a, b, 21)
-                gs = [shoot(problem, s) for s in sub]
-                placed = False
-                for j in range(20):
-                    if gs[j] == 0.0:
-                        roots.append(float(sub[j]))
-                        placed = True
-                        break
-                    if gs[j] * gs[j + 1] < 0.0:
-                        roots.append(_bisect(problem, float(sub[j]), gs[j],
-                                             float(sub[j + 1]), gs[j + 1], tol))
-                        placed = True
-                        break
-                if not placed:
-                    continue
-            else:
-                roots.append(_bisect(problem, a, ga, b, gb, tol))
+    for i in range(lams.size - 1):
         if len(roots) >= count:
-            return np.array(roots[:count])
-        prev_lam = float(lams[-1])
-        prev_f = float(F[-1])
-    raise WindowExhaustedError(
-        f"window {problem.lambda_window} holds {len(roots)} roots, {count} requested",
-        found=np.array(roots))
+            break
+        a, b = float(lams[i]), float(lams[i + 1])
+        if F[i] == 0.0:
+            if not roots or a > roots[-1] + tol:
+                roots.append(a)
+            continue
+        if F[i] * F[i + 1] >= 0.0:
+            continue
+        ga, gb = shoot(problem, a), shoot(problem, b)
+        if ga * gb > 0.0:
+            # near-tangent pair: rescan the cell with the accurate mismatch
+            # and bisect its first sub-cell that holds a zero
+            sub = np.linspace(a, b, 21)
+            gs = [shoot(problem, s) for s in sub]
+            hits = [j for j in range(20) if gs[j] == 0.0 or gs[j] * gs[j + 1] < 0.0]
+            if not hits:
+                continue
+            j = hits[0]
+            a, ga, b, gb = float(sub[j]), gs[j], float(sub[j + 1]), gs[j + 1]
+        # _bisect returns a bracket end where the mismatch is exactly zero
+        roots.append(_bisect(problem, a, ga, b, gb, tol))
+    if len(roots) < count:
+        raise RuntimeError(f"mode n={problem.n} has {len(roots)} eigenvalues below "
+                           f"its min-max bound {bound:.9g}, {count} expected")
+    return np.array(roots[:count])
 
 
 @dataclass(frozen=True)
@@ -261,14 +222,13 @@ class ModeTable:
 
 
 def build_table(max_n: int, max_m: int, bc: str = "neumann",
-                lambda_window: tuple[float, float] = (0.0, 120.0),
                 tol: float = 1e-8) -> ModeTable:
     """Mode eigenvalue table; per-mode sequences are strictly increasing."""
     if max_n < 0 or max_m < 0:
         raise ValueError("max_n and max_m must be non-negative")
     entries = []
     for n in range(max_n + 1):
-        problem = ModeProblem(n=n, bc=bc, lambda_window=lambda_window)
+        problem = ModeProblem(n=n, bc=bc)
         roots = find_eigenvalues(problem, max_m + 1, tol=tol)
         if np.any(np.diff(roots) <= 0):
             raise RuntimeError(f"mode n={n} produced non-increasing eigenvalues {roots}")

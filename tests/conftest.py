@@ -5,9 +5,9 @@ from hypothesis import settings
 
 import ccspectral as cc
 
-# Property tests only parse configs, so a few dozen examples each keep the
-# suite's time where it was; no deadline, since a cold first example can take
-# longer than hypothesis' default 200 ms.
+# Property tests parse configs or assemble grids of at most 12x12 nodes, so
+# a few dozen examples each keep the suite's time where it was; no deadline,
+# since a cold first example can take longer than hypothesis' default 200 ms.
 settings.register_profile("ccspectral", deadline=None, max_examples=60)
 settings.load_profile("ccspectral")
 

@@ -314,6 +314,31 @@ def test_table_plain(tmp_path):
     assert rows[(1, 0)][3] == "2"
 
 
+@pytest.mark.parametrize("bc, max_m, shift", [("dirichlet", 3, 1), ("neumann", 4, 0)])
+def test_table_needs_no_search_window(tmp_path, bc, max_m, shift):
+    # the top row (4 pi)^2 ~ 158 lies past the window [0, 120] searched before
+    doc = {"table": {"max_n": 1, "max_m": max_m, "bc": bc}}
+    out = tmp_path / "run"
+    assert run(["grushin-table", "--config", write_config(tmp_path, doc),
+                "--out", out, "--quiet"]) == 0
+    lines = (out / "grushin_table.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * (max_m + 1)
+    rows = {tuple(map(int, row.split(",")[:2])): float(row.split(",")[2]) for row in lines[1:]}
+    for m in range(max_m + 1):
+        floor = ((m + shift) * np.pi) ** 2
+        assert rows[(0, m)] == pytest.approx(floor, abs=1e-7)
+        # min-max: the potential n^2 x^2 lies in [0, n^2] on (0, 1)
+        assert floor < rows[(1, m)] < floor + 1.0
+
+
+def test_table_lambda_window_is_an_unknown_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"table": {"lambda_window": [5, 120]}})
+    assert run(["grushin-table", "--config", cfg, "--out", tmp_path / "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key(s) ['lambda_window'] in table")
+    assert not (tmp_path / "run").exists()
+
+
 def test_table_cross_validate_marks_uncovered(tmp_path):
     doc = {"grid": {"nx": 24, "ny": 48},
            "table": {"max_n": 1, "max_m": 1},
@@ -399,6 +424,31 @@ def test_bad_expression_reports_position(tmp_path, capsys):
     assert "config error" in err and "^" in err
 
 
+# Each of these overflowed Python's recursion limit, in parsing or (the
+# sum) in evaluation, and ended in a traceback.
+NESTED = {
+    "3000 parentheses": "(" * 3000 + "1" + ")" * 3000,
+    "300 parentheses": "(" * 300 + "1" + ")" * 300,
+    "3000 signs": "-" * 3000 + "1",
+    "3000-term power chain": "^".join(["1"] * 3000),
+    "5000-term sum": "+".join(["1"] * 5000),
+}
+
+
+@pytest.mark.parametrize("source", list(NESTED.values()), ids=list(NESTED))
+def test_deeply_nested_expression_is_a_config_error(tmp_path, capsys, source):
+    doc = {"structure": {"kind": "custom",
+                         "chart": {"x_range": [0, 1], "y_range": [0, 1]},
+                         "fields": [["1", "0"], ["0", source]]},
+           "grid": {"nx": 8, "ny": 8}}
+    assert run(["spectrum", "--config", write_config(tmp_path, doc),
+                "--out", tmp_path / "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad coefficient expression:")
+    assert err.count("config error") == 1 and "Traceback" not in err
+    assert "expression nests deeper than 100 levels at position " in err
+
+
 SINGULAR = {
     "structure": {"kind": "custom", "chart": {"x_range": [0, 1], "y_range": [0, 1]},
                   "fields": [["1", "0"], ["0", "1"]], "density": "1"},
@@ -446,18 +496,24 @@ def test_carnot_level_validation(tmp_path, capsys):
     assert run(["carnot", "--config", cfg, "--out", tmp_path]) == 2
 
 
-def test_window_exhaustion_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"table": {"max_n": 0, "max_m": 2,
-                                            "lambda_window": [0, 5]}})
-    assert run(["grushin-table", "--config", cfg, "--out", tmp_path]) == 3
-    assert "root-finding error" in capsys.readouterr().err
-
-
 def test_bc_segment_on_periodic_edge(tmp_path, capsys):
     doc = dict(GRUSHIN_SPECTRUM, bc=[{"edge": "y_min", "condition": "dirichlet"}])
     assert run(["spectrum", "--config", write_config(tmp_path, doc),
                 "--out", tmp_path]) == 2
     assert "periodic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("segment, expected", [
+    ({"edge": "x_mid", "condition": "dirichlet"},
+     "bc[0].edge must be one of x_min, x_max, y_min, y_max, got 'x_mid'"),
+    ({"edge": "x_min", "condition": "dirichlet", "range": [0.5, 0.2]},
+     "bc[0].range must have lo <= hi, got [0.5, 0.2]"),
+])
+def test_bad_bc_segment_names_its_path(tmp_path, capsys, segment, expected):
+    doc = {"structure": {"kind": "euclidean"}, "grid": {"nx": 8, "ny": 8}, "bc": [segment]}
+    assert run(["spectrum", "--config", write_config(tmp_path, doc),
+                "--out", tmp_path / "run"]) == 2
+    assert capsys.readouterr().err == f"config error: {expected}\n"
 
 
 @pytest.mark.parametrize("solver", [{"k": 20}, {"k": 16, "method": "shift-invert"}])
@@ -495,8 +551,7 @@ def test_config_roundtrip_full():
         "nodal": {"rel_threshold": 1e-5, "gap_rel_tol": 1e-5},
         "cheeger": {"levels": 20, "certificate": {"phi": ["x", "y"],
                                                   "mode": "neumann"}},
-        "table": {"max_n": 3, "max_m": 1, "bc": "dirichlet",
-                  "lambda_window": [0, 200], "tol": 1e-7},
+        "table": {"max_n": 3, "max_m": 1, "bc": "dirichlet", "tol": 1e-7},
         "carnot": {"n": 2},
     }
     config = RunConfig.from_dict(doc)

@@ -78,6 +78,9 @@ MALFORMED = [
     (segment(edge=1), ["bc[0].edge", "1"]),
     (segment(range=[0.5]), ["range", "[0.5]"]),
     (segment(range=None), ["range", "None"]),
+    (segment(edge="x_mid"), ["bc[0].edge", "'x_mid'"]),
+    (segment(condition="robin"), ["bc[0].condition", "'robin'"]),
+    (segment(range=[0.5, 0.2]), ["bc[0].range", "[0.5, 0.2]"]),
     ({"solver": {"k": 0}}, ["k", "0"]),
     ({"solver": {"k": True}}, ["k", "True"]),
     ({"solver": {"tol": -1.0}}, ["tol", "-1.0"]),
@@ -98,7 +101,6 @@ MALFORMED = [
     ({"table": {"max_n": -1}}, ["max_n", "-1"]),
     ({"table": {"max_m": 0}}, ["max_m", "0"]),
     ({"table": {"bc": "periodic"}}, ["table.bc", "'periodic'"]),
-    ({"table": {"lambda_window": "wide"}}, ["lambda_window", "'wide'"]),
     ({"table": {"tol": "x"}}, ["tol", "'x'"]),
     ({"carnot": {"n": 0}}, ["carnot.n", "0"]),
     ({"carnot": {"n": "2"}}, ["carnot.n", "'2'"]),
@@ -124,9 +126,6 @@ def test_malformed_config_is_one_config_error_line(tmp_path, capsys, doc, expect
 OUT_OF_RANGE = [
     ("grushin-table", {"table": {"tol": 0}}, ["table.tol", "0"], True),
     ("grushin-table", {"table": {"tol": -1e-8}}, ["table.tol", "-1e-08"], True),
-    ("grushin-table", {"table": {"lambda_window": [50, 0]}}, ["lambda_window", "[50, 0]"], False),
-    ("grushin-table", {"table": {"lambda_window": [0, math.inf]}}, ["lambda_window[1]", "inf"],
-     False),
     ("spectrum", {"nodal": {"rel_threshold": -1}}, ["rel_threshold", "-1"], False),
     ("spectrum", {"nodal": {"rel_threshold": 0.5}}, ["rel_threshold", "0.5"], False),
     ("spectrum", {"nodal": {"rel_threshold": math.nan}}, ["rel_threshold", "nan"], False),
@@ -169,7 +168,7 @@ SECTION_KEYS = {
     NodalConfig: ("rel_threshold", "gap_rel_tol"),
     CertificateConfig: ("phi", "mode"),
     CheegerConfig: ("levels", "certificate"),
-    TableConfig: ("max_n", "max_m", "bc", "lambda_window", "tol"),
+    TableConfig: ("max_n", "max_m", "bc", "tol"),
     CarnotConfig: ("n",),
 }
 
@@ -249,8 +248,7 @@ VALID_DOCS = optional(
     cheeger=optional(levels=st.integers(min_value=1),
                      certificate=st.one_of(st.none(), CERTIFICATE)),
     table=optional(max_n=st.integers(min_value=0), max_m=st.integers(min_value=1),
-                   bc=st.sampled_from(["neumann", "dirichlet"]), lambda_window=PAIR,
-                   tol=POSITIVE),
+                   bc=st.sampled_from(["neumann", "dirichlet"]), tol=POSITIVE),
     carnot=optional(n=st.integers(min_value=1)))
 # what json.loads can return, NaN and infinities included
 JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,22 +90,11 @@ def test_tolerance_tightens_roots():
     assert abs(cc.shoot(problem, tight)) <= abs(cc.shoot(problem, loose)) + 1e-12
 
 
-def test_window_exhaustion_carries_partial_roots():
-    problem = cc.ModeProblem(n=0, bc="neumann", lambda_window=(0.0, 15.0))
-    with pytest.raises(cc.WindowExhaustedError) as exc_info:
-        cc.find_eigenvalues(problem, 5)
-    found = exc_info.value.found
-    assert found.size == 2  # 0 and pi^2 lie below 15
-    assert found[1] == pytest.approx(np.pi**2, abs=1e-6)
-
-
 def test_mode_problem_validation():
     with pytest.raises(ValueError):
         cc.ModeProblem(n=-1)
     with pytest.raises(ValueError):
         cc.ModeProblem(n=0, bc="robin")
-    with pytest.raises(ValueError):
-        cc.ModeProblem(n=0, lambda_window=(3.0, 1.0))
     with pytest.raises(ValueError):
         cc.find_eigenvalues(cc.ModeProblem(n=0), 0)
 
@@ -146,7 +136,7 @@ def test_dirichlet_table_dominates_neumann(neumann_table):
 
 
 def test_import_does_not_load_scipy_integrate():
-    # solve_ivp is imported where the shooting needs it, not with the package
+    # RK45 is imported where the shooting needs it, not with the package
     src = str(Path(cc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -154,3 +144,73 @@ def test_import_does_not_load_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# Every row of build_table, as float.hex, for tables inside the lambda range
+# [0, 120] that earlier versions searched, keyed by (max_n, max_m, bc, tol);
+# the scan only picks the grid cells the bisection starts from, so these
+# digits pin the whole root finder.
+TABLE_DIGITS = {
+    (2, 2, "neumann", 1e-08): [
+        "0x0.0p+0", "0x1.3bd3cc9b33334p+3", "0x1.3bd3cc9b9999ap+5",
+        "0x1.4cbd7dccccccfp-2", "0x1.4852785b33330p+3", "0x1.3e9a481b9999cp+5",
+        "0x1.341ab70cccccep+0", "0x1.7022f464cccccp+3", "0x1.4704dc0acccccp+5"],
+    (1, 1, "dirichlet", 1e-08): [
+        "0x1.3bd3cc9b33334p+3", "0x1.3bd3cc9b9999ap+5",
+        "0x1.44d655f19999ap+3", "0x1.3e65282866666p+5"],
+    (0, 3, "neumann", 1e-08): [
+        "0x0.0p+0", "0x1.3bd3cc9b33334p+3", "0x1.3bd3cc9b9999ap+5", "0x1.634e462f66668p+6"],
+    (3, 0, "dirichlet", 1e-10): [
+        "0x1.3bd3cc9be0002p+3", "0x1.44d655f2e0000p+3",
+        "0x1.5f7197e37999ap+3", "0x1.8a68f634f9998p+3"],
+    (4, 1, "neumann", 1e-06): [
+        "0x0.0p+0", "0x1.3bd3cc0000001p+3", "0x1.4cbd800000002p-2", "0x1.485278ccccccbp+3",
+        "0x1.341ab9999999ap+0", "0x1.7022f40000000p+3", "0x1.3200299999999p+1",
+        "0x1.b8c7c40000000p+3", "0x1.d11ffcccccccdp+1", "0x1.13124eccccccep+4"],
+    (0, 2, "dirichlet", 1e-09): [
+        "0x1.3bd3cc9bccccep+3", "0x1.3bd3cc9bd999bp+5", "0x1.634e462f60002p+6"],
+    (5, 0, "neumann", 1e-07): [
+        "0x0.0p+0", "0x1.4cbd7cccccccfp-2", "0x1.341ab73333334p+0",
+        "0x1.32002acccccccp+1", "0x1.d11ffaccccccep+1", "0x1.33cc4c3333334p+2"],
+}
+
+# shoot(ModeProblem(n, bc), lam) as float.hex, keyed by (n, bc, lam)
+SHOOT_DIGITS = {
+    (0, "neumann", 3.7): "-0x1.ce1b4d2c7d7abp+0",
+    (1, "neumann", 10.0): "-0x1.0942c939c9439p-3",
+    (3, "dirichlet", 50.5): "0x1.5c52f2f574122p-4",
+    (2, "dirichlet", 0.0): "0x1.361e5382ace97p+0",
+    (5, "neumann", 119.0): "0x1.22ccd167c3561p+3",
+    (4, "dirichlet", 200.0): "0x1.22af8bcaab896p-4",
+}
+
+# mode_zero_crossings(ModeProblem(n, bc), lam), keyed by (n, bc, lam)
+CROSSINGS = {(1, "neumann", 45.0): 2, (2, "dirichlet", 60.0): 2,
+             (0, "neumann", 100.0): 3, (3, "dirichlet", 150.0): 3}
+
+
+@pytest.mark.parametrize("key", list(TABLE_DIGITS), ids=str)
+def test_table_digits_are_pinned(key, neumann_table):
+    max_n, max_m, bc, tol = key
+    table = neumann_table if key == (2, 2, "neumann", 1e-08) else \
+        cc.build_table(max_n, max_m, bc=bc, tol=tol)
+    assert [e.lam.hex() for e in table.entries] == TABLE_DIGITS[key]
+
+
+def test_shoot_and_crossings_are_pinned():
+    for (n, bc, lam), digits in SHOOT_DIGITS.items():
+        assert cc.shoot(cc.ModeProblem(n=n, bc=bc), lam).hex() == digits, (n, bc, lam)
+    for (n, bc, lam), count in CROSSINGS.items():
+        assert cc.mode_zero_crossings(cc.ModeProblem(n=n, bc=bc), lam) == count, (n, bc, lam)
+
+
+def test_table_keeps_no_step_history():
+    # the scan integrates every lambda at once; keeping the solver's steps
+    # (as solve_ivp does) would hold megabytes
+    tracemalloc.start()
+    try:
+        cc.build_table(2, 2, "dirichlet")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
