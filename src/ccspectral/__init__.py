@@ -25,10 +25,9 @@ from .discretization import (AssembledForms, BCSegment, BoundarySpec, Grid2D,
 from .eigensolver import (ConvergenceError, Eigenpairs, MinMaxReport,
                           check_minmax, solve_smallest)
 from .expressions import Expression, ExpressionError, compile_expression
-from .geometry import (CCStructure, Chart2D, GridFunction, HorizontalField,
+from .geometry import (CCStructure, Chart2D, HorizontalField,
                        builtin_euclidean, builtin_grushin_cylinder,
-                       chart_gradient, constant_coefficient, divergence,
-                       horizontal_gradient, sub_laplacian_apply)
+                       constant_coefficient, divergence)
 from .grushin import (CrossValidationReport, ModeProblem, ModeTable,
                       build_table, cross_validate, find_eigenvalues,
                       mode_zero_crossings, shoot, write_table_csv)
@@ -43,20 +42,20 @@ __all__ = [
     "CarnotSpec", "Chart2D", "CoareaReport", "ConvergenceError",
     "CourantReport", "CrossValidationReport", "Cut", "Eigenpairs",
     "Expression", "ExpressionError", "FlowCertificate", "Grid2D",
-    "GridFunction", "HeisenbergPoint", "HorizontalField", "InequalityReport",
+    "HeisenbergPoint", "HorizontalField", "InequalityReport",
     "MinMaxReport", "ModeProblem", "ModeTable", "NodalDecomposition",
     "RunConfig", "assemble", "build_grid",
     "build_table", "builtin_euclidean", "builtin_grushin_cylinder",
-    "candidate_cuts_grushin", "chart_gradient", "check_courant",
+    "candidate_cuts_grushin", "check_courant",
     "check_minmax", "coarea_check", "compile_expression",
     "constant_coefficient", "cross_validate", "cut_from_level_set",
     "d_infty", "dilate", "dirichlet_cheeger_upper", "divergence",
     "field_to_gray", "find_eigenvalues", "h_identity", "h_inv", "h_mul",
     "h_norm", "hausdorff_constant_heisenberg", "heisenberg_spec",
-    "homogeneous_dimension", "horizontal_gradient", "horizontal_perimeter",
+    "homogeneous_dimension", "horizontal_perimeter",
     "labels_to_gray", "main", "mfmc_certify", "mode_zero_crossings",
     "nodal_domains", "rayleigh_quotient", "region_volume", "shoot",
-    "solve_smallest", "sub_laplacian_apply", "superlevel_cuts",
+    "solve_smallest", "superlevel_cuts",
     "sweep_level_sets", "unit_ball_volume", "verify_inequality", "write_cut_segments_csv",
     "write_cuts_csv", "write_labels_pgm", "write_matrix_market", "write_pgm",
     "write_table_csv",

@@ -14,14 +14,13 @@ point inward along the boundary).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .discretization import Grid2D, _cell_origin_meshes
-from .geometry import CCStructure, GridFunction, HorizontalField, divergence
+from .geometry import CCStructure, HorizontalField, divergence
 
 __all__ = [
     "Cut",
@@ -225,7 +224,7 @@ def _level_segments(grid: Grid2D, values2d: np.ndarray, t: float,
 
 
 def _node_values(grid: Grid2D, u) -> np.ndarray:
-    values = np.asarray(getattr(u, "values", u), dtype=float).ravel()
+    values = np.asarray(u, dtype=float).ravel()
     if values.size != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} node values, got {values.size}")
     return values.reshape(grid.nx, grid.ny)
@@ -253,29 +252,29 @@ def cut_from_level_set(structure: CCStructure, grid: Grid2D, u, t: float,
     return Cut(kind="level_set", segments=segments, sigma=sigma, vol1=vol1, vol2=vol2)
 
 
+def _level_cuts(structure: CCStructure, grid: Grid2D, values2d: np.ndarray,
+                levels: np.ndarray) -> list[Cut]:
+    """Cuts along {u = t} for each distinct t of ``levels`` inside the open
+    range of u, in ascending t, all marched on one _LevelSweep."""
+    umin, umax = values2d.min(), values2d.max()
+    sweep = _LevelSweep(structure, grid, values2d)
+    return [cut_from_level_set(structure, grid, values2d, float(t), sweep)
+            for t in np.unique(levels) if umin < t < umax]
+
+
 def sweep_level_sets(structure: CCStructure, grid: Grid2D, u, n_levels: int = 40) -> Cut:
     """Best (smallest-ratio) level-set cut over n_levels quantiles of u."""
     if n_levels < 1:
         raise ValueError(f"n_levels must be positive, got {n_levels}")
     values2d = _node_values(grid, u)
-    values = values2d.ravel()
-    umin, umax = values.min(), values.max()
-    if umax - umin <= 1e-300:
+    if values2d.max() - values2d.min() <= 1e-300:
         raise ValueError("cannot sweep level sets of a constant function")
     qs = (np.arange(n_levels) + 1.0) / (n_levels + 1.0)
-    sweep = _LevelSweep(structure, grid, values2d)
-    best: Cut | None = None
-    for t in np.unique(np.quantile(values, qs)):
-        if not umin < t < umax:
-            continue
-        cut = cut_from_level_set(structure, grid, values2d, float(t), sweep)
-        if not np.isfinite(cut.ratio):
-            continue
-        if best is None or cut.ratio < best.ratio:
-            best = cut
-    if best is None:
+    cuts = [c for c in _level_cuts(structure, grid, values2d, np.quantile(values2d, qs))
+            if np.isfinite(c.ratio)]
+    if not cuts:
         raise ValueError("no level produced a two-sided cut")
-    return best
+    return min(cuts, key=lambda c: c.ratio)
 
 
 def candidate_cuts_grushin(structure: CCStructure, grid: Grid2D,
@@ -321,11 +320,8 @@ def superlevel_cuts(structure: CCStructure, grid: Grid2D, u, n_levels: int = 40)
     positives = values2d[values2d > 0.0]
     if positives.size == 0:
         raise ValueError("u has no positive part to sweep")
-    umin, umax = values2d.min(), values2d.max()
     qs = (np.arange(n_levels) + 0.5) / n_levels
-    sweep = _LevelSweep(structure, grid, values2d)
-    return [cut_from_level_set(structure, grid, values2d, float(t), sweep)
-            for t in np.unique(np.quantile(positives, qs)) if umin < t < umax]
+    return _level_cuts(structure, grid, values2d, np.quantile(positives, qs))
 
 
 def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u,
@@ -387,9 +383,6 @@ class FlowCertificate:
             "sampling": "nodes",
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def mfmc_certify(structure: CCStructure, grid: Grid2D, V: HorizontalField,
                  mode: str, tol: float = 1e-9) -> FlowCertificate:
@@ -405,7 +398,7 @@ def mfmc_certify(structure: CCStructure, grid: Grid2D, V: HorizontalField,
         raise ValueError(f"mode must be 'dirichlet' or 'neumann', got {mode!r}")
     if V.grid != grid:
         raise ValueError("field and grid do not match")
-    div2d = divergence(structure, V).as_2d()
+    div2d = divergence(structure, V)
     sx = slice(None) if grid.chart.periodic_x else slice(1, -1)
     sy = slice(None) if grid.chart.periodic_y else slice(1, -1)
     interior = div2d[sx, sy]
@@ -447,9 +440,6 @@ class InequalityReport:
             "slack": self.slack,
             "satisfied": bool(self.satisfied),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def verify_inequality(lambda_value: float, h_lower, kind: str,

@@ -38,7 +38,7 @@ from .cheeger import candidate_cuts_grushin, dirichlet_cheeger_upper, \
     write_cuts_csv
 from .discretization import _CONDITIONS, _EDGES, AssembledForms, BCSegment, \
     BoundarySpec, Grid2D, assemble, build_grid
-from .eigensolver import DENSE_THRESHOLD, ConvergenceError, Eigenpairs, solve_smallest
+from .eigensolver import ConvergenceError, Eigenpairs, solve_smallest
 from .expressions import ExpressionError, compile_expression
 from .geometry import CCStructure, Chart2D, HorizontalField, SampleError, \
     builtin_euclidean, builtin_grushin_cylinder
@@ -207,8 +207,6 @@ class SolverConfig:
     k: int = _spec(6, min=1)
     tol: float = _spec(1e-8, gt=0.0)
     seed: int = 0
-    dense_threshold: int = DENSE_THRESHOLD
-    method: str = _spec("auto", choices=("auto", "dense", "shift-invert"))
 
 
 @dataclass(frozen=True)
@@ -315,6 +313,9 @@ def _boundary_spec(bc: str | tuple[SegmentConfig, ...], chart: Chart2D) -> Bound
     if bc == "neumann":
         return BoundarySpec.all_neumann()
     if bc == "dirichlet":
+        if chart.periodic_x and chart.periodic_y:
+            raise ConfigError("bc 'dirichlet' has no edge to hold it: "
+                              "the chart is periodic in both x and y")
         return BoundarySpec.all_dirichlet(chart)
     return BoundarySpec(tuple(BCSegment(s.edge, s.condition, *(s.range or (None, None)))
                               for s in bc))
@@ -334,11 +335,10 @@ def _flavor(bc: BoundarySpec, grid: Grid2D) -> str:
 def _solve(config: RunConfig, forms: AssembledForms, k: int) -> Eigenpairs:
     s = config.solver
     try:
-        return solve_smallest(forms, k=k, tol=s.tol, method=s.method,
-                              dense_threshold=s.dense_threshold, seed=s.seed)
+        return solve_smallest(forms, k=k, tol=s.tol, seed=s.seed)
     except np.linalg.LinAlgError:  # a ValueError, but numerical, not the config's
         raise
-    except ValueError as exc:  # k or method does not fit this grid
+    except ValueError as exc:  # k exceeds the active nodes of this grid
         raise ConfigError(f"solver: {exc}") from exc
 
 
@@ -527,14 +527,11 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
     for _lam2d, _lam_mode, n, m, err in report.pairs:
         key = (n, m)
         worst[key] = max(worst.get(key, 0.0), err)
-    lines = ["n,m,lambda,multiplicity,rel_error_2d"]
+    write_table_csv(table, path, errors=worst)
     for e in table.entries:
         err = worst.get((e.n, e.m))
-        cell = "" if err is None else repr(float(err))
-        lines.append(f"{e.n},{e.m},{e.lam!r},{e.multiplicity},{cell}")
         shown = "not covered by the 2D solve" if err is None else f"rel err 2d = {err:.3e}"
         _say(quiet, f"  n={e.n} m={e.m}  lambda = {e.lam:.9g}  x{e.multiplicity}  {shown}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _say(quiet, f"max relative error over the {k} eigenvalues below "
                 f"{threshold:.6g} vs the {grid.nx}x{grid.ny} grid: "
                 f"{report.max_rel_error:.3e}")

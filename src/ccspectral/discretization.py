@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import CCStructure, Chart2D, GridFunction, _check_compatible
+from .geometry import CCStructure, Chart2D, _check_compatible
 
 __all__ = [
     "Grid2D",

@@ -1,11 +1,13 @@
 """Smallest eigenpairs of the generalized problem A u = lambda M u.
 
 A is the assembled energy matrix (symmetric positive semidefinite) and M
-the lumped mass diagonal.  Small problems go through a dense symmetric
-solve; large ones through shift-invert Lanczos on the regularized pencil
-(A + eps M, M), which is positive definite even when constants span the
-kernel of A.  The shifted matrix K = A + eps M is inverted once: the same
-inverse operator serves Lanczos and drives the inverse-iteration polish.
+the lumped mass diagonal.  The input alone picks the path: a dense
+symmetric solve when k >= n - 1, which leaves Lanczos nothing to reduce
+(ARPACK needs k < n), and otherwise shift-invert Lanczos on the
+regularized pencil (A + eps M, M), which is positive definite even when
+constants span the kernel of A.  The shifted matrix K = A + eps M is
+inverted once: the same inverse operator serves Lanczos and drives the
+inverse-iteration polish.
 When K is invariant under y-translation (a y-periodic chart whose mass and
 nearest-neighbour stencil do not vary along y, such as the Grushin
 cylinder), an FFT along y turns K into one Hermitian tridiagonal system per
@@ -32,9 +34,8 @@ from .discretization import AssembledForms
 __all__ = ["Eigenpairs", "ConvergenceError", "solve_smallest", "check_minmax", "MinMaxReport"]
 
 
-# Largest n_active "auto" solves densely: the dense/shift-invert crossover for
-# k = 6..8 on a 2-vCPU x86 VM, one BLAS thread (10.5 vs 10.3 ms at n = 128).
-DENSE_THRESHOLD = 150
+# Lanczos iteration budget per requested mode.
+MAXITER_PER_MODE = 50
 
 
 class ConvergenceError(RuntimeError):
@@ -171,8 +172,8 @@ def _shifted_inverse(forms: AssembledForms,
     return lu.solve, {"inverse": "splu", "inverse_reason": reason, "factor_nnz": int(lu.nnz)}
 
 
-def _solve_iterative(forms: AssembledForms, k: int, seed: int,
-                     maxiter_per_mode: int) -> tuple[np.ndarray, np.ndarray, dict]:
+def _solve_iterative(forms: AssembledForms, k: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray, dict]:
     A = forms.A
     mass = forms.mass
     n = forms.n_active
@@ -201,11 +202,11 @@ def _solve_iterative(forms: AssembledForms, k: int, seed: int,
     # Yang, ARPACK Users' Guide, 1998).
     try:
         mu, V = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=OPinv,
-                           ncv=ncv, maxiter=maxiter_per_mode * k, tol=0)
+                           ncv=ncv, maxiter=MAXITER_PER_MODE * k, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"shift-invert Lanczos converged {len(exc.eigenvalues)} of {k} modes "
-            f"within {maxiter_per_mode * k} iterations") from exc
+            f"within {MAXITER_PER_MODE * k} iterations") from exc
     order = np.argsort(mu)
     V = V[:, order]
     # Inverse-iteration polish against K, then Ritz values from the true pencil.
@@ -216,21 +217,15 @@ def _solve_iterative(forms: AssembledForms, k: int, seed: int,
 
 
 def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
-                   method: str = "auto", dense_threshold: int = DENSE_THRESHOLD,
-                   seed: int = 0, maxiter_per_mode: int = 50) -> Eigenpairs:
+                   seed: int = 0) -> Eigenpairs:
     """Compute the k smallest eigenpairs of (A, M).
 
     Args:
         forms: assembled energy and mass forms.
-        k: number of eigenpairs, 1 <= k <= n_active.
+        k: number of eigenpairs, 1 <= k <= n_active.  k >= n_active - 1
+            solves densely; any smaller k by shift-invert Lanczos.
         tol: admissible residual ||A v - lambda M v||_2 per pair.
-        method: "auto" picks dense up to dense_threshold active nodes, or
-            when k >= n_active - 1 leaves Lanczos nothing to reduce; otherwise
-            shift-invert.  "dense" / "shift-invert" force a path; shift-invert
-            needs k < n_active.
-        dense_threshold: crossover size for the automatic choice.
         seed: seed for the iterative start vector (determinism).
-        maxiter_per_mode: Lanczos iteration budget per requested mode.
 
     Returns Eigenpairs with ascending eigenvalues, M-orthonormal vectors and
     residuals; raises ConvergenceError if any residual exceeds tol.
@@ -238,23 +233,12 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
     n = forms.n_active
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    if method not in ("auto", "dense", "shift-invert"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "shift-invert" and k >= n:
-        raise ValueError(f"shift-invert needs k < n_active = {n}, got k = {k}")
-    if method != "auto":
-        path, reason = method, "forced"
-    elif k >= n - 1:
-        path, reason = "dense", f"k = {k} >= n_active - 1 = {n - 1}"
-    elif n <= dense_threshold:
-        path, reason = "dense", f"n_active = {n} <= dense_threshold = {dense_threshold}"
-    else:
-        path, reason = "shift-invert", f"n_active = {n} > dense_threshold = {dense_threshold}"
-    info: dict[str, Any] = {"path": path, "reason": reason}
-    if path == "dense":
+    if k >= n - 1:
+        info: dict[str, Any] = {"path": "dense", "reason": f"k = {k} >= n_active - 1 = {n - 1}"}
         w, V = _solve_dense(forms, k)
     else:
-        w, V, stats = _solve_iterative(forms, k, seed, maxiter_per_mode)
+        info = {"path": "shift-invert", "reason": f"k = {k} < n_active - 1 = {n - 1}"}
+        w, V, stats = _solve_iterative(forms, k, seed)
         info.update(stats)
     # One more projection pass tightens clustered pairs at machine precision.
     for passes in range(3):

@@ -30,14 +30,22 @@ _BINARY: dict[str, Callable] = {"+": operator.add, "-": operator.sub, "*": opera
                                 "/": operator.truediv, "^": np.power}
 
 
+# Source characters echoed on each side of an error position; a long
+# expression is cut there and the cut marked with "...".
+_ECHO = 60
+
+
 class ExpressionError(ValueError):
     """Parse or evaluation failure, annotated with the source position."""
 
     def __init__(self, message: str, source: str, position: int):
         self.position = position
         self.source = source
-        pointer = " " * position + "^"
-        super().__init__(f"{message} at position {position}\n  {source}\n  {pointer}")
+        lo, hi = max(0, position - _ECHO), position + _ECHO
+        head = "..." if lo else ""
+        shown = head + source[lo:hi] + ("..." if hi < len(source) else "")
+        pointer = " " * (len(head) + position - lo) + "^"
+        super().__init__(f"{message} at position {position}\n  {shown}\n  {pointer}")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 A structure is a generating family of horizontal vector fields
 X_i = a_i1(x,y) d/dx + a_i2(x,y) d/dy together with a positive density
-rho defining the volume form omega = rho dx dy.  The module provides the
-horizontal gradient (the tuple of derivatives X_i u along the family),
-the omega-divergence of horizontal fields, and their composition, the
-geometric sub-Laplacian.  Discrete derivatives are second-order centered
-differences, with one-sided second-order stencils on non-periodic edges
-and wrap-around on periodic ones.
+rho defining the volume form omega = rho dx dy.  The module also
+samples horizontal fields V = sum_i phi_i X_i on grid nodes and takes
+their omega-divergence, which the flow certificates of the cheeger module
+read.  Its derivatives are second-order centered differences, with
+one-sided second-order stencils on non-periodic edges and wrap-around on
+periodic ones.  The sub-Laplacian itself is the operator of the energy
+form that the discretization module assembles.
 """
 
 from __future__ import annotations
@@ -23,15 +24,12 @@ if TYPE_CHECKING:  # only for annotations; discretization imports this module
 __all__ = [
     "Chart2D",
     "CCStructure",
-    "GridFunction",
     "HorizontalField",
     "SampleError",
     "constant_coefficient",
     "builtin_grushin_cylinder",
     "builtin_euclidean",
-    "horizontal_gradient",
     "divergence",
-    "sub_laplacian_apply",
 ]
 
 Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -183,23 +181,6 @@ def builtin_euclidean(x_range: tuple[float, float] = (0.0, 1.0),
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """Scalar samples on every node of a grid, flattened x-major."""
-
-    grid: "Grid2D"
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        if values.size != self.grid.n_nodes:
-            raise ValueError(f"expected {self.grid.n_nodes} node values, got {values.size}")
-        object.__setattr__(self, "values", values)
-
-    def as_2d(self) -> np.ndarray:
-        return self.values.reshape(self.grid.nx, self.grid.ny)
-
-
-@dataclass(frozen=True)
 class HorizontalField:
     """Coefficient functions phi_i of V = sum_i phi_i X_i, sampled on nodes."""
 
@@ -243,26 +224,8 @@ def _d_axis(values2d: np.ndarray, h: float, periodic: bool, axis: int) -> np.nda
     return np.gradient(values2d, h, axis=axis, edge_order=2)
 
 
-def chart_gradient(grid: "Grid2D", values2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(du/dx, du/dy) on nodes by centered/one-sided second-order stencils."""
-    ux = _d_axis(values2d, grid.hx, grid.chart.periodic_x, axis=0)
-    uy = _d_axis(values2d, grid.hy, grid.chart.periodic_y, axis=1)
-    return ux, uy
-
-
-def horizontal_gradient(structure: CCStructure, u: GridFunction) -> HorizontalField:
-    """Horizontal gradient of u: phi_i = X_i u = a_i1 du/dx + a_i2 du/dy."""
-    grid = u.grid
-    _check_compatible(structure, grid)
-    ux, uy = chart_gradient(grid, u.as_2d())
-    X, Y = grid.meshes()
-    coeffs = structure.coefficients_at(X, Y)
-    phi = coeffs[:, 0] * ux + coeffs[:, 1] * uy
-    return HorizontalField(grid=grid, phi=phi.reshape(structure.m, grid.n_nodes))
-
-
-def divergence(structure: CCStructure, V: HorizontalField) -> GridFunction:
-    """Divergence of V with respect to omega = rho dx dy.
+def divergence(structure: CCStructure, V: HorizontalField) -> np.ndarray:
+    """Divergence of V with respect to omega = rho dx dy, on the (nx, ny) nodes.
 
     Computed as (d(rho Vx)/dx + d(rho Vy)/dy) / rho, where (Vx, Vy) are
     the chart components of V; this is the unique function with
@@ -275,11 +238,5 @@ def divergence(structure: CCStructure, V: HorizontalField) -> GridFunction:
     vx, vy = V.chart_components(structure)
     fx = rho * vx
     fy = rho * vy
-    div = (_d_axis(fx, grid.hx, grid.chart.periodic_x, axis=0)
-           + _d_axis(fy, grid.hy, grid.chart.periodic_y, axis=1)) / rho
-    return GridFunction(grid=grid, values=div.reshape(grid.n_nodes))
-
-
-def sub_laplacian_apply(structure: CCStructure, u: GridFunction) -> GridFunction:
-    """Geometric sub-Laplacian: div_omega of the horizontal gradient of u."""
-    return divergence(structure, horizontal_gradient(structure, u))
+    return (_d_axis(fx, grid.hx, grid.chart.periodic_x, axis=0)
+            + _d_axis(fy, grid.hy, grid.chart.periodic_y, axis=1)) / rho

@@ -238,11 +238,19 @@ def build_table(max_n: int, max_m: int, bc: str = "neumann",
     return ModeTable(entries=tuple(entries), bc=bc, max_n=max_n, max_m=max_m)
 
 
-def write_table_csv(table: ModeTable, path) -> None:
-    """CSV with header n,m,lambda,multiplicity, shortest round-trip decimals."""
-    lines = ["n,m,lambda,multiplicity"]
+def write_table_csv(table: ModeTable, path, errors=None) -> None:
+    """CSV with header n,m,lambda,multiplicity, shortest round-trip decimals.
+
+    ``errors`` maps (n, m) to the relative error of a 2D cross-check and adds
+    a rel_error_2d column, left empty for the modes it does not cover.
+    """
+    lines = ["n,m,lambda,multiplicity" + ("" if errors is None else ",rel_error_2d")]
     for e in table.entries:
-        lines.append(f"{e.n},{e.m},{repr(e.lam)},{e.multiplicity}")
+        row = f"{e.n},{e.m},{repr(e.lam)},{e.multiplicity}"
+        if errors is not None:
+            err = errors.get((e.n, e.m))
+            row += "," + ("" if err is None else repr(float(err)))
+        lines.append(row)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -52,7 +52,7 @@ def nodal_domains(grid: Grid2D, u, rel_threshold: float = 1e-6) -> NodalDecompos
     """
     if not 0.0 <= rel_threshold <= 0.1:
         raise ValueError(f"rel_threshold must be in [0, 0.1], got {rel_threshold}")
-    values = np.asarray(getattr(u, "values", u), dtype=float).ravel()
+    values = np.asarray(u, dtype=float).ravel()
     if values.size != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} node values, got {values.size}")
     vmax = np.abs(values).max()

@@ -87,7 +87,7 @@ def test_spectrum_names_the_inverse_on_stdout_only(tmp_path, capsys):
     cfg = write_config(tmp_path, GRUSHIN_SPECTRUM)
     out = tmp_path / "run"
     assert run(["spectrum", "--config", cfg, "--out", out]) == 0
-    assert ("solver shift-invert (n_active = 1152 > dense_threshold = 150), inverse fft-y"
+    assert ("solver shift-invert (k = 4 < n_active - 1 = 1151), inverse fft-y"
             in capsys.readouterr().out)
     for path in out.iterdir():
         assert b"fft-y" not in path.read_bytes(), path.name
@@ -449,6 +449,34 @@ def test_deeply_nested_expression_is_a_config_error(tmp_path, capsys, source):
     assert "expression nests deeper than 100 levels at position " in err
 
 
+def test_long_expression_error_is_echoed_around_the_position(tmp_path, capsys):
+    source = "x*" + "0" * 2000 + "+q*" + "1" * 2000  # 4005 characters
+    doc = {"structure": {"kind": "custom",
+                         "chart": {"x_range": [0, 1], "y_range": [0, 1]},
+                         "fields": [["1", "0"], ["0", source]]},
+           "grid": {"nx": 8, "ny": 8}}
+    assert run(["spectrum", "--config", write_config(tmp_path, doc),
+                "--out", tmp_path / "run"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) <= 300, err
+    assert "unknown name 'q' at position 2003" in err
+    shown, pointer = err.splitlines()[-2:]
+    assert shown.startswith("  ...") and shown.endswith("...")
+    assert pointer.strip() == "^" and shown[pointer.index("^")] == "q"
+
+
+def test_dirichlet_on_a_torus_is_a_config_error(tmp_path, capsys):
+    doc = {"structure": {"kind": "euclidean",
+                         "chart": {"periodic_x": True, "periodic_y": True}},
+           "grid": {"nx": 8, "ny": 8}, "bc": "dirichlet", "solver": {"k": 2}}
+    out = tmp_path / "run"
+    assert run(["spectrum", "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bc 'dirichlet'") and err.count("\n") == 1, err
+    assert "periodic in both x and y" in err
+    assert not out.exists()
+
+
 SINGULAR = {
     "structure": {"kind": "custom", "chart": {"x_range": [0, 1], "y_range": [0, 1]},
                   "fields": [["1", "0"], ["0", "1"]], "density": "1"},
@@ -546,8 +574,7 @@ def test_config_roundtrip_full():
         "grid": {"nx": 17, "ny": 33},
         "bc": [{"edge": "x_min", "condition": "dirichlet"},
                {"edge": "x_max", "condition": "neumann", "range": [-0.5, 0.5]}],
-        "solver": {"k": 3, "tol": 1e-9, "seed": 7, "dense_threshold": 500,
-                   "method": "dense"},
+        "solver": {"k": 3, "tol": 1e-9, "seed": 7},
         "nodal": {"rel_threshold": 1e-5, "gap_rel_tol": 1e-5},
         "cheeger": {"levels": 20, "certificate": {"phi": ["x", "y"],
                                                   "mode": "neumann"}},

@@ -1,4 +1,4 @@
-"""Generalized eigenvalue solves: accuracy, method agreement, determinism."""
+"""Generalized eigenvalue solves: accuracy, path agreement, determinism."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ def test_validation():
         cc.solve_smallest(forms, k=0)
     with pytest.raises(ValueError):
         cc.solve_smallest(forms, k=forms.n_active + 1)
-    with pytest.raises(ValueError):
-        cc.solve_smallest(forms, k=2, method="qr")
 
 
 def test_convergence_error_is_runtime_error():
@@ -66,44 +64,36 @@ def test_lanczos_keeps_both_members_of_each_doublet(grushin, nx, ny):
 def test_dense_and_shift_invert_agree(grushin):
     grid = cc.build_grid(grushin.chart, 32, 64)
     forms = cc.assemble(grushin, grid, cc.BoundarySpec.all_neumann())
-    dense = cc.solve_smallest(forms, k=6, method="dense")
-    si = cc.solve_smallest(forms, k=6, method="shift-invert")
-    scale = np.maximum(1.0, np.abs(dense.lambdas))
-    assert np.all(np.abs(dense.lambdas - si.lambdas) <= 1e-8 * scale)
+    dense_lambdas, dense_vectors = eigensolver._solve_dense(forms, 6)
+    si = cc.solve_smallest(forms, k=6)
+    assert si.info["path"] == "shift-invert"
+    scale = np.maximum(1.0, np.abs(dense_lambdas))
+    assert np.all(np.abs(dense_lambdas - si.lambdas) <= 1e-8 * scale)
     # eigenspaces agree: principal angles of the first doublet span are ~0
     M = forms.mass
-    overlap = dense.vectors[:, 1:3].T @ (M[:, None] * si.vectors[:, 1:3])
+    overlap = dense_vectors[:, 1:3].T @ (M[:, None] * si.vectors[:, 1:3])
     sv = np.linalg.svd(overlap, compute_uv=False)
     assert np.abs(sv - 1.0).max() <= 1e-7
 
 
-def test_auto_matches_forced_paths(grushin):
-    grid = cc.build_grid(grushin.chart, 16, 24)
-    forms = cc.assemble(grushin, grid, cc.BoundarySpec.all_neumann())
-    # n_active = 384 is above the default crossover, so pin the threshold
-    # to check that auto below it is exactly the dense path.
-    auto_small = cc.solve_smallest(forms, k=4, dense_threshold=400)
-    dense = cc.solve_smallest(forms, k=4, method="dense")
-    assert np.array_equal(auto_small.lambdas, dense.lambdas)
-    assert auto_small.info["path"] == "dense"
-    auto_big = cc.solve_smallest(forms, k=4, dense_threshold=10)
-    assert np.abs(auto_big.lambdas - dense.lambdas).max() <= 1e-8
-    assert auto_big.info["path"] == "shift-invert"
-    assert cc.solve_smallest(forms, k=4).info["path"] == "shift-invert"
-
-
-def test_auto_takes_dense_when_k_near_n(euclidean):
-    grid = cc.build_grid(euclidean.chart, 4, 4)
+@pytest.mark.parametrize("nx, ny", [(4, 4), (12, 12)])
+def test_dense_exactly_when_k_near_n(euclidean, nx, ny):
+    # Lanczos needs k < n_active; every smaller k takes it, however small
+    # the grid.
+    grid = cc.build_grid(euclidean.chart, nx, ny)
     forms = cc.assemble(euclidean, grid, cc.BoundarySpec.all_neumann())
     n = forms.n_active
-    dense = cc.solve_smallest(forms, k=n, method="dense")
+    full = cc.solve_smallest(forms, k=n)
     for k in (n - 1, n):
-        auto = cc.solve_smallest(forms, k=k, dense_threshold=0)
-        assert auto.info["path"] == "dense"
-        assert "n_active - 1" in auto.info["reason"]
-        assert np.array_equal(auto.lambdas, dense.lambdas[:k])
-    with pytest.raises(ValueError, match="shift-invert"):
-        cc.solve_smallest(forms, k=n, method="shift-invert")
+        pairs = cc.solve_smallest(forms, k=k)
+        assert pairs.info["path"] == "dense"
+        assert pairs.info["reason"] == f"k = {k} >= n_active - 1 = {n - 1}"
+        assert np.array_equal(pairs.lambdas, full.lambdas[:k])
+    pairs = cc.solve_smallest(forms, k=n - 2)
+    assert pairs.info["path"] == "shift-invert"
+    assert pairs.info["reason"] == f"k = {n - 2} < n_active - 1 = {n - 1}"
+    scale = np.maximum(1.0, np.abs(full.lambdas[:n - 2]))
+    assert np.all(np.abs(pairs.lambdas - full.lambdas[:n - 2]) <= 1e-8 * scale)
 
 
 def _custom(fields, density=lambda x, y: np.ones(np.shape(x))):
@@ -143,10 +133,10 @@ def test_shift_invert_factorizes_once(count_gstrf):
     structure = _y_dependent_structure()
     grid = cc.build_grid(structure.chart, 32, 64)
     forms = cc.assemble(structure, grid, cc.BoundarySpec.all_neumann())
-    pairs = cc.solve_smallest(forms, k=6, method="shift-invert")
+    pairs = cc.solve_smallest(forms, k=6)
     assert len(count_gstrf) == 1
     info = pairs.info
-    assert info["path"] == "shift-invert" and info["reason"] == "forced"
+    assert info["path"] == "shift-invert" and info["reason"] == "k = 6 < n_active - 1 = 2047"
     assert info["inverse"] == "splu" and info["inverse_reason"] == "mass varies along y"
     assert info["factor_nnz"] == count_gstrf[0]
     assert info["opinv_applies"] > 0
@@ -203,10 +193,10 @@ def test_fft_inverse_matches_splu(grushin, monkeypatch, count_gstrf, structure, 
           "dirichlet": cc.BoundarySpec.all_dirichlet(structure.chart),
           "mixed": MIXED_X_MAX}[bc]
     forms = cc.assemble(structure, cc.build_grid(structure.chart, 20, ny), bc)
-    fft = cc.solve_smallest(forms, k=6, method="shift-invert")
+    fft = cc.solve_smallest(forms, k=6)
     assert fft.info["inverse"] == "fft-y" and not count_gstrf
     monkeypatch.setattr(eigensolver, "_y_stencil", lambda forms: (None, "disabled"))
-    lu = cc.solve_smallest(forms, k=6, method="shift-invert")
+    lu = cc.solve_smallest(forms, k=6)
     assert lu.info["inverse"] == "splu" and len(count_gstrf) == 1
     assert np.all(np.abs(fft.lambdas - lu.lambdas) <= 1e-12 * np.maximum(1.0, np.abs(lu.lambdas)))
     assert fft.info["opinv_applies"] > 0
@@ -236,7 +226,7 @@ def _fallback_cases():
 def test_y_dependent_operators_fall_back_to_splu(count_gstrf, case):
     structure, bc, reason = _fallback_cases()[case]
     forms = cc.assemble(structure, cc.build_grid(structure.chart, 12, 16), bc)
-    pairs = cc.solve_smallest(forms, k=3, method="shift-invert")
+    pairs = cc.solve_smallest(forms, k=3)
     assert len(count_gstrf) == 1
     assert pairs.info["inverse"] == "splu" and pairs.info["inverse_reason"] == reason
     assert pairs.info["factor_nnz"] == count_gstrf[0]

@@ -64,12 +64,6 @@ def test_threshold_validation(grushin_grid):
         cc.nodal_domains(grushin_grid, np.ones(3))
 
 
-def test_grid_function_accepted(grushin_grid):
-    _, Y = grushin_grid.meshes()
-    gf = cc.GridFunction(grid=grushin_grid, values=np.sin(Y).ravel())
-    assert cc.nodal_domains(grushin_grid, gf).n_domains == 2
-
-
 def test_courant_on_grushin_spectrum(grushin_neumann_forms, grushin_neumann_pairs):
     report = cc.check_courant(grushin_neumann_pairs, grushin_neumann_forms)
     assert report.ok
