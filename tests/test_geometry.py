@@ -116,6 +116,49 @@ def test_squared_length_is_sum_of_squares(grushin_strip):
     assert np.allclose(V.squared_length(), phi[0]**2 + phi[1]**2, **RIGID)
 
 
+def test_horizontal_field_shape_checked(grushin_strip):
+    grid = cc.build_grid(grushin_strip.chart, 6, 5)
+    for phi in (np.zeros(grid.n_nodes), np.zeros((2, grid.n_nodes - 1))):
+        with pytest.raises(ValueError, match="phi must have shape"):
+            cc.HorizontalField(grid=grid, phi=phi)
+
+
+def test_divergence_linearity(grushin):
+    # The divergence is linear in V, with a non-constant density and across
+    # the periodic seam in y.
+    s = cc.CCStructure(chart=grushin.chart, field_coeffs=grushin.field_coeffs,
+                       density=lambda x, y: 1.0 + np.asarray(x, dtype=float)**2)
+    grid = cc.build_grid(s.chart, 12, 16)
+    rng = np.random.default_rng(3)
+    phi, psi = rng.standard_normal((2, 2, grid.n_nodes))
+
+    def div(p):
+        return cc.divergence(s, cc.HorizontalField(grid=grid, phi=p))
+
+    combined = div(2.0 * phi - 0.5 * psi)
+    assert np.allclose(combined, 2.0 * div(phi) - 0.5 * div(psi), rtol=1e-12, atol=1e-11)
+
+
+def test_divergence_exact_on_quadratic_flux(grushin_strip):
+    # Centered interior and one-sided second-order edge stencils are exact
+    # on quadratic fluxes: V = x^2 X_1 + y^2 X_2 has chart components
+    # (x^2, x y^2), so div V = 2x + 2xy on every node, edges included.
+    grid, X, Y = grid_and_meshes(grushin_strip, 9, 11)
+    V = cc.HorizontalField(grid=grid, phi=np.stack([(X**2).ravel(), (Y**2).ravel()]))
+    assert np.allclose(cc.divergence(grushin_strip, V), 2.0 * X + 2.0 * X * Y, **RIGID)
+
+
+def test_divergence_periodic_seam(grushin):
+    # On the cylinder, V = sin(y) X_2 has chart components (0, x sin y); the
+    # wrap-around centered difference gives x cos(y) sin(h)/h exactly, on
+    # the seam rows y = 0 and y = 2 pi - h as in the interior.
+    grid, X, Y = grid_and_meshes(grushin, 9, 24)
+    V = cc.HorizontalField(grid=grid,
+                           phi=np.stack([np.zeros(grid.n_nodes), np.sin(Y).ravel()]))
+    h = grid.hy
+    assert np.allclose(cc.divergence(grushin, V), X * np.cos(Y) * np.sin(h) / h, **RIGID)
+
+
 def test_divergence_of_radial_flow_is_constant(grushin_strip):
     grid, X, Y = grid_and_meshes(grushin_strip, 21, 21)
     V = cc.HorizontalField(grid=grid,
