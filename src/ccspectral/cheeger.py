@@ -371,11 +371,23 @@ class FlowCertificate:
     valid: bool
     tol: float
 
+    @property
+    def supplies_h_lower(self) -> bool:
+        """Whether h_certified may serve as a lower bound for h.
+
+        Not in neumann mode: a field pointing inward on the whole boundary
+        has no outward flux, so the integral of rho div V is <= 0 and so is
+        min div V.  Such a field can certify only h >= (something <= 0); a
+        positive h_certified there is an artifact of sampling nodes.
+        """
+        return self.mode != "neumann"
+
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
             "valid": bool(self.valid),
             "h_certified": self.h_certified,
+            "supplies_h_lower": self.supplies_h_lower,
             "max_coeff_norm": self.max_coeff_norm,
             "min_divergence": self.min_divergence,
             "boundary_inward_min": self.boundary_inward_min,

@@ -374,7 +374,8 @@ def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_eigenvalues_csv(pairs, out / "eigenvalues.csv")
     info = pairs.info
-    inverse = f", inverse {info['inverse']} ({info['inverse_reason']})" if "inverse" in info else ""
+    inverse = (f", inverse {info['inverse']} ({info['inverse_reason']}), ncv {info['ncv']}"
+               if "inverse" in info else "")
     _say(quiet, f"structure {structure.name}, grid {grid.nx}x{grid.ny}, "
                 f"bc {_flavor(bc, grid)}, k={pairs.k}, solver {info['path']} "
                 f"({info['reason']}){inverse}")
@@ -467,6 +468,9 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
         certificate_valid = certificate.valid
         if not certificate.valid:
             _say(quiet, "certificate INVALID (see certificate.json)")
+        elif not certificate.supplies_h_lower:
+            _say(quiet, f"certificate valid for mode {certificate.mode}, which certifies "
+                        f"no positive h; not used as h_lower")
         elif certificate.mode == flavor:
             h_lower = certificate.h_certified
             h_source = "certificate"

@@ -6,16 +6,19 @@ symmetric solve when k >= n - 1, which leaves Lanczos nothing to reduce
 (ARPACK needs k < n), and otherwise shift-invert Lanczos on the
 regularized pencil (A + eps M, M), which is positive definite even when
 constants span the kernel of A.  The shifted matrix K = A + eps M is
-inverted once: the same inverse operator serves Lanczos and drives the
-inverse-iteration polish.
+inverted once, and Lanczos works in ARPACK's own basis of
+max(2k + 1, 20) vectors.
 When K is invariant under y-translation (a y-periodic chart whose mass and
 nearest-neighbour stencil do not vary along y, such as the Grushin
 cylinder), an FFT along y turns K into one Hermitian tridiagonal system per
 frequency, which is factorized directly (the fast direct solver of Hockney
-1965 and Buzbee-Golub-Nielson 1970); any other K gets a sparse LU.  Both
-paths finish with a Rayleigh-Ritz polish against the unshifted pencil, so
-the regularization never leaks into the results.  Runs are deterministic:
-the iterative start vector is drawn from a seeded generator.
+1965 and Buzbee-Golub-Nielson 1970); any other K gets a sparse LU.  The
+shift eps M moves eigenvalues, not eigenvectors, so both paths finish with
+one Rayleigh-Ritz projection against the unshifted pencil, which takes the
+regularization out of the results.  The Ritz, residual, Gram and sign
+steps work one column at a time and hold no n-sized block besides the
+vectors they return.  Runs are deterministic: the iterative start vector
+is drawn from a seeded generator.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ class Eigenpairs:
 
     residuals[i] = ||A v_i - lambda_i M v_i||_2 with ||v_i||_M = 1.  info says
     how they were found: path and reason; for shift-invert the inverse used
-    ("fft-y" or "splu") and why, the LU fill (splu only) and the count of
-    inverse-operator applies; Rayleigh-Ritz polish passes, M-orthonormality
-    defect.
+    ("fft-y" or "splu") and why, the LU fill (splu only), the Lanczos basis
+    size ncv and the count of inverse-operator applies; Rayleigh-Ritz polish
+    passes, M-orthonormality defect.
     """
 
     lambdas: np.ndarray
@@ -63,26 +66,22 @@ class Eigenpairs:
         return self.lambdas.size
 
 
+def _project(V: np.ndarray, op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The k x k matrix V^T op(V), applying op to one column of V at a time."""
+    return np.array([V.T @ op(v) for v in V.T])
+
+
 def _residuals(A: sp.csr_matrix, mass: np.ndarray, lambdas: np.ndarray,
                V: np.ndarray) -> np.ndarray:
-    R = A @ V - (mass[:, None] * V) * lambdas[None, :]
-    return np.linalg.norm(R, axis=0)
-
-
-def _m_orthonormalize(V: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Column-orthonormalize V in the M inner product via Cholesky."""
-    G = V.T @ (mass[:, None] * V)
-    Cho = la.cholesky(G, lower=False)
-    return la.solve_triangular(Cho, V.T, trans="T", lower=False).T
+    return np.array([np.linalg.norm(A @ v - (mass * v) * lam) for lam, v in zip(lambdas, V.T)])
 
 
 def _rayleigh_ritz(A: sp.csr_matrix, mass: np.ndarray,
                    V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project (A, M) onto span(V) and solve the small dense pencil."""
-    V = _m_orthonormalize(V, mass)
-    Ah = V.T @ (A @ V)
-    Ah = (Ah + Ah.T) / 2.0
-    w, Z = la.eigh(Ah)
+    Ah = _project(V, lambda v: A @ v)
+    G = _project(V, lambda v: mass * v)
+    w, Z = la.eigh((Ah + Ah.T) / 2.0, (G + G.T) / 2.0)
     return w, V @ Z
 
 
@@ -178,9 +177,8 @@ def _solve_iterative(forms: AssembledForms, k: int,
     mass = forms.mass
     n = forms.n_active
     # Eigenvalue-scale shift keeps the pencil positive definite without
-    # drowning in roundoff; it is removed exactly by the final polish.
+    # drowning in roundoff; the final Rayleigh-Ritz projection removes it.
     eps = 1e-8 * float(A.diagonal().sum()) / float(mass.sum())
-    # The one inverse of K, shared by Lanczos and the polish.
     solve, stats = _shifted_inverse(forms, eps)
     applies = 0
 
@@ -193,7 +191,8 @@ def _solve_iterative(forms: AssembledForms, k: int,
     M = spla.LinearOperator((n, n), matvec=lambda x: mass * x, dtype=float)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    ncv = min(n, max(2 * k + 10, 30))
+    # The basis eigsh builds when it is given no ncv (ARPACK's own default).
+    ncv = min(n, max(2 * k + 1, 20))
     # Shift-invert mode applies only OPinv and M, never its first argument.
     # tol=0 (machine precision) is load-bearing: single-vector Lanczos finds
     # the second member of each exactly degenerate pair (the cos/sin y-modes)
@@ -201,19 +200,16 @@ def _solve_iterative(forms: AssembledForms, k: int,
     # a partner missing while every residual passes (Lehoucq, Sorensen and
     # Yang, ARPACK Users' Guide, 1998).
     try:
-        mu, V = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=OPinv,
-                           ncv=ncv, maxiter=MAXITER_PER_MODE * k, tol=0)
+        _, V = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=OPinv,
+                          maxiter=MAXITER_PER_MODE * k, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"shift-invert Lanczos converged {len(exc.eigenvalues)} of {k} modes "
             f"within {MAXITER_PER_MODE * k} iterations") from exc
-    order = np.argsort(mu)
-    V = V[:, order]
-    # Inverse-iteration polish against K, then Ritz values from the true pencil.
-    for _ in range(2):
-        V = solve(mass[:, None] * V)
-        w, V = _rayleigh_ritz(A, mass, V)
-    return w, V, {**stats, "opinv_applies": applies}
+    # The Ritz vectors of (K, M) span the wanted eigenspaces of (A, M);
+    # projecting onto the unshifted pencil removes eps and sorts the values.
+    w, V = _rayleigh_ritz(A, mass, V)
+    return w, V, {**stats, "opinv_applies": applies, "ncv": ncv}
 
 
 def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
@@ -252,15 +248,14 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
         if not np.all(res <= tol):
             raise ConvergenceError(
                 f"residuals {res} exceed tol={tol} after polishing")
-    gram_err = np.abs(V.T @ (forms.mass[:, None] * V) - np.eye(k)).max()
+    gram_err = np.abs(_project(V, lambda v: forms.mass * v) - np.eye(k)).max()
     if gram_err > 1e-8:
         raise ConvergenceError(f"M-orthonormality defect {gram_err:.3e} exceeds 1e-8")
     info.update(polish_passes=passes, gram_defect=float(gram_err))
     # Fix signs for reproducibility: largest-magnitude entry positive.
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(k)])
-    signs[signs == 0] = 1.0
-    V = V * signs[None, :]
+    for v in V.T:
+        if v[np.argmax(np.abs(v))] < 0.0:
+            v *= -1.0
     return Eigenpairs(lambdas=w.copy(), vectors=V, residuals=res, info=info)
 
 

@@ -227,7 +227,8 @@ class _Parser:
 def _evaluate(node: _Node, x: np.ndarray, y: np.ndarray) -> Union[np.ndarray, float]:
     tag = node[0]
     if tag == "num" or tag == "const":
-        return node[1]
+        # a numpy scalar, so that 1/0 between literals is inf, not ZeroDivisionError
+        return np.float64(node[1])
     if tag == "var":
         return x if node[1] == "x" else y
     if tag == "neg":
@@ -236,6 +237,28 @@ def _evaluate(node: _Node, x: np.ndarray, y: np.ndarray) -> Union[np.ndarray, fl
         return _FUNCTIONS[node[1]](np.asarray(_evaluate(node[2], x, y), dtype=float))
     _, op, a, b = node
     return _BINARY[op](_evaluate(a, x, y), _evaluate(b, x, y))
+
+
+def _first_non_finite(node: _Node, x: np.float64, y: np.float64) -> tuple[float, str | None]:
+    """The value of ``node`` at the point (x, y) and, when it is not finite,
+    the innermost operation whose operands are finite but whose value is not."""
+    tag = node[0]
+    if tag in ("num", "const", "var"):
+        value = _evaluate(node, x, y)
+        return value, None if np.isfinite(value) else f"number {float(value)!r}"
+    children = node[1:] if tag == "neg" else node[2:]
+    values, causes = zip(*(_first_non_finite(child, x, y) for child in children))
+    shown = [repr(float(v)) for v in values]
+    if tag == "neg":
+        value, what = -values[0], f"-{shown[0]}"
+    elif tag == "call":
+        value, what = _FUNCTIONS[node[1]](values[0]), f"{node[1]} of {shown[0]}"
+    else:
+        value = _BINARY[node[1]](*values)
+        what = f"/ by {shown[1]}" if node[1] == "/" else f"{shown[0]} {node[1]} {shown[1]}"
+    if np.isfinite(value):
+        return value, None
+    return value, next((c for c in causes if c), f"{what} gives {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -251,6 +274,16 @@ class Expression:
         shape = np.broadcast_shapes(xa.shape, ya.shape)
         out = _evaluate(self.ast, xa, ya)
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+
+    def first_non_finite(self, x: float, y: float) -> str | None:
+        """The operation that first goes non-finite at the point (x, y).
+
+        Names the innermost syntax node whose operands are finite but whose
+        value is not, such as ``log of 0.0 gives -inf`` in ``1+log(x)^2`` at
+        x = 0; None when the expression is finite there.
+        """
+        with np.errstate(all="ignore"):
+            return _first_non_finite(self.ast, np.float64(x), np.float64(y))[1]
 
 
 def compile_expression(source: str) -> Expression:

@@ -139,15 +139,19 @@ class CCStructure:
 class SampleError(ValueError):
     """A coefficient or density sample that is not finite (or a density
     sample that is not positive); the message names the function, its source
-    when it is a compiled expression, and the first failing sample point."""
+    when it is a compiled expression, the first failing sample point and,
+    for a compiled expression that is not finite there, the operation that
+    first went non-finite."""
 
     def __init__(self, name: str, fn, problem: str, values, x, y):
         bad = ~np.isfinite(values) if problem == "not finite" else ~(values > 0.0)
         index = tuple(np.argwhere(bad)[0])
         px, py = (float(np.broadcast_to(c, bad.shape)[index]) for c in (x, y))
         label = f"{name} {fn.source!r}" if hasattr(fn, "source") else name
+        cause = (fn.first_non_finite(px, py)
+                 if problem == "not finite" and hasattr(fn, "first_non_finite") else None)
         super().__init__(f"{label} is {problem} at (x, y) = ({px!r}, {py!r}): "
-                         f"sample {float(values[index])!r}")
+                         f"sample {float(values[index])!r}" + (f"; {cause}" if cause else ""))
 
 
 def _eval_coeff(fn: Coefficient, x: np.ndarray, y: np.ndarray, shape) -> np.ndarray:

@@ -87,10 +87,11 @@ def test_spectrum_names_the_inverse_on_stdout_only(tmp_path, capsys):
     cfg = write_config(tmp_path, GRUSHIN_SPECTRUM)
     out = tmp_path / "run"
     assert run(["spectrum", "--config", cfg, "--out", out]) == 0
-    assert ("solver shift-invert (k = 4 < n_active - 1 = 1151), inverse fft-y"
-            in capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    assert "solver shift-invert (k = 4 < n_active - 1 = 1151), inverse fft-y" in stdout
+    assert "), ncv 20\n" in stdout
     for path in out.iterdir():
-        assert b"fft-y" not in path.read_bytes(), path.name
+        assert b"fft-y" not in path.read_bytes() and b"ncv" not in path.read_bytes(), path.name
 
 
 def test_spectrum_labels_each_eigenfunction_once(tmp_path, monkeypatch):
@@ -175,7 +176,7 @@ def test_cheeger_neumann_presumes_upper_bound(tmp_path):
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["mode"] == "dirichlet" and cert["valid"] is True
     assert cert["h_certified"] == pytest.approx(1.0, abs=1e-9)
-    assert cert["sampling"] == "nodes"
+    assert cert["sampling"] == "nodes" and cert["supplies_h_lower"] is True
 
 
 def test_cheeger_dirichlet_uses_certificate(tmp_path):
@@ -239,6 +240,31 @@ def test_cheeger_certificate_above_upper_bound_is_a_solver_error(tmp_path, monke
     else:
         assert err == ""
         assert json.loads((out / "inequality_report.json").read_text())["h_source"] == "certificate"
+
+
+def test_cheeger_neumann_certificate_never_supplies_h_lower(tmp_path, monkeypatch):
+    # A field inward on the whole boundary has min div V <= 0, so a valid
+    # neumann-mode certificate with h > 0 can only be a node-sampling artifact.
+    import dataclasses
+
+    import ccspectral.cli as cli
+
+    doc = json.loads(json.dumps(GRUSHIN_CHEEGER))
+    doc["cheeger"]["certificate"]["mode"] = "neumann"
+    certify = cli.mfmc_certify
+    monkeypatch.setattr(cli, "mfmc_certify", lambda *args: dataclasses.replace(
+        certify(*args), valid=True, h_certified=0.2))
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc),
+                "--out", out, "--quiet"]) == 0
+    report = json.loads((out / "inequality_report.json").read_text())
+    assert report["kind"] == "neumann" and report["certificate_valid"] is True
+    assert report["h_upper"] > 0.2
+    assert report["h_source"] == "upper_bound_presumed"
+    assert report["h_lower"] == report["h_upper"]
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["mode"] == "neumann" and cert["h_certified"] == 0.2
+    assert cert["supplies_h_lower"] is False
 
 
 def test_cheeger_without_certificate(tmp_path):
@@ -488,14 +514,20 @@ SINGULAR = {
 
 @pytest.mark.parametrize("command, change, expected", [
     ("spectrum", {"density": "1/x"},
-     ["density '1/x' is not finite at (x, y) = (0.0, 0.0): sample inf"]),
+     ["density '1/x' is not finite at (x, y) = (0.0, 0.0): sample inf",
+      "sample inf; / by 0.0 gives inf"]),
+    ("spectrum", {"density": "1+1/0"},
+     ["density '1+1/0' is not finite at (x, y) = (", "sample inf; / by 0.0 gives inf"]),
     ("spectrum", {"density": "x-0.5"}, ["density 'x-0.5' is not positive at (x, y) = ("]),
     ("spectrum", {"fields": [["1", "0"], ["0", "sqrt(x-0.5)"]]},
-     ["field 1 component 1 'sqrt(x-0.5)' is not finite at (x, y) = (", "sample nan"]),
+     ["field 1 component 1 'sqrt(x-0.5)' is not finite at (x, y) = (", "sample nan",
+      "; sqrt of -0.469"]),
     ("cheeger", {"density": "1+log(x)^2"},
-     ["density '1+log(x)^2' is not finite at (x, y) = (0.0, ", "sample inf"]),
+     ["density '1+log(x)^2' is not finite at (x, y) = (0.0, ", "sample inf",
+      "; log of 0.0 gives -inf"]),
     ("cheeger", {"certificate": ["log(x)", "0"]},
-     ["cheeger.certificate.phi[0] 'log(x)' is not finite at (x, y) = (0.0, ", "sample -inf"]),
+     ["cheeger.certificate.phi[0] 'log(x)' is not finite at (x, y) = (0.0, ", "sample -inf",
+      "; log of 0.0 gives -inf"]),
 ])
 def test_singular_expression_is_a_config_error(tmp_path, capsys, command, change, expected):
     doc = json.loads(json.dumps(SINGULAR))

@@ -1,8 +1,13 @@
 """Generalized eigenvalue solves: accuracy, path agreement, determinism."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import ccspectral as cc
 from ccspectral import eigensolver
@@ -61,19 +66,33 @@ def test_lanczos_keeps_both_members_of_each_doublet(grushin, nx, ny):
         assert abs(lam[4] - lam[3]) <= 1e-10 * lam[3], seed
 
 
-def test_dense_and_shift_invert_agree(grushin):
-    grid = cc.build_grid(grushin.chart, 32, 64)
-    forms = cc.assemble(grushin, grid, cc.BoundarySpec.all_neumann())
-    dense_lambdas, dense_vectors = eigensolver._solve_dense(forms, 6)
-    si = cc.solve_smallest(forms, k=6)
-    assert si.info["path"] == "shift-invert"
+@pytest.mark.parametrize("case, nx, ny, k, inverse", [
+    ("grushin neumann", 32, 64, 7, "fft-y"),
+    ("grushin dirichlet", 24, 48, 7, "fft-y"),
+    ("y-dependent neumann", 24, 48, 6, "splu")])
+def test_dense_and_shift_invert_agree(grushin, case, nx, ny, k, inverse):
+    # The single Rayleigh-Ritz projection after Lanczos must take eps out of
+    # the eigenvalues and keep the eigenspaces, on either inverse of K.
+    structure = _y_dependent_structure() if case.startswith("y-dependent") else grushin
+    bc = (cc.BoundarySpec.all_dirichlet(structure.chart) if case.endswith("dirichlet")
+          else cc.BoundarySpec.all_neumann())
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, nx, ny), bc)
+    dense_lambdas, dense_vectors = eigensolver._solve_dense(forms, k + 1)
+    # k ends at a gap, so every eigenvalue cluster is whole
+    assert dense_lambdas[k] - dense_lambdas[k - 1] > 1e-3 * dense_lambdas[k]
+    dense_lambdas, dense_vectors = dense_lambdas[:k], dense_vectors[:, :k]
+    si = cc.solve_smallest(forms, k=k)
+    assert si.info["path"] == "shift-invert" and si.info["inverse"] == inverse
     scale = np.maximum(1.0, np.abs(dense_lambdas))
-    assert np.all(np.abs(dense_lambdas - si.lambdas) <= 1e-8 * scale)
-    # eigenspaces agree: principal angles of the first doublet span are ~0
-    M = forms.mass
-    overlap = dense_vectors[:, 1:3].T @ (M[:, None] * si.vectors[:, 1:3])
-    sv = np.linalg.svd(overlap, compute_uv=False)
-    assert np.abs(sv - 1.0).max() <= 1e-7
+    assert np.all(np.abs(dense_lambdas - si.lambdas) <= 1e-10 * scale)
+    # eigenspaces agree: each cluster (a cos/sin doublet or a single level)
+    # spans the same space, principal angles taken in the M inner product
+    root_mass = np.sqrt(forms.mass)[:, None]
+    splits = np.flatnonzero(np.diff(dense_lambdas) > 1e-8 * scale[1:]) + 1
+    for cluster in np.split(np.arange(k), splits):
+        angles = la.subspace_angles(root_mass * dense_vectors[:, cluster],
+                                    root_mass * si.vectors[:, cluster])
+        assert angles.max() <= 1e-9, (cluster, angles)
 
 
 @pytest.mark.parametrize("nx, ny", [(4, 4), (12, 12)])
@@ -129,7 +148,23 @@ def count_gstrf(monkeypatch):
     return fills
 
 
-def test_shift_invert_factorizes_once(count_gstrf):
+@pytest.fixture
+def arpack_ncv(monkeypatch):
+    """List of the Lanczos basis sizes ARPACK builds while it is active."""
+    arpack = sys.modules[spla.eigsh.__module__]
+    params = arpack._SymmetricArpackParams
+    sizes = []
+
+    class Recording(params):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sizes.append(self.ncv)
+
+    monkeypatch.setattr(arpack, "_SymmetricArpackParams", Recording)
+    return sizes
+
+
+def test_shift_invert_factorizes_once(count_gstrf, arpack_ncv):
     structure = _y_dependent_structure()
     grid = cc.build_grid(structure.chart, 32, 64)
     forms = cc.assemble(structure, grid, cc.BoundarySpec.all_neumann())
@@ -139,9 +174,31 @@ def test_shift_invert_factorizes_once(count_gstrf):
     assert info["path"] == "shift-invert" and info["reason"] == "k = 6 < n_active - 1 = 2047"
     assert info["inverse"] == "splu" and info["inverse_reason"] == "mass varies along y"
     assert info["factor_nnz"] == count_gstrf[0]
+    # ARPACK's own basis size, and the one it really built
+    assert info["ncv"] == min(forms.n_active, max(2 * 6 + 1, 20)) == 20
+    assert arpack_ncv == [info["ncv"]]
     assert info["opinv_applies"] > 0
     assert 0 <= info["polish_passes"] <= 3
     assert 0.0 <= info["gram_defect"] <= 1e-8
+
+
+def test_shift_invert_working_set(grushin):
+    # At its peak the solve holds ARPACK's basis twice (the Lanczos vectors
+    # and the n x ncv array its Ritz vectors are extracted into) and a few
+    # n x k blocks; nothing else may grow with n.
+    forms = cc.assemble(grushin, cc.build_grid(grushin.chart, 128, 256),
+                        cc.BoundarySpec.all_neumann())
+    n, k = forms.n_active, 6
+    ncv = max(2 * k + 1, 20)
+    cc.solve_smallest(forms, k=k)  # lazy imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        pairs = cc.solve_smallest(forms, k=k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * ncv + 3 * k) * n * 8, peak / (n * 8)
+    assert pairs.info["inverse"] == "fft-y" and pairs.info["ncv"] == ncv
 
 
 def _shifted(forms):

@@ -1,6 +1,7 @@
 """Grammar, precedence and error-position checks for the expression parser."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,7 +151,26 @@ def test_non_string_rejected():
 
 
 def test_division_by_zero_yields_inf():
-    # numpy semantics: no crash, the caller sees the non-finite value
+    # numpy semantics: no crash, the caller sees the non-finite value,
+    # also when both operands are literals
     with np.errstate(divide="ignore"):
-        out = compile_expression("1/x")(0.0, 0.0)
-    assert np.isinf(out)
+        assert np.isinf(compile_expression("1/x")(0.0, 0.0))
+        assert np.isinf(compile_expression("1+1/0")(0.0, 0.0))
+
+
+@pytest.mark.parametrize("source, cause", [
+    ("1+log(x)^2", "log of 0.0 gives -inf"),
+    ("1/x", "/ by 0.0 gives inf"),
+    ("2+1/(x-y)", "/ by 0.0 gives inf"),
+    ("sqrt(x-0.5)", "sqrt of -0.5 gives nan"),
+    ("0^-1", "0.0 ^ -1.0 gives inf"),
+    ("1e200*1e200+x", "1e+200 * 1e+200 gives inf"),
+    ("x*1e999", "number inf"),
+    # the inf of 1/x is absorbed by exp, so nothing is non-finite at the top
+    ("exp(-1/x)", None),
+    ("x+y", None),
+])
+def test_first_non_finite_names_the_innermost_operation(source, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        assert compile_expression(source).first_non_finite(0.0, 0.0) == cause
