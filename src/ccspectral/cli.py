@@ -40,7 +40,7 @@ from .discretization import _CONDITIONS, _EDGES, AssembledForms, BCSegment, \
     BoundarySpec, Grid2D, assemble, build_grid
 from .eigensolver import ConvergenceError, Eigenpairs, solve_smallest
 from .expressions import ExpressionError, compile_expression
-from .geometry import CCStructure, Chart2D, HorizontalField, SampleError, \
+from .geometry import CCStructure, Chart2D, HorizontalField, SampleError, _sample, \
     builtin_euclidean, builtin_grushin_cylinder
 from .grushin import ModeProblem, ModeTable, build_table, cross_validate, \
     find_eigenvalues, write_table_csv
@@ -411,13 +411,9 @@ def _certificate_field(config: RunConfig, structure: CCStructure,
         exprs = [compile_expression(p) for p in cert.phi]
     except ExpressionError as exc:
         raise ConfigError(f"bad certificate expression:\n{exc}") from exc
-    X, Y = grid.meshes()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        phi = np.stack([e(X.ravel(), Y.ravel()) for e in exprs])
-    if not np.all(np.isfinite(phi)):
-        i = np.argwhere(~np.isfinite(phi))[0][0]
-        raise SampleError(f"cheeger.certificate.phi[{i}]", exprs[i], "not finite",
-                          phi[i], X.ravel(), Y.ravel())
+    X, Y = (c.ravel() for c in grid.meshes())
+    phi = np.stack([_sample(f"cheeger.certificate.phi[{i}]", e, X, Y)
+                    for i, e in enumerate(exprs)])
     return HorizontalField(grid=grid, phi=phi)
 
 

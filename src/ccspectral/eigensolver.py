@@ -15,10 +15,11 @@ frequency, which is factorized directly (the fast direct solver of Hockney
 1965 and Buzbee-Golub-Nielson 1970); any other K gets a sparse LU.  The
 shift eps M moves eigenvalues, not eigenvectors, so both paths finish with
 one Rayleigh-Ritz projection against the unshifted pencil, which takes the
-regularization out of the results.  The Ritz, residual, Gram and sign
-steps work one column at a time and hold no n-sized block besides the
-vectors they return.  Runs are deterministic: the iterative start vector
-is drawn from a seeded generator.
+regularization out of the results.  Residuals and M-orthonormality are
+checked once, on either path.  The Ritz, residual, Gram and sign steps work
+one column at a time and hold no n-sized block besides the vectors they
+return.  Runs are deterministic: the iterative start vector is drawn from a
+seeded generator, and signs do not depend on it (see solve_smallest).
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class Eigenpairs:
     residuals[i] = ||A v_i - lambda_i M v_i||_2 with ||v_i||_M = 1.  info says
     how they were found: path and reason; for shift-invert the inverse used
     ("fft-y" or "splu") and why, the LU fill (splu only), the Lanczos basis
-    size ncv and the count of inverse-operator applies; Rayleigh-Ritz polish
-    passes, M-orthonormality defect.
+    size ncv and the count of inverse-operator applies; the M-orthonormality
+    defect.
     """
 
     lambdas: np.ndarray
@@ -236,25 +237,19 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
         info = {"path": "shift-invert", "reason": f"k = {k} < n_active - 1 = {n - 1}"}
         w, V, stats = _solve_iterative(forms, k, seed)
         info.update(stats)
-    # One more projection pass tightens clustered pairs at machine precision.
-    for passes in range(3):
-        res = _residuals(forms.A, forms.mass, w, V)
-        if np.all(res <= tol):
-            break
-        w, V = _rayleigh_ritz(forms.A, forms.mass, V)
-    else:
-        passes = 3
-        res = _residuals(forms.A, forms.mass, w, V)
-        if not np.all(res <= tol):
-            raise ConvergenceError(
-                f"residuals {res} exceed tol={tol} after polishing")
+    res = _residuals(forms.A, forms.mass, w, V)
+    if not np.all(res <= tol):
+        raise ConvergenceError(f"residuals {res} exceed tol={tol}")
     gram_err = np.abs(_project(V, lambda v: forms.mass * v) - np.eye(k)).max()
     if gram_err > 1e-8:
         raise ConvergenceError(f"M-orthonormality defect {gram_err:.3e} exceeds 1e-8")
-    info.update(polish_passes=passes, gram_defect=float(gram_err))
-    # Fix signs for reproducibility: largest-magnitude entry positive.
+    info["gram_defect"] = float(gram_err)
+    # Fix signs: the first node whose |v| is within a relative 1e-8 of max |v|
+    # is positive.  The largest entry itself would let roundoff choose between
+    # the two mirror nodes of a mode antisymmetric under a grid symmetry.
     for v in V.T:
-        if v[np.argmax(np.abs(v))] < 0.0:
+        magnitude = np.abs(v)
+        if v[np.argmax(magnitude >= (1.0 - 1e-8) * magnitude.max())] < 0.0:
             v *= -1.0
     return Eigenpairs(lambdas=w.copy(), vectors=V, residuals=res, info=info)
 

@@ -1,19 +1,24 @@
 """Safe arithmetic expressions in the chart variables x and y.
 
 The grammar is deliberately tiny: numbers, the variables ``x`` and ``y``,
-the constants ``pi`` and ``e``, the operators ``+ - * / ^`` (with ``^``
-right-associative), unary minus, parentheses, and the functions ``sin``,
-``cos``, ``tan``, ``exp``, ``log``, ``sqrt``, ``abs``.  Compiled
-expressions evaluate vectorized over numpy arrays and never touch ``eval``;
-outside a function's domain (``log(0)``, ``sqrt(-1)``) they yield numpy's
-``-inf`` or ``nan``, which the callers reject.
+the constants ``pi`` and ``e``, the operators ``+ - * / ^``, unary minus,
+parentheses, and the functions ``sin``, ``cos``, ``tan``, ``exp``, ``log``,
+``sqrt``, ``abs``.  One table of binding powers (_INFIX) is the precedence:
+``+ -`` below ``* /`` below unary minus below ``^``, with ``^``
+right-associative, so ``-2^2 = -4`` and ``2^-2 = 0.25``.  Nesting is capped
+at 100 levels, both in open parentheses, calls, signs and exponents and in
+the height of the syntax tree, so a flat sum or product has at most 100
+terms.  Compiled expressions evaluate vectorized over numpy arrays and never
+touch ``eval``; outside a function's domain (``log(0)``, ``sqrt(-1)``) they
+yield numpy's ``-inf`` or ``nan``, which the callers reject, and the same
+tree walk can name the operation that first went non-finite.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -103,162 +108,118 @@ def _tokenize(source: str) -> list[_Token]:
 # AST nodes are plain tuples: ("num", v) | ("var", name) | ("const", v)
 # | ("neg", a) | ("bin", op, a, b) | ("call", fname, a)
 _Node = tuple
-_Parsed = tuple[_Node, int]  # a node and its height
 
-# How deep an expression may nest.  The parser recurses once per open
-# parenthesis, call, sign or exponent, and _evaluate once per level of the
-# syntax tree (a sum of k terms is k levels deep); this bound keeps both far
-# below Python's recursion limit.
+# Binding powers (left, right) of the infix operators: a right operand ends
+# at the first operator whose left power is below the right power, so ^ is
+# right-associative and the rest left-associative.  A sign binds at _SIGN.
+_INFIX = {"+": (1, 2), "-": (1, 2), "*": (3, 4), "/": (3, 4), "^": (6, 5)}
+_SIGN = 5
+
+# How deep an expression may nest: in parentheses, calls, signs and exponents
+# open at once, and in the height of the syntax tree (a sum of k terms is k
+# levels deep).  The recursion of _parse and _evaluate grows with these; the
+# bound keeps both far below Python's recursion limit.
 _MAX_DEPTH = 100
 
 
-class _Parser:
-    """Recursive descent over the token stream.
+def _parse(source: str) -> _Node:
+    """The syntax tree of ``source``, by precedence climbing over _INFIX."""
+    tokens = _tokenize(source)[::-1]  # the next token is tokens[-1]
 
-    The grammar methods return (node, height) pairs, where the height counts
-    the nodes on the longest path down from the node.
-    """
-
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.open = 0  # parentheses, calls, signs and exponents being parsed
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ExpressionError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                                  self.source, tok.position)
-        return self.advance()
-
-    def bounded(self, tok: _Token, depth: int) -> int:
+    def bounded(tok: _Token, depth: int) -> int:
         """``depth``, which is an error at ``tok`` past _MAX_DEPTH."""
         if depth > _MAX_DEPTH:
             raise ExpressionError(f"expression nests deeper than {_MAX_DEPTH} levels",
-                                  self.source, tok.position)
+                                  source, tok.position)
         return depth
 
-    def node(self, tok: _Token, head: tuple, *children: _Parsed) -> _Parsed:
-        """The node ``head`` + children, built at ``tok``, and its height."""
-        height = self.bounded(tok, 1 + max(h for _, h in children))
-        return (*head, *(child for child, _ in children)), height
+    def expect(kind: str) -> None:
+        tok = tokens.pop()
+        if tok.kind != kind:
+            raise ExpressionError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
+                                  source, tok.position)
 
-    def nested(self, tok: _Token, parse) -> _Parsed:
-        """``parse()`` inside the construct that opens at ``tok``."""
-        self.open = self.bounded(tok, self.open + 1)
-        result = parse()
-        self.open -= 1
-        return result
-
-    def parse(self) -> _Node:
-        node, _ = self.sum()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"unexpected {tok.text!r}", self.source, tok.position)
-        return node
-
-    def sum(self) -> _Parsed:
-        node = self.product()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            tok = self.advance()
-            node = self.node(tok, ("bin", tok.text), node, self.product())
-        return node
-
-    def product(self) -> _Parsed:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            tok = self.advance()
-            node = self.node(tok, ("bin", tok.text), node, self.unary())
-        return node
-
-    def unary(self) -> _Parsed:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return self.node(tok, ("neg",), self.nested(tok, self.unary))
-        return self.power()
-
-    def power(self) -> _Parsed:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            # right-associative; the exponent may carry a unary minus
-            return self.node(tok, ("bin", "^"), base, self.nested(tok, self.unary))
-        return base
-
-    def atom(self) -> _Parsed:
-        tok = self.peek()
+    def climb(min_power: int, depth: int) -> tuple[_Node, int]:
+        """The longest expression whose operators bind at least ``min_power``,
+        and its height (the nodes on its longest path from the root); ``depth``
+        counts the parentheses, calls, signs and exponents open around it."""
+        tok = tokens.pop()
         if tok.kind == "number":
-            self.advance()
-            return ("num", float(tok.text)), 1
-        if tok.kind == "name":
-            self.advance()
-            name = tok.text
-            if name in _FUNCTIONS:
-                self.expect("lparen")
-                arg = self.nested(tok, self.sum)
-                self.expect("rparen")
-                return self.node(tok, ("call", name), arg)
-            if name in ("x", "y"):
-                return ("var", name), 1
-            if name in _CONSTANTS:
-                return ("const", _CONSTANTS[name]), 1
-            raise ExpressionError(f"unknown name {name!r}", self.source, tok.position)
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.nested(tok, self.sum)
-            self.expect("rparen")
-            return node
-        raise ExpressionError(f"expected a value, found {tok.text or 'end of input'!r}",
-                              self.source, tok.position)
+            node, height = ("num", float(tok.text)), 1
+        elif tok.kind == "name" and tok.text in _FUNCTIONS:
+            expect("lparen")
+            arg, height = climb(0, bounded(tok, depth + 1))
+            expect("rparen")
+            node, height = ("call", tok.text, arg), bounded(tok, height + 1)
+        elif tok.kind == "name" and tok.text in ("x", "y"):
+            node, height = ("var", tok.text), 1
+        elif tok.kind == "name" and tok.text in _CONSTANTS:
+            node, height = ("const", _CONSTANTS[tok.text]), 1
+        elif tok.kind == "name":
+            raise ExpressionError(f"unknown name {tok.text!r}", source, tok.position)
+        elif tok.kind == "lparen":
+            node, height = climb(0, bounded(tok, depth + 1))
+            expect("rparen")
+        elif tok.text == "-":
+            arg, height = climb(_SIGN, bounded(tok, depth + 1))
+            node, height = ("neg", arg), bounded(tok, height + 1)
+        else:
+            raise ExpressionError(f"expected a value, found {tok.text or 'end of input'!r}",
+                                  source, tok.position)
+        while tokens[-1].kind == "op" and _INFIX[tokens[-1].text][0] >= min_power:
+            tok = tokens.pop()
+            # an exponent opens a level, as a parenthesis does
+            rhs_depth = bounded(tok, depth + 1) if tok.text == "^" else depth
+            rhs, rhs_height = climb(_INFIX[tok.text][1], rhs_depth)
+            node = ("bin", tok.text, node, rhs)
+            height = bounded(tok, 1 + max(height, rhs_height))
+        return node, height
+
+    node, _ = climb(0, 0)
+    tok = tokens[-1]
+    if tok.kind != "end":
+        raise ExpressionError(f"unexpected {tok.text!r}", source, tok.position)
+    return node
 
 
-def _evaluate(node: _Node, x: np.ndarray, y: np.ndarray) -> Union[np.ndarray, float]:
+def _evaluate(node: _Node, x, y, explain: bool = False) -> tuple[np.ndarray | float, str | None]:
+    """The value of ``node`` at (x, y) and, when ``explain`` is set and the
+    value is not finite, the innermost operation whose operands are finite
+    but whose value is not (else None)."""
     tag = node[0]
-    if tag == "num" or tag == "const":
-        # a numpy scalar, so that 1/0 between literals is inf, not ZeroDivisionError
-        return np.float64(node[1])
     if tag == "var":
-        return x if node[1] == "x" else y
-    if tag == "neg":
-        return -_evaluate(node[1], x, y)
-    if tag == "call":
-        return _FUNCTIONS[node[1]](np.asarray(_evaluate(node[2], x, y), dtype=float))
-    _, op, a, b = node
-    return _BINARY[op](_evaluate(a, x, y), _evaluate(b, x, y))
-
-
-def _first_non_finite(node: _Node, x: np.float64, y: np.float64) -> tuple[float, str | None]:
-    """The value of ``node`` at the point (x, y) and, when it is not finite,
-    the innermost operation whose operands are finite but whose value is not."""
-    tag = node[0]
-    if tag in ("num", "const", "var"):
-        value = _evaluate(node, x, y)
-        return value, None if np.isfinite(value) else f"number {float(value)!r}"
-    children = node[1:] if tag == "neg" else node[2:]
-    values, causes = zip(*(_first_non_finite(child, x, y) for child in children))
-    shown = [repr(float(v)) for v in values]
-    if tag == "neg":
-        value, what = -values[0], f"-{shown[0]}"
-    elif tag == "call":
-        value, what = _FUNCTIONS[node[1]](values[0]), f"{node[1]} of {shown[0]}"
+        value, children = (x if node[1] == "x" else y), []
+    elif tag == "num" or tag == "const":
+        # a numpy scalar, so that 1/0 between literals is inf, not ZeroDivisionError
+        value, children = np.float64(node[1]), []
     else:
-        value = _BINARY[node[1]](*values)
-        what = f"/ by {shown[1]}" if node[1] == "/" else f"{shown[0]} {node[1]} {shown[1]}"
-    if np.isfinite(value):
+        children = [_evaluate(child, x, y, explain) for child in node[1 if tag == "neg" else 2:]]
+        args = [arg for arg, _ in children]
+        if tag == "neg":
+            value = -args[0]
+        elif tag == "call":
+            value = _FUNCTIONS[node[1]](args[0])
+        else:
+            value = _BINARY[node[1]](*args)
+    if not explain or np.isfinite(value):
         return value, None
-    return value, next((c for c in causes if c), f"{what} gives {float(value)!r}")
+    return value, next((cause for _, cause in children if cause), None) or _describe(
+        node, [repr(float(arg)) for arg, _ in children], float(value))
+
+
+def _describe(node: _Node, shown: list[str], value: float) -> str:
+    """The operation at ``node``, with operands ``shown``, and its value."""
+    if not shown:
+        return f"number {value!r}"
+    if node[0] == "neg":
+        what = f"-{shown[0]}"
+    elif node[0] == "call":
+        what = f"{node[1]} of {shown[0]}"
+    elif node[1] == "/":
+        what = f"/ by {shown[1]}"
+    else:
+        what = f"{shown[0]} {node[1]} {shown[1]}"
+    return f"{what} gives {value!r}"
 
 
 @dataclass(frozen=True)
@@ -272,7 +233,7 @@ class Expression:
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(xa.shape, ya.shape)
-        out = _evaluate(self.ast, xa, ya)
+        out, _ = _evaluate(self.ast, xa, ya)
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
     def first_non_finite(self, x: float, y: float) -> str | None:
@@ -283,7 +244,7 @@ class Expression:
         x = 0; None when the expression is finite there.
         """
         with np.errstate(all="ignore"):
-            return _first_non_finite(self.ast, np.float64(x), np.float64(y))[1]
+            return _evaluate(self.ast, np.float64(x), np.float64(y), explain=True)[1]
 
 
 def compile_expression(source: str) -> Expression:
@@ -296,5 +257,4 @@ def compile_expression(source: str) -> Expression:
         raise ExpressionError("expression must be a string", str(source), 0)
     if not source.strip():
         raise ExpressionError("empty expression", source, 0)
-    ast = _Parser(source).parse()
-    return Expression(source=source, ast=ast)
+    return Expression(source=source, ast=_parse(source))

@@ -111,29 +111,16 @@ class CCStructure:
     def coefficients_at(self, x, y) -> np.ndarray:
         """Evaluate the coefficient matrix; shape (m, 2) + broadcast(x, y)."""
         xw, yw = self.chart.wrap(x, y)
-        shape = np.broadcast_shapes(np.shape(xw), np.shape(yw))
-        out = np.empty((self.m, 2) + shape)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i, (a1, a2) in enumerate(self.field_coeffs):
-                out[i, 0] = _eval_coeff(a1, xw, yw, shape)
-                out[i, 1] = _eval_coeff(a2, xw, yw, shape)
-        if not np.all(np.isfinite(out)):
-            i, j = np.argwhere(~np.isfinite(out))[0][:2]
-            raise SampleError(f"field {i} component {j}", self.field_coeffs[i][j],
-                              "not finite", out[i, j], xw, yw)
+        out = np.empty((self.m, 2) + np.broadcast_shapes(np.shape(xw), np.shape(yw)))
+        for i, pair in enumerate(self.field_coeffs):
+            for j, fn in enumerate(pair):
+                out[i, j] = _sample(f"field {i} component {j}", fn, xw, yw)
         return out
 
     def density_at(self, x, y) -> np.ndarray:
         """Evaluate rho; raises SampleError on non-positive or non-finite samples."""
         xw, yw = self.chart.wrap(x, y)
-        shape = np.broadcast_shapes(np.shape(xw), np.shape(yw))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rho = _eval_coeff(self.density, xw, yw, shape)
-        if not np.all(np.isfinite(rho)):
-            raise SampleError("density", self.density, "not finite", rho, xw, yw)
-        if np.any(rho <= 0.0):
-            raise SampleError("density", self.density, "not positive", rho, xw, yw)
-        return rho
+        return _sample("density", self.density, xw, yw, positive=True)
 
 
 class SampleError(ValueError):
@@ -154,9 +141,18 @@ class SampleError(ValueError):
                          f"sample {float(values[index])!r}" + (f"; {cause}" if cause else ""))
 
 
-def _eval_coeff(fn: Coefficient, x: np.ndarray, y: np.ndarray, shape) -> np.ndarray:
-    value = np.asarray(fn(x, y), dtype=float)
-    return np.broadcast_to(value, shape)
+def _sample(name: str, fn: Coefficient, x, y, positive: bool = False) -> np.ndarray:
+    """``fn`` at the points (x, y), broadcast to their shape; raises
+    SampleError, under ``name``, at the first sample that is not finite or,
+    when ``positive`` is set, not positive."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = np.broadcast_to(np.asarray(fn(x, y), dtype=float), shape)
+    if not np.all(np.isfinite(values)):
+        raise SampleError(name, fn, "not finite", values, x, y)
+    if positive and np.any(values <= 0.0):
+        raise SampleError(name, fn, "not positive", values, x, y)
+    return values
 
 
 def builtin_grushin_cylinder() -> CCStructure:

@@ -136,6 +136,8 @@ def _bisect(problem: ModeProblem, a: float, fa: float, b: float, fb: float,
         raise RuntimeError("bisection bracket lost its sign change")
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:  # a and b are adjacent doubles: tol is below their spacing
+            break
         fm = shoot(problem, mid)
         if fm == 0.0:
             return mid

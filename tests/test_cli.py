@@ -357,6 +357,15 @@ def test_table_needs_no_search_window(tmp_path, bc, max_m, shift):
         assert floor < rows[(1, m)] < floor + 1.0
 
 
+def test_table_tolerance_below_the_double_spacing(tmp_path):
+    doc = {"table": {"max_n": 0, "max_m": 1, "tol": 1e-17}}
+    out = tmp_path / "run"
+    assert run(["grushin-table", "--config", write_config(tmp_path, doc),
+                "--out", out, "--quiet"]) == 0
+    rows = (out / "grushin_table.csv").read_text().splitlines()[1:]
+    assert float(rows[1].split(",")[2]) == pytest.approx(np.pi**2, abs=1e-8)
+
+
 def test_table_lambda_window_is_an_unknown_key(tmp_path, capsys):
     cfg = write_config(tmp_path, {"table": {"lambda_window": [5, 120]}})
     assert run(["grushin-table", "--config", cfg, "--out", tmp_path / "run"]) == 2

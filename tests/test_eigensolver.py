@@ -131,6 +131,20 @@ def _y_dependent_structure():
                    density=lambda x, y: 1.0 + 0.5 * np.cos(y) ** 2)
 
 
+def test_signs_do_not_depend_on_the_start_vector():
+    # The benchmark's custom structure, mixed condition: its modes 2, 4 and 6
+    # are antisymmetric under a grid mirror, so each has two largest entries
+    # equal up to roundoff, and the sign rule must not choose between them
+    # by which one roundoff made larger.
+    structure = _y_dependent_structure()
+    grid = cc.build_grid(structure.chart, 40, 40)
+    forms = cc.assemble(structure, grid, cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet"),)))
+    first = cc.solve_smallest(forms, k=6, seed=0).vectors
+    for seed in range(1, 10):
+        vectors = cc.solve_smallest(forms, k=6, seed=seed).vectors
+        assert np.abs(vectors - first).max() <= 1e-8, seed
+
+
 @pytest.fixture
 def count_gstrf(monkeypatch):
     """List of the fills of every SuperLU factorization made while it is active."""
@@ -178,7 +192,6 @@ def test_shift_invert_factorizes_once(count_gstrf, arpack_ncv):
     assert info["ncv"] == min(forms.n_active, max(2 * 6 + 1, 20)) == 20
     assert arpack_ncv == [info["ncv"]]
     assert info["opinv_applies"] > 0
-    assert 0 <= info["polish_passes"] <= 3
     assert 0.0 <= info["gram_defect"] <= 1e-8
 
 
@@ -298,8 +311,10 @@ def test_deterministic_across_runs(grushin_neumann_forms):
 
 
 def test_sign_convention(grushin_neumann_pairs):
+    # the first node whose |v| is within a relative 1e-8 of max |v| is positive
     V = grushin_neumann_pairs.vectors
-    idx = np.argmax(np.abs(V), axis=0)
+    magnitude = np.abs(V)
+    idx = np.argmax(magnitude >= (1.0 - 1e-8) * magnitude.max(axis=0), axis=0)
     assert np.all(V[idx, np.arange(V.shape[1])] > 0.0)
 
 

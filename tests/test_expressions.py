@@ -158,7 +158,8 @@ def test_division_by_zero_yields_inf():
         assert np.isinf(compile_expression("1+1/0")(0.0, 0.0))
 
 
-@pytest.mark.parametrize("source, cause", [
+# The cause each expression reports at (x, y) = (0, 0).
+NON_FINITE_CAUSES = [
     ("1+log(x)^2", "log of 0.0 gives -inf"),
     ("1/x", "/ by 0.0 gives inf"),
     ("2+1/(x-y)", "/ by 0.0 gives inf"),
@@ -169,7 +170,10 @@ def test_division_by_zero_yields_inf():
     # the inf of 1/x is absorbed by exp, so nothing is non-finite at the top
     ("exp(-1/x)", None),
     ("x+y", None),
-])
+]
+
+
+@pytest.mark.parametrize("source, cause", NON_FINITE_CAUSES)
 def test_first_non_finite_names_the_innermost_operation(source, cause):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way

@@ -90,6 +90,16 @@ def test_tolerance_tightens_roots():
     assert abs(cc.shoot(problem, tight)) <= abs(cc.shoot(problem, loose)) + 1e-12
 
 
+def test_tolerance_below_the_double_spacing_terminates():
+    # Doubles near pi^2 are 1.8e-15 apart, so no bracket gets as narrow as
+    # 1e-17: bisection stops once the bracket ends are adjacent doubles.
+    tight = cc.build_table(0, 1, tol=1e-17)
+    default = cc.build_table(0, 1)
+    assert [(e.n, e.m) for e in tight.entries] == [(e.n, e.m) for e in default.entries]
+    for a, b in zip(tight.entries, default.entries):
+        assert a.lam == pytest.approx(b.lam, abs=1e-8)
+
+
 def test_mode_problem_validation():
     with pytest.raises(ValueError):
         cc.ModeProblem(n=-1)
