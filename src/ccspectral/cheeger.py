@@ -14,7 +14,7 @@ point inward along the boundary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 _KINDS = ("dirichlet", "neumann", "mixed")
+
+# horizontal_perimeter halves its midpoint rule until two successive rules
+# agree to this relative tolerance, at most this many times.
+PERIMETER_REL_TOL = 1e-6
+PERIMETER_MAX_REFINE = 16
 
 
 @dataclass(frozen=True)
@@ -87,11 +92,10 @@ def _validate_in_chart(structure: CCStructure, segs: np.ndarray) -> None:
         raise ValueError("segment endpoint outside the chart in y")
 
 
-def horizontal_perimeter(structure: CCStructure, segments,
-                         rel_tol: float = 1e-6, max_refine: int = 16) -> float:
+def horizontal_perimeter(structure: CCStructure, segments) -> float:
     """Horizontal perimeter of a polyline: adaptive midpoint quadrature of
     rho * ||(<X_i, nu>)_i||_2, refined until successive composite rules agree
-    to rel_tol.  Zero-length segments contribute nothing.
+    to PERIMETER_REL_TOL.  Zero-length segments contribute nothing.
     """
     segs = _segments_array(segments)
     _validate_in_chart(structure, segs)
@@ -104,8 +108,8 @@ def horizontal_perimeter(structure: CCStructure, segments,
         return 0.0
     p0, d, lengths = p0[keep], d[keep], lengths[keep]
     nu = np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
-    total_prev = None
-    for level in range(max_refine + 1):
+    total_prev = np.inf
+    for level in range(PERIMETER_MAX_REFINE + 1):
         npts = 2 ** level
         tpar = (np.arange(npts) + 0.5) / npts
         px = p0[:, 0:1] + np.outer(d[:, 0], tpar)
@@ -115,11 +119,11 @@ def horizontal_perimeter(structure: CCStructure, segments,
                    + coeffs[:, 1] * nu[None, :, 1, None])
         integrand = structure.density_at(px, py) * np.sqrt(np.sum(pairing**2, axis=0))
         total = float(np.sum(lengths * integrand.mean(axis=1)))
-        if total_prev is not None and abs(total - total_prev) <= rel_tol * max(abs(total), 1e-300):
+        if abs(total - total_prev) <= PERIMETER_REL_TOL * max(abs(total), 1e-300):
             return total
         total_prev = total
-    raise RuntimeError(f"perimeter quadrature did not reach rel_tol={rel_tol} "
-                       f"after {max_refine} refinements")
+    raise RuntimeError(f"perimeter quadrature did not reach rel_tol={PERIMETER_REL_TOL} "
+                       f"after {PERIMETER_MAX_REFINE} refinements")
 
 
 def _cell_center_meshes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
@@ -324,17 +328,15 @@ def superlevel_cuts(structure: CCStructure, grid: Grid2D, u, n_levels: int = 40)
     return _level_cuts(structure, grid, values2d, np.quantile(positives, qs))
 
 
-def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u,
-                            n_levels: int = 40, cuts=None) -> float:
+def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u, cuts) -> float:
     """Upper bound for the Dirichlet Cheeger constant from super-level sets.
 
     u must vanish on the non-periodic boundary (e.g. a Dirichlet
     eigenfunction expanded to the full grid); its super-level sets then
     stay away from the boundary and sigma(boundary of {u > t}) / vol({u > t})
     bounds the constant from above for every admissible t.  The bound is
-    the least such ratio over the superlevel_cuts of u with a non-empty
-    level set and region; a caller that already has those cuts passes them
-    as ``cuts``.
+    the least such ratio over ``cuts``, the superlevel_cuts of u, that
+    have a non-empty level set and region.
     """
     values2d = _node_values(grid, u)
     vmax = np.abs(values2d).max()
@@ -344,8 +346,6 @@ def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u,
         + ([] if grid.chart.periodic_y else [values2d[:, 0], values2d[:, -1]])
     if edges and np.abs(np.concatenate(edges)).max() > 1e-10 * vmax:
         raise ValueError("u does not vanish on the boundary")
-    if cuts is None:
-        cuts = superlevel_cuts(structure, grid, values2d, n_levels)
     ratios = [c.sigma / c.vol1 for c in cuts if len(c.segments) and c.vol1 > 0.0]
     if not ratios:
         raise ValueError("no positive level produced a non-empty region")
@@ -361,13 +361,14 @@ class FlowCertificate:
     h_certified is the least divergence sampled on the interior nodes (away
     from non-periodic boundaries, where the stencils are centered): a node
     sample, not a proof, which to_dict records as "sampling": "nodes".
+    boundary_inward_min is None on a chart without a non-periodic boundary.
     """
 
     mode: str
     h_certified: float
     max_coeff_norm: float
     min_divergence: float
-    boundary_inward_min: float
+    boundary_inward_min: float | None
     valid: bool
     tol: float
 
@@ -383,17 +384,7 @@ class FlowCertificate:
         return self.mode != "neumann"
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "valid": bool(self.valid),
-            "h_certified": self.h_certified,
-            "supplies_h_lower": self.supplies_h_lower,
-            "max_coeff_norm": self.max_coeff_norm,
-            "min_divergence": self.min_divergence,
-            "boundary_inward_min": self.boundary_inward_min,
-            "tol": self.tol,
-            "sampling": "nodes",
-        }
+        return {**asdict(self), "supplies_h_lower": self.supplies_h_lower, "sampling": "nodes"}
 
 
 def mfmc_certify(structure: CCStructure, grid: Grid2D, V: HorizontalField,
@@ -419,13 +410,11 @@ def mfmc_certify(structure: CCStructure, grid: Grid2D, V: HorizontalField,
     min_div = float(interior.min())
     max_norm = float(np.sqrt(V.squared_length().max()))
     vx, vy = V.chart_components(structure)
-    inward_min = float("inf")
-    if not grid.chart.periodic_x:
-        inward_min = min(inward_min, float(vx[0, :].min()), float((-vx[-1, :]).min()))
-    if not grid.chart.periodic_y:
-        inward_min = min(inward_min, float(vy[:, 0].min()), float((-vy[:, -1]).min()))
+    inward = ([] if grid.chart.periodic_x else [vx[0, :], -vx[-1, :]]) \
+        + ([] if grid.chart.periodic_y else [vy[:, 0], -vy[:, -1]])
+    inward_min = float(np.concatenate(inward).min()) if inward else None
     valid = max_norm <= 1.0 + tol
-    if mode == "neumann" and np.isfinite(inward_min):
+    if mode == "neumann" and inward_min is not None:
         valid = valid and (inward_min >= -tol)
     return FlowCertificate(mode=mode, h_certified=min_div,
                            max_coeff_norm=max_norm, min_divergence=min_div,
@@ -444,32 +433,22 @@ class InequalityReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lambda": self.lambda_value,
-            "h_lower": self.h_lower,
-            "lower_bound": self.lower_bound,
-            "slack": self.slack,
-            "satisfied": bool(self.satisfied),
-        }
+        doc = asdict(self)
+        doc["lambda"] = doc.pop("lambda_value")
+        return doc
 
 
-def verify_inequality(lambda_value: float, h_lower, kind: str,
+def verify_inequality(lambda_value: float, h_lower: float, kind: str,
                       tol: float = 1e-12) -> InequalityReport:
     """Check the Cheeger inequality lambda >= h^2/4 for a certified h.
 
-    h_lower may be a float or a FlowCertificate; an invalid certificate is
-    rejected.  kind is dirichlet (lambda_1), neumann (lambda_2) or mixed
-    (lambda_1 of the mixed problem).
+    kind is dirichlet (lambda_1), neumann (lambda_2) or mixed (lambda_1 of
+    the mixed problem).  A FlowCertificate's h_certified is a valid h_lower
+    only when the certificate is valid and supplies_h_lower.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if isinstance(h_lower, FlowCertificate):
-        if not h_lower.valid:
-            raise ValueError("certificate is not valid")
-        h = h_lower.h_certified
-    else:
-        h = float(h_lower)
+    h = float(h_lower)
     bound = 0.25 * h * h
     slack = float(lambda_value) - bound
     return InequalityReport(kind=kind, lambda_value=float(lambda_value), h_lower=h,

@@ -12,8 +12,9 @@ Four subcommands drive the library end to end from a JSON configuration:
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 ``--quiet``.  Exit codes: 0 on success, 2 on a configuration error, 3 when
 the eigensolver fails to converge, a certified lower Cheeger bound
-contradicts the upper bound from cuts, or a Dirichlet grid is too coarse for
-any level set to enclose a region.  CSV artifacts use the shortest
+contradicts the upper bound from cuts, a Dirichlet grid is too coarse for
+any level set to enclose a region, or a mixed grid is too coarse for any
+level set to cut it in two.  CSV artifacts use the shortest
 round-trip decimal representation for floats so identical runs produce
 byte-identical files.
 """
@@ -354,7 +355,8 @@ def _write_eigenvalues_csv(pairs: Eigenpairs, path: Path) -> None:
 
 
 def _write_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -437,15 +439,17 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
         # cuts.csv lists the two-sided level cuts; the Dirichlet bound reads them all
         level_cuts = superlevel_cuts(structure, grid, u, n_levels=config.cheeger.levels)
         cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
-        if flavor == "dirichlet":
-            try:
-                h_upper = dirichlet_cheeger_upper(structure, grid, u, cuts=level_cuts)
-            except ValueError as exc:  # too coarse a grid for any admissible level set
-                print(f"solver error: {exc} on the {grid.nx}x{grid.ny} grid with "
-                      f"{config.cheeger.levels} levels", file=sys.stderr)
-                return EXIT_SOLVER
-        else:
-            h_upper = min((c.ratio for c in cuts), default=float("inf"))
+        try:  # too coarse a grid for any admissible level set
+            if flavor == "dirichlet":
+                h_upper = dirichlet_cheeger_upper(structure, grid, u, level_cuts)
+            elif cuts:
+                h_upper = min(c.ratio for c in cuts)
+            else:
+                raise ValueError("no level produced a two-sided cut")
+        except ValueError as exc:
+            print(f"solver error: {exc} on the {grid.nx}x{grid.ny} grid with "
+                  f"{config.cheeger.levels} levels", file=sys.stderr)
+            return EXIT_SOLVER
 
     write_cuts_csv(cuts, out / "cuts.csv")
     best = min(cuts, key=lambda c: c.ratio) if cuts else None
@@ -454,8 +458,10 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
                     f"ratio = {best.ratio:.9g}")
     _say(quiet, f"upper bound for h_{flavor}: {h_upper:.9g}")
 
-    h_lower = 0.0
-    h_source = "none"
+    # Unless a certificate bounds h from below, presume the best upper bound
+    # is sharp, so the report still exercises lambda >= h^2/4 with a concrete h.
+    h_lower = h_upper
+    h_source = "upper_bound_presumed"
     certificate_valid = None
     if config.cheeger.certificate is not None:
         V = _certificate_field(config, structure, grid)
@@ -478,11 +484,6 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
         else:
             _say(quiet, f"certificate valid for mode {certificate.mode}; "
                         f"not used for the {flavor} inequality")
-    if h_source == "none" and np.isfinite(h_upper):
-        # No certified lower bound: presume the best upper bound is sharp,
-        # so the report still exercises lambda >= h^2/4 with a concrete h.
-        h_lower = h_upper
-        h_source = "upper_bound_presumed"
 
     report = verify_inequality(lam, h_lower, flavor)
     doc = report.to_dict()

@@ -203,11 +203,6 @@ class AssembledForms:
     def n_active(self) -> int:
         return self.active_nodes.size
 
-    @property
-    def M(self) -> sp.csr_matrix:
-        """The mass form as a sparse diagonal matrix."""
-        return sp.diags(self.mass, format="csr")
-
     def expand(self, u_active: np.ndarray) -> np.ndarray:
         """Scatter active-node values to the full grid, zero on Dirichlet nodes."""
         u_active = np.asarray(u_active, dtype=float)
@@ -363,7 +358,8 @@ def _lumped_mass(structure: CCStructure, grid: Grid2D) -> np.ndarray:
 def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> AssembledForms:
     """Assemble the energy and mass forms, with Dirichlet nodes eliminated."""
     _check_compatible(structure, grid)
-    S = _stencil(_local_cell_matrices(structure, grid), grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # solve_smallest rejects a non-finite A
+        S = _stencil(_local_cell_matrices(structure, grid), grid)
     mass_full = _lumped_mass(structure, grid)
     active = ~bc.dirichlet_mask(grid)
     if not active.any():
@@ -385,22 +381,16 @@ def rayleigh_quotient(forms: AssembledForms, u: np.ndarray) -> float:
 
 
 def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:
-    """Write a sparse matrix in Matrix Market coordinate format.
+    """Write a sparse matrix in real Matrix Market coordinate format.
 
     Values are printed with shortest round-trip decimals, so reading the
     file back reproduces the stored doubles exactly.  Symmetric matrices
     are detected and written in symmetric storage (lower triangle).
     """
-    matrix = matrix.tocsr()
+    import scipy.io  # only this writer needs it
+
+    matrix = sp.csr_matrix(matrix, dtype=float)
     symmetric = matrix.shape[0] == matrix.shape[1] and (matrix != matrix.T).nnz == 0
-    out = matrix if not symmetric else sp.tril(matrix)
-    coo = out.tocoo()
-    lines = ["%%MatrixMarket matrix coordinate real "
-             + ("symmetric" if symmetric else "general")]
-    for row in str(comment).splitlines():
-        lines.append(f"% {row}")
-    lines.append(f"{matrix.shape[0]} {matrix.shape[1]} {coo.nnz}")
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        lines.append(f"{i + 1} {j + 1} {repr(float(v))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:  # given a path, mmwrite would append .mtx
+        scipy.io.mmwrite(fh, matrix, comment=str(comment),
+                         symmetry="symmetric" if symmetric else "general")

@@ -1,11 +1,11 @@
 """Smallest eigenpairs of the generalized problem A u = lambda M u.
 
 A is the assembled energy matrix (symmetric positive semidefinite) and M
-the lumped mass diagonal.  The input alone picks the path: a dense
-symmetric solve when k >= n - 1, which leaves Lanczos nothing to reduce
-(ARPACK needs k < n), and otherwise shift-invert Lanczos on the
-regularized pencil (A + eps M, M), which is positive definite even when
-constants span the kernel of A.  The shifted matrix K = A + eps M is
+the lumped mass diagonal.  The input alone picks the path: one dense
+generalized solve of (A, diag(M)) when k >= n - 1, which leaves Lanczos
+nothing to reduce (ARPACK needs k < n), and otherwise shift-invert Lanczos
+on the regularized pencil (A + eps M, M), which is positive definite even
+when constants span the kernel of A.  The shifted matrix K = A + eps M is
 inverted once, and Lanczos works in ARPACK's own basis of
 max(2k + 1, 20) vectors.
 When K is invariant under y-translation (a y-periodic chart whose mass and
@@ -87,12 +87,9 @@ def _rayleigh_ritz(A: sp.csr_matrix, mass: np.ndarray,
 
 
 def _solve_dense(forms: AssembledForms, k: int) -> tuple[np.ndarray, np.ndarray]:
-    d = 1.0 / np.sqrt(forms.mass)
-    S = forms.A.toarray() * d[None, :] * d[:, None]
-    S = (S + S.T) / 2.0
-    w, W = la.eigh(S)
-    V = d[:, None] * W[:, :k]
-    return w[:k], V
+    # The full spectrum, sliced, so that k = n - 1 and k = n agree bitwise.
+    w, V = la.eigh(forms.A.toarray(), np.diag(forms.mass))
+    return w[:k], V[:, :k]
 
 
 def _y_stencil(forms: AssembledForms) -> tuple[np.ndarray | None, str]:
@@ -221,6 +218,7 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
         forms: assembled energy and mass forms.
         k: number of eigenpairs, 1 <= k <= n_active.  k >= n_active - 1
             solves densely; any smaller k by shift-invert Lanczos.
+            A zero or non-finite energy form is a ValueError.
         tol: admissible residual ||A v - lambda M v||_2 per pair.
         seed: seed for the iterative start vector (determinism).
 
@@ -230,6 +228,12 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
     n = forms.n_active
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
+    # A is positive semidefinite, so its trace is 0 only when A is; a zero or
+    # infinite trace would make the shift-invert shift eps 0 or infinite.
+    trace = float(forms.A.diagonal().sum())
+    if not 0.0 < trace < np.inf:
+        raise ValueError(f"the energy form is zero or not finite (trace {trace!r}): "
+                         f"the fields or the density vanish, underflow or overflow")
     if k >= n - 1:
         info: dict[str, Any] = {"path": "dense", "reason": f"k = {k} >= n_active - 1 = {n - 1}"}
         w, V = _solve_dense(forms, k)

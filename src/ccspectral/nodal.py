@@ -117,17 +117,10 @@ def _cluster_bounds(lambdas: np.ndarray, gap_rel_tol: float) -> list[int]:
     of its last member, which is the sharp Courant allowance for any
     eigenfunction chosen inside a degenerate eigenspace.
     """
-    k = lambdas.size
-    bounds = [0] * k
-    i = 0
-    while i < k:
-        j = i
-        while j + 1 < k and abs(lambdas[j + 1] - lambdas[j]) <= gap_rel_tol * max(1.0, abs(lambdas[j])):
-            j += 1
-        for idx in range(i, j + 1):
-            bounds[idx] = j + 1
-        i = j + 1
-    return bounds
+    split = ~(np.abs(np.diff(lambdas)) <= gap_rel_tol * np.maximum(1.0, np.abs(lambdas[:-1])))
+    last = np.append(np.flatnonzero(split), lambdas.size - 1)  # 0-based, per cluster
+    cluster = np.concatenate(([0], np.cumsum(split)))
+    return (last[cluster] + 1).tolist()
 
 
 def check_courant(pairs: Eigenpairs, forms: AssembledForms,

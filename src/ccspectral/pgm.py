@@ -42,10 +42,7 @@ def field_to_gray(values2d: np.ndarray) -> np.ndarray:
 def labels_to_gray(labels2d: np.ndarray) -> np.ndarray:
     """Map integer labels to distinct gray levels; label 0 stays black."""
     labels2d = np.asarray(labels2d)
-    uniq = np.unique(labels2d[labels2d != 0])
-    gray = np.zeros(labels2d.shape, dtype=np.uint8)
-    if uniq.size:
-        levels = np.linspace(60, 255, uniq.size).astype(np.uint8)
-        for lab, lev in zip(uniq, levels):
-            gray[labels2d == lab] = lev
-    return _to_image_axes(gray)
+    uniq, inverse = np.unique(labels2d, return_inverse=True)
+    lookup = np.zeros(uniq.size, dtype=np.uint8)
+    lookup[uniq != 0] = np.linspace(60, 255, np.count_nonzero(uniq)).astype(np.uint8)
+    return _to_image_axes(lookup[inverse].reshape(labels2d.shape))

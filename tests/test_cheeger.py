@@ -287,7 +287,8 @@ def test_certificate_sound_against_superlevel_sets(grushin, grushin_grid):
         np.sin(np.pi * X) ** 2,
     ]
     for u in trials:
-        upper = cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel())
+        cuts = cc.superlevel_cuts(grushin, grushin_grid, u.ravel())
+        upper = cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(), cuts)
         assert upper >= cert.h_certified - 1e-9
 
 
@@ -298,7 +299,8 @@ def test_certificate_sound_against_superlevel_sets(grushin, grushin_grid):
 def test_dirichlet_upper_bound_brackets_constant(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
     u = np.sin(np.pi * X).ravel()
-    upper = cc.dirichlet_cheeger_upper(grushin, grushin_grid, u)
+    upper = cc.dirichlet_cheeger_upper(grushin, grushin_grid, u,
+                                       cc.superlevel_cuts(grushin, grushin_grid, u))
     # super-level bands (a, 1-a) x S^1 give sigma = 4 pi, vol = (1-2a) 2 pi,
     # so the bound tends to 2 from above
     assert 2.0 - 1e-9 <= upper <= 2.4
@@ -310,11 +312,12 @@ def test_dirichlet_upper_bound_brackets_constant(grushin, grushin_grid):
 
 def test_dirichlet_upper_requires_vanishing_trace(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
-    with pytest.raises(ValueError):
-        cc.dirichlet_cheeger_upper(grushin, grushin_grid, X.ravel())
-    with pytest.raises(ValueError):
+    cuts = cc.superlevel_cuts(grushin, grushin_grid, X.ravel())
+    with pytest.raises(ValueError, match="does not vanish"):
+        cc.dirichlet_cheeger_upper(grushin, grushin_grid, X.ravel(), cuts)
+    with pytest.raises(ValueError, match="identically zero"):
         cc.dirichlet_cheeger_upper(grushin, grushin_grid,
-                                   np.zeros(grushin_grid.n_nodes))
+                                   np.zeros(grushin_grid.n_nodes), [])
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +337,11 @@ def test_verify_inequality_with_certificate(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
     V = make_field(grushin_grid, X.ravel(), 0.0)
     cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="dirichlet")
-    report = cc.verify_inequality(np.pi**2, cert, "dirichlet")
+    assert cert.valid and cert.supplies_h_lower
+    report = cc.verify_inequality(np.pi**2, cert.h_certified, "dirichlet")
     assert report.satisfied
     assert report.h_lower == cert.h_certified
     assert report.lower_bound == pytest.approx(0.25, abs=1e-9)
-    bad = cc.mfmc_certify(grushin, grushin_grid, V, mode="neumann")
-    with pytest.raises(ValueError):
-        cc.verify_inequality(np.pi**2, bad, "dirichlet")
 
 
 def test_verify_inequality_trivial_and_kinds():

@@ -322,6 +322,57 @@ def test_cheeger_dirichlet_grid_too_coarse_for_a_level_set(tmp_path, capsys, nx,
     assert not (out / "inequality_report.json").exists()
 
 
+@pytest.mark.parametrize("nx, ny", [(4, 4), (3, 3)])
+def test_cheeger_mixed_grid_too_coarse_for_a_cut(tmp_path, capsys, nx, ny):
+    doc = {"grid": {"nx": nx, "ny": ny}, "bc": [{"edge": "x_max", "condition": "dirichlet"}],
+           "solver": {"k": 1}}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
+    assert f"{nx}x{ny} grid with 40 levels" in err
+    assert not (out / "inequality_report.json").exists()
+
+
+def strict_json(path):
+    """The JSON document at path; NaN, Infinity and -Infinity are errors."""
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_cheeger_artifact_keys(tmp_path):
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, GRUSHIN_CHEEGER),
+                "--out", out, "--quiet"]) == 0
+    assert sorted(strict_json(out / "certificate.json")) == [
+        "boundary_inward_min", "h_certified", "max_coeff_norm", "min_divergence", "mode",
+        "sampling", "supplies_h_lower", "tol", "valid"]
+    assert sorted(strict_json(out / "inequality_report.json")) == [
+        "certificate_valid", "h_lower", "h_source", "h_upper", "kind", "lambda",
+        "lower_bound", "satisfied", "slack"]
+
+
+def test_certificate_on_a_torus_has_no_boundary_pairing(tmp_path):
+    doc = {"structure": {"kind": "euclidean",
+                         "chart": {"periodic_x": True, "periodic_y": True}},
+           "grid": {"nx": 8, "ny": 8},
+           "cheeger": {"certificate": {"phi": ["0", "0"], "mode": "neumann"}}}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc),
+                "--out", out, "--quiet"]) == 0
+    cert = strict_json(out / "certificate.json")
+    assert cert["boundary_inward_min"] is None and cert["valid"] is True
+    assert strict_json(out / "inequality_report.json")["h_source"] == "upper_bound_presumed"
+
+
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path):
+    from ccspectral.cli import _write_json
+
+    with pytest.raises(ValueError):
+        _write_json({"h_upper": float("inf")}, tmp_path / "report.json")
+
+
 # ---------------------------------------------------------------------------
 # grushin-table
 # ---------------------------------------------------------------------------
@@ -552,6 +603,23 @@ def test_singular_expression_is_a_config_error(tmp_path, capsys, command, change
     assert err.startswith("config error:") and err.count("\n") == 1
     for text in expected:
         assert text in err
+
+
+@pytest.mark.parametrize("chart, fields", [
+    ({"periodic_y": True}, [["0", "0"]]),  # zero: the FFT inverse had no symbol to factor
+    ({}, [["1e-300", "0"]]),  # squares underflow to a zero form
+    ({}, [["1e200", "0"]]),  # squares overflow to an infinite form
+])
+def test_zero_or_non_finite_energy_is_a_config_error(tmp_path, capsys, chart, fields):
+    doc = {"structure": {"kind": "custom", "chart": chart, "fields": fields},
+           "grid": {"nx": 5, "ny": 5}, "solver": {"k": 1}}
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        assert run(["spectrum", "--config", cfg, "--out", tmp_path / "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver: the energy form is zero or not finite")
+    assert err.count("\n") == 1
 
 
 def test_bad_structure_kind(tmp_path, capsys):

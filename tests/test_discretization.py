@@ -236,9 +236,20 @@ def test_matrix_market_general_roundtrip(tmp_path):
 
 
 def test_matrix_market_mass_diagonal_roundtrip(tmp_path, grushin_neumann_forms):
-    M = grushin_neumann_forms.M
+    M = sp.diags(grushin_neumann_forms.mass, format="csr")
     path = tmp_path / "mass.mtx"
     cc.write_matrix_market(M, path, comment="lumped mass")
     back = scipy.io.mmread(path).tocsr()
     assert (back != M).nnz == 0
     assert "lumped mass" in path.read_text()
+
+
+def test_matrix_market_two_line_comment_roundtrip(tmp_path):
+    mat = sp.csr_matrix(np.array([[0.1 + 0.2, -1e-300], [-1e-300, 7.0]]))
+    path = tmp_path / "pair"  # written where asked, no extension added
+    cc.write_matrix_market(mat, path, comment="first line\nsecond line")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
+    assert [line.lstrip("% ") for line in lines[1:3]] == ["first line", "second line"]
+    back = scipy.io.mmread(path).tocsr()
+    assert np.array_equal(back.toarray(), mat.toarray())  # every double exact

@@ -115,6 +115,23 @@ def test_dense_exactly_when_k_near_n(euclidean, nx, ny):
     assert np.all(np.abs(pairs.lambdas - full.lambdas[:n - 2]) <= 1e-8 * scale)
 
 
+@pytest.mark.parametrize("name, nx, ny, dirichlet", [
+    ("grushin", 6, 8, False), ("grushin", 7, 5, True),
+    ("euclidean", 4, 4, False), ("euclidean", 9, 6, True),
+])
+def test_dense_solve_matches_the_scaled_standard_problem(name, nx, ny, dirichlet):
+    # (A, M) with diagonal M is M^(-1/2) A M^(-1/2) w = lambda w, v = M^(-1/2) w
+    s = cc.builtin_grushin_cylinder() if name == "grushin" else cc.builtin_euclidean()
+    grid = cc.build_grid(s.chart, nx, ny)
+    bc = cc.BoundarySpec.all_dirichlet(s.chart) if dirichlet else cc.BoundarySpec.all_neumann()
+    forms = cc.assemble(s, grid, bc)
+    pairs = cc.solve_smallest(forms, k=forms.n_active)
+    d = 1.0 / np.sqrt(forms.mass)
+    expected = la.eigvalsh(forms.A.toarray() * d[None, :] * d[:, None])
+    scale = np.maximum(1.0, np.abs(expected))
+    assert np.all(np.abs(pairs.lambdas - expected) <= 1e-12 * scale)
+
+
 def _custom(fields, density=lambda x, y: np.ones(np.shape(x))):
     """A structure on the Grushin cylinder's chart."""
     return cc.CCStructure(chart=cc.builtin_grushin_cylinder().chart,

@@ -166,11 +166,11 @@ def test_dirichlet_upper_is_min_over_level_cuts(grushin, grushin_grid):
                 cut = cc.cut_from_level_set(grushin, grushin_grid, values, float(t))
                 if len(cut.segments) and cut.vol1 > 0.0:
                     ratios.append(cut.sigma / cut.vol1)
-        upper = cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(), n_levels=25)
-        assert upper == min(ratios)
         cuts = cc.superlevel_cuts(grushin, grushin_grid, u.ravel(), n_levels=25)
+        upper = cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(), cuts)
+        assert upper == min(ratios)
         assert len(cuts) == len(ratios)
-        assert cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(), cuts=cuts) == upper
+        assert cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(), cuts[::-1]) == upper
 
 
 def test_superlevel_cuts_validate(grushin, grushin_grid):
@@ -190,7 +190,9 @@ def test_results_pinned_on_fixtures(grushin, grushin_grid):
         1.0000000000000007, 3.2724923474893677, 3.010692959690218, 94)
     trials = [np.sin(np.pi * X), np.sin(np.pi * X) * (2.0 + np.cos(Y)) / 3.0,
               4.0 * X * (1.0 - X), np.sin(np.pi * X) ** 2]
-    uppers = [cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel()) for u in trials]
+    uppers = [cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(),
+                                         cc.superlevel_cuts(grushin, grushin_grid, u.ravel()))
+              for u in trials]
     assert uppers == [2.000000000000003, 1.5914062500000021, 2.088888888888892,
                       2.000000000000003]
     for (nx, ny, n_levels), (lhs, rhs) in {
