@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .discretization import Grid2D, _cell_origin_meshes
+from .discretization import Grid2D
 from .geometry import CCStructure, HorizontalField, divergence
 
 __all__ = [
@@ -126,20 +126,13 @@ def horizontal_perimeter(structure: CCStructure, segments) -> float:
                        f"after {PERIMETER_MAX_REFINE} refinements")
 
 
-def _cell_center_meshes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    xc = grid.chart.x_range[0] + grid.hx * (np.arange(grid.n_cells_x) + 0.5)
-    yc = grid.chart.y_range[0] + grid.hy * (np.arange(grid.n_cells_y) + 0.5)
-    return np.meshgrid(xc, yc, indexing="ij")
-
-
 def region_volume(structure: CCStructure, grid: Grid2D, cell_mask: np.ndarray) -> float:
     """omega-volume of a union of grid cells (midpoint quadrature of rho)."""
     cell_mask = np.asarray(cell_mask, dtype=bool)
     shape = (grid.n_cells_x, grid.n_cells_y)
     if cell_mask.shape != shape:
         raise ValueError(f"cell mask must have shape {shape}, got {cell_mask.shape}")
-    Xc, Yc = _cell_center_meshes(grid)
-    rho = structure.density_at(Xc, Yc)
+    rho = structure.density_at(*grid.cell_meshes(0.5))
     return float(np.sum(rho[cell_mask]) * grid.hx * grid.hy)
 
 
@@ -177,13 +170,12 @@ class _LevelSweep:
         self.center = self.corner_sum / 4.0
         self.low = np.minimum(np.minimum(w00, w10), np.minimum(w11, w01))
         self.high = np.maximum(np.maximum(w00, w10), np.maximum(w11, w01))
-        self.origins = _cell_origin_meshes(grid)
+        self.origins = grid.cell_meshes(0.0)
 
     @cached_property
     def rho(self) -> np.ndarray:
         """Density at the cell centres (midpoint quadrature of side volumes)."""
-        Xc, Yc = _cell_center_meshes(self.grid)
-        return self.structure.density_at(Xc, Yc)
+        return self.structure.density_at(*self.grid.cell_meshes(0.5))
 
 
 def _level_segments(grid: Grid2D, values2d: np.ndarray, t: float,
@@ -342,9 +334,7 @@ def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u, cuts) -> fl
     vmax = np.abs(values2d).max()
     if vmax == 0.0:
         raise ValueError("u is identically zero")
-    edges = ([] if grid.chart.periodic_x else [values2d[0, :], values2d[-1, :]]) \
-        + ([] if grid.chart.periodic_y else [values2d[:, 0], values2d[:, -1]])
-    if edges and np.abs(np.concatenate(edges)).max() > 1e-10 * vmax:
+    if np.abs(values2d[grid.boundary_mask()]).max(initial=0.0) > 1e-10 * vmax:
         raise ValueError("u does not vanish on the boundary")
     ratios = [c.sigma / c.vol1 for c in cuts if len(c.segments) and c.vol1 > 0.0]
     if not ratios:
@@ -402,16 +392,15 @@ def mfmc_certify(structure: CCStructure, grid: Grid2D, V: HorizontalField,
     if V.grid != grid:
         raise ValueError("field and grid do not match")
     div2d = divergence(structure, V)
-    sx = slice(None) if grid.chart.periodic_x else slice(1, -1)
-    sy = slice(None) if grid.chart.periodic_y else slice(1, -1)
-    interior = div2d[sx, sy]
+    interior = div2d[~grid.boundary_mask()]
     if interior.size == 0:
         raise ValueError("grid has no interior nodes")
     min_div = float(interior.min())
     max_norm = float(np.sqrt(V.squared_length().max()))
-    vx, vy = V.chart_components(structure)
-    inward = ([] if grid.chart.periodic_x else [vx[0, :], -vx[-1, :]]) \
-        + ([] if grid.chart.periodic_y else [vy[:, 0], -vy[:, -1]])
+    components = V.chart_components(structure)
+    # inward on an edge is the component along its axis, negated on layer -1
+    inward = [np.take(components[axis], layer, axis=axis) * (1.0 if layer == 0 else -1.0)
+              for axis, layer in grid.edges()]
     inward_min = float(np.concatenate(inward).min()) if inward else None
     valid = max_norm <= 1.0 + tol
     if mode == "neumann" and inward_min is not None:
@@ -480,8 +469,7 @@ def coarea_check(structure: CCStructure, grid: Grid2D, u,
     w00, w10, w11, w01 = sweep.corners
     gx = ((w10 - w00) + (w11 - w01)) / (2.0 * grid.hx)
     gy = ((w01 - w00) + (w11 - w10)) / (2.0 * grid.hy)
-    Xc, Yc = _cell_center_meshes(grid)
-    coeffs = structure.coefficients_at(Xc, Yc)
+    coeffs = structure.coefficients_at(*grid.cell_meshes(0.5))
     grad_norm = np.sqrt(np.sum((coeffs[:, 0] * gx + coeffs[:, 1] * gy) ** 2, axis=0))
     lhs = float(np.sum(sweep.rho * grad_norm) * grid.hx * grid.hy)
 

@@ -27,7 +27,7 @@ import sys
 import types
 import typing
 from contextlib import suppress
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -295,18 +295,17 @@ def build_structure(cfg: StructureConfig) -> CCStructure:
     return CCStructure(chart=chart, field_coeffs=coeffs, density=density, name="custom")
 
 
-def build_problem(config: RunConfig) -> tuple[CCStructure, Grid2D, BoundarySpec]:
-    """Validate the geometric part of a config into concrete objects."""
+def build_problem(config: RunConfig) -> tuple[CCStructure, AssembledForms]:
+    """The structure a config names and its forms on the config's grid and bc."""
     try:
         structure = build_structure(config.structure)
         grid = build_grid(structure.chart, config.grid.nx, config.grid.ny)
-        bc = _boundary_spec(config.bc, structure.chart)
-        bc.dirichlet_mask(grid)  # runs the edge/range validation up front
+        forms = assemble(structure, grid, _boundary_spec(config.bc, structure.chart))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return structure, grid, bc
+    return structure, forms
 
 
 def _boundary_spec(bc: str | tuple[SegmentConfig, ...], chart: Chart2D) -> BoundarySpec:
@@ -320,17 +319,6 @@ def _boundary_spec(bc: str | tuple[SegmentConfig, ...], chart: Chart2D) -> Bound
         return BoundarySpec.all_dirichlet(chart)
     return BoundarySpec(tuple(BCSegment(s.edge, s.condition, *(s.range or (None, None)))
                               for s in bc))
-
-
-def _flavor(bc: BoundarySpec, grid: Grid2D) -> str:
-    """Which Cheeger problem ``bc`` poses on ``grid``, from its Dirichlet nodes:
-    none is neumann, every boundary node is dirichlet, anything else mixed."""
-    mask = bc.dirichlet_mask(grid)
-    if not mask.any():
-        return "neumann"
-    if np.array_equal(mask, BoundarySpec.all_dirichlet(grid.chart).dirichlet_mask(grid)):
-        return "dirichlet"
-    return "mixed"
 
 
 def _solve(config: RunConfig, forms: AssembledForms, k: int) -> Eigenpairs:
@@ -369,8 +357,8 @@ def _say(quiet: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
-    structure, grid, bc = build_problem(config)
-    forms = assemble(structure, grid, bc)
+    structure, forms = build_problem(config)
+    grid = forms.grid
     pairs = _solve(config, forms, config.solver.k)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -379,7 +367,7 @@ def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
     inverse = (f", inverse {info['inverse']} ({info['inverse_reason']}), ncv {info['ncv']}"
                if "inverse" in info else "")
     _say(quiet, f"structure {structure.name}, grid {grid.nx}x{grid.ny}, "
-                f"bc {_flavor(bc, grid)}, k={pairs.k}, solver {info['path']} "
+                f"bc {forms.flavor}, k={pairs.k}, solver {info['path']} "
                 f"({info['reason']}){inverse}")
     report = check_courant(pairs, forms, rel_threshold=config.nodal.rel_threshold,
                            gap_rel_tol=config.nodal.gap_rel_tol)
@@ -420,14 +408,12 @@ def _certificate_field(config: RunConfig, structure: CCStructure,
 
 
 def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
-    structure, grid, bc = build_problem(config)
-    flavor = _flavor(bc, grid)
-    forms = assemble(structure, grid, bc)
-    k = max(config.solver.k, 2 if flavor == "neumann" else 1)
-    pairs = _solve(config, forms, k)
+    structure, forms = build_problem(config)
+    grid, flavor = forms.grid, forms.flavor
+    index = 1 if flavor == "neumann" else 0
+    pairs = _solve(config, forms, index + 1)  # lambda_2 for neumann, else lambda_1 alone
     out.mkdir(parents=True, exist_ok=True)
 
-    index = 1 if flavor == "neumann" else 0
     lam = float(pairs.lambdas[index])
     u = forms.expand(pairs.vectors[:, index])
     if flavor == "neumann":
@@ -510,9 +496,7 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
         _say(quiet, f"wrote {path}")
         return EXIT_OK
 
-    structure = builtin_grushin_cylinder()
-    grid = build_grid(structure.chart, config.grid.nx, config.grid.ny)
-    forms = assemble(structure, grid, _boundary_spec(t.bc, structure.chart))
+    _, forms = build_problem(replace(config, structure=StructureConfig(), bc=t.bc))
     threshold = _table_complete_below(table, t)
     covered = [e for e in table.expanded()
                if e.lam < threshold - 1e-9 * max(1.0, threshold)]
@@ -534,7 +518,7 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
         shown = "not covered by the 2D solve" if err is None else f"rel err 2d = {err:.3e}"
         _say(quiet, f"  n={e.n} m={e.m}  lambda = {e.lam:.9g}  x{e.multiplicity}  {shown}")
     _say(quiet, f"max relative error over the {k} eigenvalues below "
-                f"{threshold:.6g} vs the {grid.nx}x{grid.ny} grid: "
+                f"{threshold:.6g} vs the {forms.grid.nx}x{forms.grid.ny} grid: "
                 f"{report.max_rel_error:.3e}")
     _say(quiet, f"wrote {path}")
     return EXIT_OK

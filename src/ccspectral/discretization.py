@@ -9,6 +9,10 @@ non-periodic edges and quarter weights at corners.  Dirichlet conditions
 are imposed by eliminating boundary nodes; Neumann conditions are
 natural (no boundary term).
 
+Each chart edge is a node layer: ``_EDGES`` maps its name to (axis, layer),
+x_max to layer -1 along axis 0, and a periodic axis has none.  Every part
+that asks which nodes lie on an edge asks this table, via Grid2D.edges().
+
 A couples each node only to its eight neighbours, so it is assembled as a
 nine-point stencil, one offset (dx, dy) at a time, straight from the 4x4
 cell matrices, and compressed to CSR.  The stencil is kept with the forms:
@@ -44,8 +48,14 @@ __all__ = [
     "write_matrix_market",
 ]
 
-_EDGES = ("x_min", "x_max", "y_min", "y_max")
+_EDGES = {"x_min": (0, 0), "x_max": (0, -1), "y_min": (1, 0), "y_max": (1, -1)}
 _CONDITIONS = ("dirichlet", "neumann")
+
+
+def _edge_names(chart: Chart2D) -> list[str]:
+    """The edges the chart has, in _EDGES order: none on a periodic axis."""
+    periodic = (chart.periodic_x, chart.periodic_y)
+    return [name for name, (axis, _) in _EDGES.items() if not periodic[axis]]
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,23 @@ class Grid2D:
     def n_cells_y(self) -> int:
         return self.ny if self.chart.periodic_y else self.ny - 1
 
+    def edges(self) -> list[tuple[int, int]]:
+        """(axis, node layer) of each edge the chart has, in _EDGES order."""
+        return [_EDGES[name] for name in _edge_names(self.chart)]
+
+    def boundary_mask(self) -> np.ndarray:
+        """Boolean (nx, ny) array marking the nodes on an edge."""
+        mask = np.zeros((self.nx, self.ny), dtype=bool)
+        for axis, layer in self.edges():
+            np.moveaxis(mask, axis, 0)[layer] = True
+        return mask
+
+    def cell_meshes(self, offset: float) -> tuple[np.ndarray, np.ndarray]:
+        """Cell points lo + h * (i + offset): offset 0.0 the origins, 0.5 the centres."""
+        xs = self.chart.x_range[0] + self.hx * (np.arange(self.n_cells_x) + offset)
+        ys = self.chart.y_range[0] + self.hy * (np.arange(self.n_cells_y) + offset)
+        return np.meshgrid(xs, ys, indexing="ij")
+
 
 def build_grid(chart: Chart2D, nx: int, ny: int) -> Grid2D:
     """Grid with nx x ny nodes; both counts must be at least 3."""
@@ -117,7 +144,7 @@ class BCSegment:
 
     def __post_init__(self):
         if self.edge not in _EDGES:
-            raise ValueError(f"unknown edge {self.edge!r}, expected one of {_EDGES}")
+            raise ValueError(f"unknown edge {self.edge!r}, expected one of {tuple(_EDGES)}")
         if self.condition not in _CONDITIONS:
             raise ValueError(f"unknown condition {self.condition!r}, expected one of {_CONDITIONS}")
 
@@ -137,12 +164,7 @@ class BoundarySpec:
 
     @classmethod
     def all_dirichlet(cls, chart: Chart2D) -> "BoundarySpec":
-        segs = []
-        if not chart.periodic_x:
-            segs += [BCSegment("x_min", "dirichlet"), BCSegment("x_max", "dirichlet")]
-        if not chart.periodic_y:
-            segs += [BCSegment("y_min", "dirichlet"), BCSegment("y_max", "dirichlet")]
-        return cls(segments=tuple(segs))
+        return cls(segments=tuple(BCSegment(name, "dirichlet") for name in _edge_names(chart)))
 
     def dirichlet_mask(self, grid: Grid2D) -> np.ndarray:
         """Boolean (nx, ny) array marking eliminated nodes.
@@ -153,13 +175,11 @@ class BoundarySpec:
         chart = grid.chart
         mask = np.zeros((grid.nx, grid.ny), dtype=bool)
         for seg in self.segments:
-            axis_periodic = chart.periodic_x if seg.edge in ("x_min", "x_max") else chart.periodic_y
-            if axis_periodic:
+            if seg.edge not in _edge_names(chart):
                 raise ValueError(f"edge {seg.edge!r} does not exist: that axis is periodic")
-            if seg.edge in ("x_min", "x_max"):
-                param, prange = grid.ys, chart.y_range
-            else:
-                param, prange = grid.xs, chart.x_range
+            axis, layer = _EDGES[seg.edge]
+            # the edge is parameterized by the other axis
+            param, prange = ((grid.xs, chart.x_range), (grid.ys, chart.y_range))[1 - axis]
             lo = prange[0] if seg.lo is None else float(seg.lo)
             hi = prange[1] if seg.hi is None else float(seg.hi)
             tol = 1e-12 * (prange[1] - prange[0])
@@ -170,33 +190,29 @@ class BoundarySpec:
             if seg.condition != "dirichlet":
                 continue
             covered = (param >= lo - tol) & (param <= hi + tol)
-            if seg.edge == "x_min":
-                mask[0, covered] = True
-            elif seg.edge == "x_max":
-                mask[-1, covered] = True
-            elif seg.edge == "y_min":
-                mask[covered, 0] = True
-            else:
-                mask[covered, -1] = True
+            np.moveaxis(mask, axis, 0)[layer, covered] = True
         return mask
 
 
 @dataclass(frozen=True)
 class AssembledForms:
-    """Stiffness matrix A, lumped mass diagonal, the active-node map and
-    the stencil of A.
+    """Stiffness matrix A, lumped mass diagonal, the active-node map, the
+    stencil of A and the flavor of the boundary conditions.
 
     stencil has shape (nx, ny, 3, 3): stencil[i, j, 1 + dx, 1 + dy] is the
     entry of A coupling node (i, j) to node (i + dx, j + dy), indices wrapping
     on periodic axes, and 0.0 where A stores none (every coupling of an
     eliminated node included).
+
+    flavor is "neumann" when no node is Dirichlet, "dirichlet" when every
+    boundary node is, and "mixed" otherwise.
     """
 
     A: sp.csr_matrix
     mass: np.ndarray
     active_nodes: np.ndarray
     grid: Grid2D
-    bc: BoundarySpec
+    flavor: str
     stencil: np.ndarray
 
     @property
@@ -223,11 +239,6 @@ class AssembledForms:
         return u_full[self.active_nodes]
 
 
-def _cell_origin_meshes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    x0 = grid.chart.x_range[0] + grid.hx * np.arange(grid.n_cells_x)
-    y0 = grid.chart.y_range[0] + grid.hy * np.arange(grid.n_cells_y)
-    return np.meshgrid(x0, y0, indexing="ij")
-
 # 2x2 Gauss points in unit cell coordinates.
 _GAUSS_1D = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
 _GAUSS_2D = tuple((gx, gy) for gx in _GAUSS_1D for gy in _GAUSS_1D)
@@ -240,7 +251,7 @@ def _local_cell_matrices(structure: CCStructure, grid: Grid2D) -> np.ndarray:
     Corner p = px + 2 py of the cell with origin node (i, j) is node
     (i + px, j + py).
     """
-    X0, Y0 = _cell_origin_meshes(grid)
+    X0, Y0 = grid.cell_meshes(0.0)
     x0 = X0.ravel()
     y0 = Y0.ravel()
     L = np.zeros((4, 4, x0.size))
@@ -328,10 +339,8 @@ def _stencil_matrix(S: np.ndarray, grid: Grid2D, active: np.ndarray) -> sp.csr_m
     # Pad with the wrapped neighbours, or with -1 beyond a non-periodic edge;
     # cols[a, b, 1 + dx, 1 + dy] is then the active index of (a + dx, b + dy).
     padded = np.pad(number, 1, mode="wrap")
-    if not grid.chart.periodic_x:
-        padded[[0, -1]] = -1
-    if not grid.chart.periodic_y:
-        padded[:, [0, -1]] = -1
+    for axis, layer in grid.edges():
+        np.moveaxis(padded, axis, 0)[layer] = -1
     cols = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
     keep = active[:, :, None, None] & (cols >= 0)
     S[~keep] = 0.0
@@ -343,14 +352,11 @@ def _stencil_matrix(S: np.ndarray, grid: Grid2D, active: np.ndarray) -> sp.csr_m
 
 
 def _lumped_mass(structure: CCStructure, grid: Grid2D) -> np.ndarray:
-    X, Y = grid.meshes()
-    rho = structure.density_at(X, Y)
+    rho = structure.density_at(*grid.meshes())
     wx = np.ones(grid.nx)
     wy = np.ones(grid.ny)
-    if not grid.chart.periodic_x:
-        wx[0] = wx[-1] = 0.5
-    if not grid.chart.periodic_y:
-        wy[0] = wy[-1] = 0.5
+    for axis, layer in grid.edges():
+        (wx, wy)[axis][layer] = 0.5
     mass = rho * (grid.hx * grid.hy) * wx[:, None] * wy[None, :]
     return mass.ravel()
 
@@ -361,12 +367,20 @@ def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> Assemble
     with np.errstate(over="ignore", invalid="ignore"):  # solve_smallest rejects a non-finite A
         S = _stencil(_local_cell_matrices(structure, grid), grid)
     mass_full = _lumped_mass(structure, grid)
-    active = ~bc.dirichlet_mask(grid)
+    dirichlet = bc.dirichlet_mask(grid)
+    active = ~dirichlet
     if not active.any():
         raise ValueError("boundary conditions eliminate every node")
+    if not dirichlet.any():
+        flavor = "neumann"
+    elif np.array_equal(dirichlet, grid.boundary_mask()):
+        flavor = "dirichlet"
+    else:
+        flavor = "mixed"
     A = _stencil_matrix(S, grid, active)
     return AssembledForms(A=A, mass=mass_full[active.ravel()],
-                          active_nodes=np.flatnonzero(active), grid=grid, bc=bc, stencil=S)
+                          active_nodes=np.flatnonzero(active), grid=grid, flavor=flavor,
+                          stencil=S)
 
 
 def rayleigh_quotient(forms: AssembledForms, u: np.ndarray) -> float:

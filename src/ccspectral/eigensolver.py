@@ -218,7 +218,7 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
         forms: assembled energy and mass forms.
         k: number of eigenpairs, 1 <= k <= n_active.  k >= n_active - 1
             solves densely; any smaller k by shift-invert Lanczos.
-            A zero or non-finite energy form is a ValueError.
+            A zero, subnormal or non-finite trace of A is a ValueError.
         tol: admissible residual ||A v - lambda M v||_2 per pair.
         seed: seed for the iterative start vector (determinism).
 
@@ -228,10 +228,11 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
     n = forms.n_active
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    # A is positive semidefinite, so its trace is 0 only when A is; a zero or
-    # infinite trace would make the shift-invert shift eps 0 or infinite.
-    trace = float(forms.A.diagonal().sum())
-    if not 0.0 < trace < np.inf:
+    # A is positive semidefinite, so its trace is 0 only when A is; with a
+    # subnormal or infinite trace the shift eps cannot make A + eps M regular.
+    with np.errstate(over="ignore"):
+        trace = float(forms.A.diagonal().sum())
+    if not np.finfo(float).tiny <= trace < np.inf:
         raise ValueError(f"the energy form is zero or not finite (trace {trace!r}): "
                          f"the fields or the density vanish, underflow or overflow")
     if k >= n - 1:

@@ -1,6 +1,9 @@
-"""The hand-written loops that ``nodal._cluster_bounds`` and
-``pgm.labels_to_gray`` replaced by numpy primitives, kept verbatim as
-test-only oracles for ``test_primitive_equivalence.py``.
+"""Code that the library replaced, kept verbatim as test-only oracles for
+``test_primitive_equivalence.py``: the hand-written loops that
+``nodal._cluster_bounds`` and ``pgm.labels_to_gray`` replaced by numpy
+primitives, the cell-point formulas that ``Grid2D.cell_meshes`` replaced,
+and the per-axis boundary slicing of ``mfmc_certify`` that the grid's edge
+table replaced.
 """
 
 from __future__ import annotations
@@ -41,3 +44,28 @@ def labels_to_gray(labels2d: np.ndarray) -> np.ndarray:
         for lab, lev in zip(uniq, levels):
             gray[labels2d == lab] = lev
     return _to_image_axes(gray)
+
+
+def _cell_origin_meshes(grid) -> tuple[np.ndarray, np.ndarray]:
+    x0 = grid.chart.x_range[0] + grid.hx * np.arange(grid.n_cells_x)
+    y0 = grid.chart.y_range[0] + grid.hy * np.arange(grid.n_cells_y)
+    return np.meshgrid(x0, y0, indexing="ij")
+
+
+def _cell_center_meshes(grid) -> tuple[np.ndarray, np.ndarray]:
+    xc = grid.chart.x_range[0] + grid.hx * (np.arange(grid.n_cells_x) + 0.5)
+    yc = grid.chart.y_range[0] + grid.hy * (np.arange(grid.n_cells_y) + 0.5)
+    return np.meshgrid(xc, yc, indexing="ij")
+
+
+def certificate_boundary_values(grid, div2d, vx, vy) -> tuple[float, float | None]:
+    """mfmc_certify's min_divergence and boundary_inward_min, from the
+    divergence and the chart components of the field on the nodes."""
+    sx = slice(None) if grid.chart.periodic_x else slice(1, -1)
+    sy = slice(None) if grid.chart.periodic_y else slice(1, -1)
+    interior = div2d[sx, sy]
+    min_div = float(interior.min())
+    inward = ([] if grid.chart.periodic_x else [vx[0, :], -vx[-1, :]]) \
+        + ([] if grid.chart.periodic_y else [vy[:, 0], -vy[:, -1]])
+    inward_min = float(np.concatenate(inward).min()) if inward else None
+    return min_div, inward_min

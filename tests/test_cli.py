@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ccspectral as cc
-from ccspectral.cli import RunConfig, SegmentConfig
+from ccspectral.cli import RunConfig, SegmentConfig, build_problem
 
 GRUSHIN_SPECTRUM = {
     "structure": {"kind": "grushin"},
@@ -311,6 +311,35 @@ def test_cheeger_flavor_follows_the_boundary(tmp_path, structure, bc, flavor):
         assert given == artifacts(flavor, "named")
 
 
+TORUS = {"kind": "euclidean", "chart": {"periodic_x": True, "periodic_y": True}}
+
+
+@pytest.mark.parametrize("structure, bc, flavor", [
+    ({"kind": "euclidean"}, "neumann", "neumann"),
+    ({"kind": "euclidean"}, "dirichlet", "dirichlet"),
+    ({"kind": "grushin"}, "dirichlet", "dirichlet"),  # no edge on the periodic axis
+    ({"kind": "euclidean"}, [], "neumann"),
+    ({"kind": "euclidean"}, ALL_EDGES_DIRICHLET, "dirichlet"),
+    ({"kind": "euclidean"},
+     [{"edge": "y_min", "condition": "dirichlet", "range": [0.25, 0.75]}], "mixed"),
+    (TORUS, "neumann", "neumann"),
+    (TORUS, [], "neumann"),
+])
+def test_forms_flavor(structure, bc, flavor):
+    config = RunConfig.from_dict({"structure": structure, "grid": {"nx": 6, "ny": 6}, "bc": bc})
+    _, forms = build_problem(config)
+    assert forms.flavor == flavor
+
+
+def test_cheeger_ignores_solver_k(tmp_path):
+    # the default k = 6 exceeds the 4 active nodes; cheeger solves for lambda_1 alone
+    doc = {"structure": {"kind": "euclidean"}, "grid": {"nx": 4, "ny": 4}, "bc": "dirichlet"}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc),
+                "--out", out, "--quiet"]) == 0
+    assert strict_json(out / "inequality_report.json")["kind"] == "dirichlet"
+
+
 @pytest.mark.parametrize("nx, ny", [(4, 4), (6, 6)])
 def test_cheeger_dirichlet_grid_too_coarse_for_a_level_set(tmp_path, capsys, nx, ny):
     doc = {"grid": {"nx": nx, "ny": ny}, "bc": "dirichlet", "solver": {"k": 1, "seed": 0}}
@@ -605,13 +634,18 @@ def test_singular_expression_is_a_config_error(tmp_path, capsys, command, change
         assert text in err
 
 
-@pytest.mark.parametrize("chart, fields", [
-    ({"periodic_y": True}, [["0", "0"]]),  # zero: the FFT inverse had no symbol to factor
-    ({}, [["1e-300", "0"]]),  # squares underflow to a zero form
-    ({}, [["1e200", "0"]]),  # squares overflow to an infinite form
+UNIT = [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("chart, fields, density", [
+    ({"periodic_y": True}, [["0", "0"]], "1"),  # zero: the FFT inverse had no symbol to factor
+    ({}, [["1e-300", "0"]], "1"),  # squares underflow to a zero form
+    ({}, [["1e200", "0"]], "1"),  # squares overflow to an infinite form
+    ({}, UNIT, "1e-310"),  # a subnormal trace: the shift left K singular
+    ({"x_range": [0, 10], "y_range": [0, 10]}, UNIT, "1e307"),  # the trace sum overflows
 ])
-def test_zero_or_non_finite_energy_is_a_config_error(tmp_path, capsys, chart, fields):
-    doc = {"structure": {"kind": "custom", "chart": chart, "fields": fields},
+def test_zero_or_non_finite_energy_is_a_config_error(tmp_path, capsys, chart, fields, density):
+    doc = {"structure": {"kind": "custom", "chart": chart, "fields": fields, "density": density},
            "grid": {"nx": 5, "ny": 5}, "solver": {"k": 1}}
     cfg = write_config(tmp_path, doc)
     with warnings.catch_warnings():
@@ -653,7 +687,7 @@ def test_bad_bc_segment_names_its_path(tmp_path, capsys, segment, expected):
     assert capsys.readouterr().err == f"config error: {expected}\n"
 
 
-@pytest.mark.parametrize("solver", [{"k": 20}, {"k": 16, "method": "shift-invert"}])
+@pytest.mark.parametrize("solver", [{"k": 20}, {"k": 17}])
 def test_k_too_large_for_grid(tmp_path, capsys, solver):
     # a 4x4 periodic-y Neumann grid has 16 active nodes
     doc = dict(GRUSHIN_SPECTRUM, grid={"nx": 4, "ny": 4}, solver=solver)
@@ -661,6 +695,7 @@ def test_k_too_large_for_grid(tmp_path, capsys, solver):
                 "--out", tmp_path / "run"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert "k must be between 1 and 16" in err
     assert "Traceback" not in err
 
 

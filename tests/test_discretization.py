@@ -51,6 +51,17 @@ def test_all_dirichlet_skips_periodic_edges(grushin):
     assert edges == ["x_max", "x_min"]
 
 
+@pytest.mark.parametrize("periodic_x, periodic_y",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_boundary_mask_is_the_all_dirichlet_mask(periodic_x, periodic_y):
+    chart = cc.Chart2D((0.0, 1.0), (0.0, 2.0), periodic_x, periodic_y)
+    grid = cc.build_grid(chart, 5, 6)
+    mask = grid.boundary_mask()
+    assert mask.shape == (5, 6) and mask.dtype == bool
+    assert np.array_equal(mask, cc.BoundarySpec.all_dirichlet(chart).dirichlet_mask(grid))
+    assert len(grid.edges()) == 2 * (2 - periodic_x - periodic_y)
+
+
 def test_dirichlet_mask_full_edges():
     chart = cc.Chart2D((0.0, 1.0), (0.0, 1.0))
     grid = cc.build_grid(chart, 5, 5)

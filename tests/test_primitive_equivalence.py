@@ -1,11 +1,15 @@
-"""Cluster bounds and label gray levels from numpy primitives against the
-loops they replaced (``primitive_oracle``): equal on every input."""
+"""Cluster bounds and label gray levels from numpy primitives, cell points
+and certificate boundary values from the grid's edge table, against the
+code they replaced (``primitive_oracle``): equal on every input."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ccspectral as cc
 import primitive_oracle as oracle
+from ccspectral.geometry import divergence
 from ccspectral.nodal import _cluster_bounds
 from ccspectral.pgm import labels_to_gray
 
@@ -48,3 +52,38 @@ def test_labels_to_gray_matches_the_loop(labels, drop_zero):
     want = oracle.labels_to_gray(labels)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+PERIODICITIES = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@given(st.sampled_from(PERIODICITIES),
+       st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)),
+       st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)),
+       st.integers(3, 12), st.integers(3, 12))
+def test_cell_meshes_match_the_formulas(periodic, x, y, nx, ny):
+    chart = cc.Chart2D((x[0], x[0] + x[1]), (y[0], y[0] + y[1]), *periodic)
+    grid = cc.build_grid(chart, nx, ny)
+    for offset, formula in ((0.0, oracle._cell_origin_meshes),
+                            (0.5, oracle._cell_center_meshes)):
+        for got, want in zip(grid.cell_meshes(offset), formula(grid)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("periodic", PERIODICITIES)
+def test_certificate_boundary_values_match_the_slicing(periodic):
+    structure = cc.CCStructure(
+        chart=cc.Chart2D((0.0, 1.0), (-1.0, 2.0), *periodic),
+        field_coeffs=((lambda x, y: 1.0 + 0.0 * x, lambda x, y: 0.3 * y),
+                      (lambda x, y: 0.0 * x, lambda x, y: 1.0 + x * x)),
+        density=lambda x, y: 1.0 + 0.25 * np.sin(3.0 * x + y))
+    grid = cc.build_grid(structure.chart, 9, 11)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        V = cc.HorizontalField(grid=grid, phi=rng.uniform(-1.0, 1.0, (2, grid.n_nodes)))
+        cert = cc.mfmc_certify(structure, grid, V, mode="neumann")
+        want = oracle.certificate_boundary_values(grid, divergence(structure, V),
+                                                  *V.chart_components(structure))
+        got = (cert.min_divergence, cert.boundary_inward_min)
+        assert repr(got) == repr(want)

@@ -17,7 +17,7 @@ from ccspectral import discretization
 
 
 def _oracle_cell_matrices(structure, grid):
-    X0, Y0 = discretization._cell_origin_meshes(grid)
+    X0, Y0 = grid.cell_meshes(0.0)
     x0 = X0.ravel()
     y0 = Y0.ravel()
     L = np.zeros((x0.size, 4, 4))
