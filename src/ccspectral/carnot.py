@@ -26,6 +26,7 @@ __all__ = [
     "heisenberg_spec",
     "homogeneous_dimension",
     "unit_ball_volume",
+    "unit_ball_volumes",
     "hausdorff_constant_heisenberg",
 ]
 
@@ -113,19 +114,26 @@ def homogeneous_dimension(spec: CarnotSpec) -> int:
     return sum((j + 1) * d for j, d in enumerate(spec.strata_dims))
 
 
+def unit_ball_volumes(count: int) -> list[float]:
+    """Volumes omega_0, ..., omega_(count-1) of the Euclidean unit balls,
+    omega_a = pi^(a/2) / Gamma(1 + a/2), in one pass of the two-step
+    recurrence omega_a = omega_(a-2) / a * 2 pi from omega_0 = 1 and
+    omega_1 = 2.  omega_a peaks at a = 5 and falls from there on, so the
+    product never overflows; for a in the hundreds it underflows to 0."""
+    omegas = [1.0, 2.0][:max(count, 0)]
+    for a in range(2, count):
+        # the least rounding error of the orders tried
+        omegas.append(omegas[a - 2] / a * 2.0 * np.pi)
+    return omegas
+
+
 def unit_ball_volume(a: int) -> float:
-    """Volume omega_a = pi^(a/2) / Gamma(1 + a/2) of the Euclidean unit
-    a-ball, for integer a >= 0, by the two-step recurrence
-    omega_a = omega_(a-2) * 2 pi / a from omega_0 = 1 and omega_1 = 2.
-    omega_a peaks at a = 5 and falls from there on, so the product never
-    overflows; for a in the hundreds it underflows to 0."""
+    """Volume omega_a of the Euclidean unit a-ball, for integer a >= 0;
+    see unit_ball_volumes."""
     a_int = int(round(float(a)))
     if abs(float(a) - a_int) > 1e-12 or a_int < 0:
         raise ValueError(f"dimension must be a non-negative integer, got {a}")
-    omega = 2.0 if a_int % 2 else 1.0
-    for b in range(2 + a_int % 2, a_int + 1, 2):
-        omega = omega / b * 2.0 * np.pi  # the least rounding error of the orders tried
-    return float(omega)
+    return unit_ball_volumes(a_int + 1)[a_int]
 
 
 def hausdorff_constant_heisenberg(n: int) -> float:

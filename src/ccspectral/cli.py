@@ -17,6 +17,10 @@ any level set to enclose a region, or a mixed grid is too coarse for any
 level set to cut it in two.  CSV artifacts use the shortest
 round-trip decimal representation for floats so identical runs produce
 byte-identical files.
+
+Loading a config needs numpy only.  Each command imports the layers it
+uses when it runs, so ``carnot`` loads no scipy, and ``cheeger`` and
+``grushin-table`` load neither the nodal layer nor ``scipy.sparse.csgraph``.
 """
 
 import argparse
@@ -33,20 +37,16 @@ from pathlib import Path
 import numpy as np
 
 from .carnot import hausdorff_constant_heisenberg, heisenberg_spec, \
-    homogeneous_dimension, unit_ball_volume
-from .cheeger import candidate_cuts_grushin, dirichlet_cheeger_upper, \
-    mfmc_certify, superlevel_cuts, sweep_level_sets, verify_inequality, \
-    write_cuts_csv
+    homogeneous_dimension, unit_ball_volumes
 from .discretization import _CONDITIONS, _EDGES, AssembledForms, BCSegment, \
     BoundarySpec, Grid2D, assemble, build_grid
-from .eigensolver import ConvergenceError, Eigenpairs, solve_smallest
 from .expressions import ExpressionError, compile_expression
 from .geometry import CCStructure, Chart2D, HorizontalField, SampleError, _sample, \
     builtin_euclidean, builtin_grushin_cylinder
-from .grushin import ModeProblem, ModeTable, build_table, cross_validate, \
-    find_eigenvalues, write_table_csv
-from .nodal import check_courant, write_labels_pgm
-from .pgm import field_to_gray, write_pgm
+
+if typing.TYPE_CHECKING:  # imported inside the commands that use them
+    from .eigensolver import Eigenpairs
+    from .grushin import ModeTable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -321,7 +321,9 @@ def _boundary_spec(bc: str | tuple[SegmentConfig, ...], chart: Chart2D) -> Bound
                               for s in bc))
 
 
-def _solve(config: RunConfig, forms: AssembledForms, k: int) -> Eigenpairs:
+def _solve(config: RunConfig, forms: AssembledForms, k: int) -> "Eigenpairs":
+    from .eigensolver import solve_smallest
+
     s = config.solver
     try:
         return solve_smallest(forms, k=k, tol=s.tol, seed=s.seed)
@@ -335,7 +337,7 @@ def _solve(config: RunConfig, forms: AssembledForms, k: int) -> Eigenpairs:
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _write_eigenvalues_csv(pairs: Eigenpairs, path: Path) -> None:
+def _write_eigenvalues_csv(pairs: "Eigenpairs", path: Path) -> None:
     lines = ["index,lambda,residual"]
     for i in range(pairs.k):
         lines.append(f"{i + 1},{float(pairs.lambdas[i])!r},{float(pairs.residuals[i])!r}")
@@ -357,6 +359,9 @@ def _say(quiet: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
+    from .nodal import check_courant, write_labels_pgm
+    from .pgm import field_to_gray, write_pgm
+
     structure, forms = build_problem(config)
     grid = forms.grid
     pairs = _solve(config, forms, config.solver.k)
@@ -408,6 +413,10 @@ def _certificate_field(config: RunConfig, structure: CCStructure,
 
 
 def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
+    from .cheeger import candidate_cuts_grushin, dirichlet_cheeger_upper, \
+        mfmc_certify, superlevel_cuts, sweep_level_sets, verify_inequality, \
+        write_cuts_csv
+
     structure, forms = build_problem(config)
     grid, flavor = forms.grid, forms.flavor
     index = 1 if flavor == "neumann" else 0
@@ -477,13 +486,21 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
     doc["h_source"] = h_source
     doc["certificate_valid"] = certificate_valid
     _write_json(doc, out / "inequality_report.json")
+    if report.satisfied:
+        verdict = "ok"
+    elif h_source == "certificate":
+        verdict = "VIOLATED"
+    else:  # the true h may lie anywhere below h_upper
+        verdict = "fails for the presumed h_lower = h_upper: that bound is not sharp on this grid"
     _say(quiet, f"lambda = {lam:.9g} >= {report.lower_bound:.9g} = h_lower^2/4: "
-                f"slack {report.slack:.9g} ({'ok' if report.satisfied else 'VIOLATED'})")
+                f"slack {report.slack:.9g} ({verdict})")
     return EXIT_OK
 
 
 def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
                       do_cross_validate: bool = False) -> int:
+    from .grushin import build_table, cross_validate, write_table_csv
+
     t = config.table
     table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
     out.mkdir(parents=True, exist_ok=True)
@@ -524,13 +541,15 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
     return EXIT_OK
 
 
-def _table_complete_below(table: ModeTable, t: TableConfig) -> float:
+def _table_complete_below(table: "ModeTable", t: TableConfig) -> float:
     """Largest lambda below which the expanded table lists every eigenvalue.
 
     Each listed mode n covers its spectrum up to its last entry, and modes
     beyond max_n only contribute above the first eigenvalue of mode
     max_n + 1 (the lowest eigenvalue grows with the angular frequency).
     """
+    from .grushin import ModeProblem, find_eigenvalues
+
     per_mode_last = min(max(e.lam for e in table.entries if e.n == n)
                         for n in range(t.max_n + 1))
     next_first = find_eigenvalues(ModeProblem(n=t.max_n + 1, bc=t.bc), 1, tol=t.tol)[0]
@@ -541,16 +560,16 @@ def cmd_carnot(config: RunConfig, out: Path, quiet: bool = False) -> int:
     n = config.carnot.n
     spec = heisenberg_spec(n)
     q = homogeneous_dimension(spec)
-    omegas = {str(a): unit_ball_volume(a) for a in range(1, q)}
+    omegas = unit_ball_volumes(q)
     alpha = hausdorff_constant_heisenberg(n)
     doc = {"n": n, "topological_dimension": 2 * n + 1, "Q": q,
-           "omega": omegas, "alpha": alpha}
+           "omega": {str(a): omegas[a] for a in range(1, q)}, "alpha": alpha}
     out.mkdir(parents=True, exist_ok=True)
     _write_json(doc, out / "carnot.json")
     _say(quiet, f"Heisenberg group of dimension {2 * n + 1}")
     _say(quiet, f"  homogeneous dimension Q = {q}")
     for a in range(1, q):
-        _say(quiet, f"  omega_{a} = {omegas[str(a)]:.12g}")
+        _say(quiet, f"  omega_{a} = {omegas[a]:.12g}")
     _say(quiet, f"  alpha_(Q-1) = 2*omega_{2 * n - 1}/omega_{q - 1} = {alpha:.12g}")
     _say(quiet, f"wrote {out / 'carnot.json'}")
     return EXIT_OK
@@ -598,7 +617,12 @@ def main(argv=None) -> int:
     except (ConfigError, ExpressionError, SampleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
+    except RuntimeError as exc:
+        # Only a loaded eigensolver can have raised its ConvergenceError, so
+        # looking it up in sys.modules keeps scipy out of commands without one.
+        eigensolver = sys.modules.get(f"{__package__}.eigensolver")
+        if eigensolver is None or not isinstance(exc, eigensolver.ConvergenceError):
+            raise
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -31,11 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import CCStructure, Chart2D, _check_compatible
+
+if TYPE_CHECKING:  # scipy.sparse is imported where a matrix is built
+    import scipy.sparse as sp
 
 __all__ = [
     "Grid2D",
@@ -333,6 +336,8 @@ def _stencil_matrix(S: np.ndarray, grid: Grid2D, active: np.ndarray) -> sp.csr_m
     Zeroes S wherever A stores no entry: across a non-periodic edge and at
     every coupling of an eliminated node.
     """
+    import scipy.sparse as sp
+
     n_active = int(np.count_nonzero(active))
     number = np.full(active.shape, -1, dtype=np.int32)  # active index, -1 if eliminated
     number[active] = np.arange(n_active, dtype=np.int32)
@@ -402,6 +407,7 @@ def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:
     are detected and written in symmetric storage (lower triangle).
     """
     import scipy.io  # only this writer needs it
+    import scipy.sparse as sp
 
     matrix = sp.csr_matrix(matrix, dtype=float)
     symmetric = matrix.shape[0] == matrix.shape[1] and (matrix != matrix.T).nnz == 0

@@ -272,7 +272,7 @@ def cross_validate(table: ModeTable, lambdas_2d: np.ndarray) -> CrossValidationR
     absolute error is reported instead.  Raises if the table does not cover
     all 2D eigenvalues handed in.
     """
-    lambdas_2d = np.asarray(getattr(lambdas_2d, "lambdas", lambdas_2d), dtype=float)
+    lambdas_2d = np.asarray(lambdas_2d, dtype=float)
     expanded = table.expanded()
     if len(expanded) < lambdas_2d.size:
         raise ValueError(f"mode table covers {len(expanded)} eigenvalues, "

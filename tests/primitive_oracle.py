@@ -2,8 +2,9 @@
 ``test_primitive_equivalence.py``: the hand-written loops that
 ``nodal._cluster_bounds`` and ``pgm.labels_to_gray`` replaced by numpy
 primitives, the cell-point formulas that ``Grid2D.cell_meshes`` replaced,
-and the per-axis boundary slicing of ``mfmc_certify`` that the grid's edge
-table replaced.
+the per-axis boundary slicing of ``mfmc_certify`` that the grid's edge
+table replaced, and the per-dimension loop of ``unit_ball_volume`` that
+the one-pass table ``unit_ball_volumes`` replaced.
 """
 
 from __future__ import annotations
@@ -69,3 +70,11 @@ def certificate_boundary_values(grid, div2d, vx, vy) -> tuple[float, float | Non
         + ([] if grid.chart.periodic_y else [vy[:, 0], -vy[:, -1]])
     inward_min = float(np.concatenate(inward).min()) if inward else None
     return min_div, inward_min
+
+
+def unit_ball_volume(a: int) -> float:
+    """omega_a by the two-step recurrence, walked from omega_0 or omega_1."""
+    omega = 2.0 if a % 2 else 1.0
+    for b in range(2 + a % 2, a + 1, 2):
+        omega = omega / b * 2.0 * np.pi
+    return float(omega)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -220,13 +221,13 @@ def test_cheeger_certificate_above_upper_bound_is_a_solver_error(tmp_path, monke
                                                                  capsys, excess, code):
     import dataclasses
 
-    import ccspectral.cli as cli
+    import ccspectral.cheeger as cheeger
 
     cfg = write_config(tmp_path, dict(GRUSHIN_CHEEGER, bc="dirichlet"))
     assert run(["cheeger", "--config", cfg, "--out", tmp_path / "plain", "--quiet"]) == 0
     h_upper = json.loads((tmp_path / "plain" / "inequality_report.json").read_text())["h_upper"]
-    certify = cli.mfmc_certify
-    monkeypatch.setattr(cli, "mfmc_certify", lambda *args: dataclasses.replace(
+    certify = cheeger.mfmc_certify
+    monkeypatch.setattr(cheeger, "mfmc_certify", lambda *args: dataclasses.replace(
         certify(*args), h_certified=h_upper * (1.0 + excess)))
     capsys.readouterr()
     out = tmp_path / "run"
@@ -247,12 +248,12 @@ def test_cheeger_neumann_certificate_never_supplies_h_lower(tmp_path, monkeypatc
     # neumann-mode certificate with h > 0 can only be a node-sampling artifact.
     import dataclasses
 
-    import ccspectral.cli as cli
+    import ccspectral.cheeger as cheeger
 
     doc = json.loads(json.dumps(GRUSHIN_CHEEGER))
     doc["cheeger"]["certificate"]["mode"] = "neumann"
-    certify = cli.mfmc_certify
-    monkeypatch.setattr(cli, "mfmc_certify", lambda *args: dataclasses.replace(
+    certify = cheeger.mfmc_certify
+    monkeypatch.setattr(cheeger, "mfmc_certify", lambda *args: dataclasses.replace(
         certify(*args), valid=True, h_certified=0.2))
     out = tmp_path / "run"
     assert run(["cheeger", "--config", write_config(tmp_path, doc),
@@ -338,6 +339,20 @@ def test_cheeger_ignores_solver_k(tmp_path):
     assert run(["cheeger", "--config", write_config(tmp_path, doc),
                 "--out", out, "--quiet"]) == 0
     assert strict_json(out / "inequality_report.json")["kind"] == "dirichlet"
+
+
+def test_cheeger_presumed_bound_is_not_reported_violated(tmp_path, capsys):
+    # Without a certificate h_lower is the best cut's ratio, presumed sharp.
+    # On a 2x2-node interior the 3 level cuts overstate h, so lambda falls
+    # short of h_upper^2/4; that is the presumption failing, not the inequality.
+    doc = {"structure": {"kind": "euclidean"}, "grid": {"nx": 4, "ny": 4}, "bc": "dirichlet"}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    report = strict_json(out / "inequality_report.json")
+    assert report["h_source"] == "upper_bound_presumed" and report["satisfied"] is False
+    assert "VIOLATED" not in stdout
+    assert "(fails for the presumed h_lower = h_upper: that bound is not sharp" in stdout
 
 
 @pytest.mark.parametrize("nx, ny", [(4, 4), (6, 6)])
@@ -501,9 +516,49 @@ def test_carnot_large_n(tmp_path, n):
     assert all(np.isfinite(w) and w >= 0.0 for w in doc["omega"].values())
 
 
+def test_carnot_json_bytes(tmp_path):
+    out = tmp_path / "run"
+    assert run(["carnot", "--out", out, "--quiet"]) == 0
+    assert (out / "carnot.json").read_text() == """{
+  "Q": 4,
+  "alpha": 0.954929658551372,
+  "n": 1,
+  "omega": {
+    "1": 2.0,
+    "2": 3.141592653589793,
+    "3": 4.1887902047863905
+  },
+  "topological_dimension": 3
+}
+"""
+
+
+def test_carnot_is_linear_in_n(tmp_path):
+    # one pass of the omega recurrence; a per-dimension loop took 12 s here
+    cfg = write_config(tmp_path, {"carnot": {"n": 16000}})
+    start = time.perf_counter()
+    assert run(["carnot", "--config", cfg, "--out", tmp_path / "run", "--quiet"]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert len(json.loads((tmp_path / "run" / "carnot.json").read_text())["omega"]) == 32001
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
+
+def test_convergence_error_is_a_solver_error(tmp_path, monkeypatch, capsys):
+    import ccspectral.eigensolver as eigensolver
+
+    def fail(*args, **kwargs):
+        raise eigensolver.ConvergenceError("residuals [1.0] exceed tol=1e-08")
+
+    monkeypatch.setattr(eigensolver, "solve_smallest", fail)
+    out = tmp_path / "run"
+    assert run(["spectrum", "--config", write_config(tmp_path, GRUSHIN_SPECTRUM),
+                "--out", out]) == 3
+    assert capsys.readouterr().err == "solver error: residuals [1.0] exceed tol=1e-08\n"
+    assert cc.ConvergenceError is eigensolver.ConvergenceError
+
 
 def test_missing_config_file(tmp_path, capsys):
     assert run(["spectrum", "--config", tmp_path / "nope.json",

@@ -1,6 +1,7 @@
 """Cluster bounds and label gray levels from numpy primitives, cell points
-and certificate boundary values from the grid's edge table, against the
-code they replaced (``primitive_oracle``): equal on every input."""
+and certificate boundary values from the grid's edge table, and the one-pass
+unit-ball volume table, against the code they replaced
+(``primitive_oracle``): equal on every input."""
 
 import numpy as np
 import pytest
@@ -87,3 +88,13 @@ def test_certificate_boundary_values_match_the_slicing(periodic):
                                                   *V.chart_components(structure))
         got = (cert.min_divergence, cert.boundary_inward_min)
         assert repr(got) == repr(want)
+
+
+def test_unit_ball_volume_table_matches_the_loop():
+    # every omega_a that carnot.json lists for n <= 50
+    table = cc.unit_ball_volumes(102)
+    assert len(table) == 102
+    for a, omega in enumerate(table):
+        want = oracle.unit_ball_volume(a)
+        assert omega.hex() == want.hex()
+        assert cc.unit_ball_volume(a).hex() == want.hex()
