@@ -16,7 +16,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines
+# submodule -> the public names it defines: the package's one list of them
+# (the submodules keep no __all__ of their own)
 _EXPORTS = {
     "carnot": ("CarnotSpec", "HeisenbergPoint", "d_infty", "dilate", "h_identity",
                "h_inv", "h_mul", "h_norm", "hausdorff_constant_heisenberg",
@@ -25,7 +26,7 @@ _EXPORTS = {
     "cheeger": ("CoareaReport", "Cut", "FlowCertificate", "InequalityReport",
                 "candidate_cuts_grushin", "coarea_check", "cut_from_level_set",
                 "dirichlet_cheeger_upper", "horizontal_perimeter", "mfmc_certify",
-                "region_volume", "superlevel_cuts", "sweep_level_sets",
+                "region_volume", "superlevel_cuts", "sweep_level_sets", "upper_bound",
                 "verify_inequality", "write_cuts_csv", "write_cut_segments_csv"),
     "cli": ("RunConfig", "main"),
     "discretization": ("AssembledForms", "BCSegment", "BoundarySpec", "Grid2D",
@@ -34,13 +35,14 @@ _EXPORTS = {
     "eigensolver": ("ConvergenceError", "Eigenpairs", "MinMaxReport", "check_minmax",
                     "solve_smallest"),
     "expressions": ("Expression", "ExpressionError", "compile_expression"),
-    "geometry": ("CCStructure", "Chart2D", "HorizontalField", "builtin_euclidean",
-                 "builtin_grushin_cylinder", "constant_coefficient", "divergence"),
-    "grushin": ("CrossValidationReport", "ModeProblem", "ModeTable", "build_table",
-                "cross_validate", "find_eigenvalues", "mode_zero_crossings", "shoot",
-                "write_table_csv"),
-    "nodal": ("CourantReport", "NodalDecomposition", "check_courant", "nodal_domains",
-              "write_labels_pgm"),
+    "geometry": ("CCStructure", "Chart2D", "HorizontalField", "SampleError",
+                 "builtin_euclidean", "builtin_grushin_cylinder", "constant_coefficient",
+                 "divergence"),
+    "grushin": ("CrossValidationReport", "ModeEntry", "ModeProblem", "ModeTable",
+                "build_table", "complete_below", "cross_validate", "find_eigenvalues",
+                "mode_zero_crossings", "shoot", "write_table_csv"),
+    "nodal": ("CourantEntry", "CourantReport", "NodalDecomposition", "check_courant",
+              "nodal_domains", "write_labels_pgm"),
     "pgm": ("field_to_gray", "labels_to_gray", "write_pgm"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

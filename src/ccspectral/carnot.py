@@ -14,22 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "HeisenbergPoint",
-    "h_mul",
-    "h_inv",
-    "h_identity",
-    "h_norm",
-    "d_infty",
-    "dilate",
-    "CarnotSpec",
-    "heisenberg_spec",
-    "homogeneous_dimension",
-    "unit_ball_volume",
-    "unit_ball_volumes",
-    "hausdorff_constant_heisenberg",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class HeisenbergPoint:

@@ -6,10 +6,10 @@ chart-Euclidean unit normal; this is the integrand for which the coarea
 identity and the dual characterization by unit-coefficient vector fields
 hold, and it degenerates exactly where the generating family does.
 Upper bounds come from explicit cut families and from level sets of grid
-functions (marching squares); lower bounds come from divergence
-certificates: a horizontal field V with |V| <= 1 and div V >= h witnesses
-h as a Cheeger lower bound (for the Neumann flavor V must in addition
-point inward along the boundary).
+functions (marching squares), chosen per boundary flavor by upper_bound;
+lower bounds come from divergence certificates: a horizontal field V with
+|V| <= 1 and div V >= h witnesses h as a Cheeger lower bound (for the
+Neumann flavor V must in addition point inward along the boundary).
 """
 
 from __future__ import annotations
@@ -21,25 +21,6 @@ import numpy as np
 
 from .discretization import Grid2D
 from .geometry import CCStructure, HorizontalField, divergence
-
-__all__ = [
-    "Cut",
-    "horizontal_perimeter",
-    "region_volume",
-    "cut_from_level_set",
-    "sweep_level_sets",
-    "candidate_cuts_grushin",
-    "superlevel_cuts",
-    "dirichlet_cheeger_upper",
-    "FlowCertificate",
-    "mfmc_certify",
-    "InequalityReport",
-    "verify_inequality",
-    "CoareaReport",
-    "coarea_check",
-    "write_cuts_csv",
-    "write_cut_segments_csv",
-]
 
 _KINDS = ("dirichlet", "neumann", "mixed")
 
@@ -80,22 +61,21 @@ def _segments_array(segments) -> np.ndarray:
 
 def _validate_in_chart(structure: CCStructure, segs: np.ndarray) -> None:
     chart = structure.chart
-    tol_x = 1e-9 * chart.x_length
-    tol_y = 1e-9 * chart.y_length
-    xs = segs[..., 0]
-    ys = segs[..., 1]
-    if xs.size == 0:
+    if segs.size == 0:
         return
-    if xs.min() < chart.x_range[0] - tol_x or xs.max() > chart.x_range[1] + tol_x:
-        raise ValueError("segment endpoint outside the chart in x")
-    if ys.min() < chart.y_range[0] - tol_y or ys.max() > chart.y_range[1] + tol_y:
-        raise ValueError("segment endpoint outside the chart in y")
+    for axis, (lo, hi), length in ((0, chart.x_range, chart.x_length),
+                                   (1, chart.y_range, chart.y_length)):
+        values, tol = segs[..., axis], 1e-9 * length
+        if values.min() < lo - tol or values.max() > hi + tol:
+            raise ValueError(f"segment endpoint outside the chart in {'xy'[axis]}")
 
 
 def horizontal_perimeter(structure: CCStructure, segments) -> float:
     """Horizontal perimeter of a polyline: adaptive midpoint quadrature of
     rho * ||(<X_i, nu>)_i||_2, refined until successive composite rules agree
-    to PERIMETER_REL_TOL.  Zero-length segments contribute nothing.
+    to PERIMETER_REL_TOL, else raises ValueError after PERIMETER_MAX_REFINE
+    halvings (an integrable singularity on the cut slows the rule down).
+    Zero-length segments contribute nothing.
     """
     segs = _segments_array(segments)
     _validate_in_chart(structure, segs)
@@ -122,8 +102,8 @@ def horizontal_perimeter(structure: CCStructure, segments) -> float:
         if abs(total - total_prev) <= PERIMETER_REL_TOL * max(abs(total), 1e-300):
             return total
         total_prev = total
-    raise RuntimeError(f"perimeter quadrature did not reach rel_tol={PERIMETER_REL_TOL} "
-                       f"after {PERIMETER_MAX_REFINE} refinements")
+    raise ValueError(f"perimeter quadrature did not reach rel_tol={PERIMETER_REL_TOL} "
+                     f"after {PERIMETER_MAX_REFINE} refinements")
 
 
 def region_volume(structure: CCStructure, grid: Grid2D, cell_mask: np.ndarray) -> float:
@@ -342,6 +322,32 @@ def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u, cuts) -> fl
     return min(ratios)
 
 
+def upper_bound(structure: CCStructure, grid: Grid2D, flavor: str, u,
+                n_levels: int) -> tuple[list[Cut], float]:
+    """The cuts a run lists for h_flavor and the upper bound they give.
+
+    u is lambda_2's eigenfunction for neumann, else lambda_1's, on the full
+    grid.  Neumann: the Grushin cylinder's closed-form families (for that
+    structure) and the best quantile level cut of u.  Dirichlet and mixed:
+    the two-sided superlevel_cuts of u; dirichlet_cheeger_upper reads them
+    all.  Raises ValueError when the grid is too coarse for any admissible cut.
+    """
+    if flavor not in _KINDS:
+        raise ValueError(f"flavor must be one of {_KINDS}, got {flavor!r}")
+    if flavor == "neumann":
+        cuts = (candidate_cuts_grushin(structure, grid)
+                if structure.name == "grushin-cylinder" else [])
+        cuts.append(sweep_level_sets(structure, grid, u, n_levels=n_levels))
+        return cuts, min(c.ratio for c in cuts)
+    level_cuts = superlevel_cuts(structure, grid, u, n_levels=n_levels)
+    cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
+    if flavor == "dirichlet":
+        return cuts, dirichlet_cheeger_upper(structure, grid, u, level_cuts)
+    if not cuts:
+        raise ValueError("no level produced a two-sided cut")
+    return cuts, min(c.ratio for c in cuts)
+
+
 @dataclass(frozen=True)
 class FlowCertificate:
     """Divergence lower-bound certificate carried by a horizontal field.
@@ -372,6 +378,13 @@ class FlowCertificate:
         positive h_certified there is an artifact of sampling nodes.
         """
         return self.mode != "neumann"
+
+    def h_lower_for(self, flavor: str) -> float | None:
+        """h_certified as a lower bound for h_flavor, or None when this
+        certificate gives none: it must be valid, supply h_lower and have
+        been checked in the mode of that flavor."""
+        usable = self.valid and self.supplies_h_lower and self.mode == flavor
+        return self.h_certified if usable else None
 
     def to_dict(self) -> dict:
         return {**asdict(self), "supplies_h_lower": self.supplies_h_lower, "sampling": "nodes"}
@@ -432,8 +445,8 @@ def verify_inequality(lambda_value: float, h_lower: float, kind: str,
     """Check the Cheeger inequality lambda >= h^2/4 for a certified h.
 
     kind is dirichlet (lambda_1), neumann (lambda_2) or mixed (lambda_1 of
-    the mixed problem).  A FlowCertificate's h_certified is a valid h_lower
-    only when the certificate is valid and supplies_h_lower.
+    the mixed problem).  FlowCertificate.h_lower_for says when a
+    certificate's h_certified may serve as h_lower.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")

@@ -12,9 +12,11 @@ Four subcommands drive the library end to end from a JSON configuration:
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 ``--quiet``.  Exit codes: 0 on success, 2 on a configuration error, 3 when
 the eigensolver fails to converge, a certified lower Cheeger bound
-contradicts the upper bound from cuts, a Dirichlet grid is too coarse for
-any level set to enclose a region, or a mixed grid is too coarse for any
-level set to cut it in two.  CSV artifacts use the shortest
+contradicts the upper bound from cuts, or ``cheeger.upper_bound`` finds no
+admissible cut on the grid: a Dirichlet grid too coarse for any level set
+to enclose a region, a mixed or Neumann grid too coarse for any level set
+to cut it in two, or a cut whose perimeter quadrature does not converge
+(an integrable density singularity on it).  CSV artifacts use the shortest
 round-trip decimal representation for floats so identical runs produce
 byte-identical files.
 
@@ -46,7 +48,6 @@ from .geometry import CCStructure, Chart2D, HorizontalField, SampleError, _sampl
 
 if typing.TYPE_CHECKING:  # imported inside the commands that use them
     from .eigensolver import Eigenpairs
-    from .grushin import ModeTable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -413,9 +414,7 @@ def _certificate_field(config: RunConfig, structure: CCStructure,
 
 
 def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
-    from .cheeger import candidate_cuts_grushin, dirichlet_cheeger_upper, \
-        mfmc_certify, superlevel_cuts, sweep_level_sets, verify_inequality, \
-        write_cuts_csv
+    from .cheeger import mfmc_certify, upper_bound, verify_inequality, write_cuts_csv
 
     structure, forms = build_problem(config)
     grid, flavor = forms.grid, forms.flavor
@@ -425,67 +424,45 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
 
     lam = float(pairs.lambdas[index])
     u = forms.expand(pairs.vectors[:, index])
-    if flavor == "neumann":
-        cuts = (candidate_cuts_grushin(structure, grid)
-                if structure.name == "grushin-cylinder" else [])
-        cuts.append(sweep_level_sets(structure, grid, u, n_levels=config.cheeger.levels))
-        h_upper = min(c.ratio for c in cuts)
-    else:
-        # cuts.csv lists the two-sided level cuts; the Dirichlet bound reads them all
-        level_cuts = superlevel_cuts(structure, grid, u, n_levels=config.cheeger.levels)
-        cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
-        try:  # too coarse a grid for any admissible level set
-            if flavor == "dirichlet":
-                h_upper = dirichlet_cheeger_upper(structure, grid, u, level_cuts)
-            elif cuts:
-                h_upper = min(c.ratio for c in cuts)
-            else:
-                raise ValueError("no level produced a two-sided cut")
-        except ValueError as exc:
-            print(f"solver error: {exc} on the {grid.nx}x{grid.ny} grid with "
-                  f"{config.cheeger.levels} levels", file=sys.stderr)
-            return EXIT_SOLVER
+    try:
+        cuts, h_upper = upper_bound(structure, grid, flavor, u, config.cheeger.levels)
+    except SampleError:  # a coefficient or density sample, not the grid, is at fault
+        raise
+    except ValueError as exc:  # too coarse a grid for any admissible cut
+        print(f"solver error: {exc} on the {grid.nx}x{grid.ny} grid with "
+              f"{config.cheeger.levels} levels", file=sys.stderr)
+        return EXIT_SOLVER
 
     write_cuts_csv(cuts, out / "cuts.csv")
-    best = min(cuts, key=lambda c: c.ratio) if cuts else None
-    if best is not None:
+    if cuts:
+        best = min(cuts, key=lambda c: c.ratio)
         _say(quiet, f"{len(cuts)} candidate cuts; best: {best.kind} "
                     f"ratio = {best.ratio:.9g}")
     _say(quiet, f"upper bound for h_{flavor}: {h_upper:.9g}")
 
     # Unless a certificate bounds h from below, presume the best upper bound
     # is sharp, so the report still exercises lambda >= h^2/4 with a concrete h.
-    h_lower = h_upper
-    h_source = "upper_bound_presumed"
-    certificate_valid = None
+    h_lower, h_source, certificate_valid = h_upper, "upper_bound_presumed", None
     if config.cheeger.certificate is not None:
         V = _certificate_field(config, structure, grid)
         certificate = mfmc_certify(structure, grid, V, config.cheeger.certificate.mode)
         _write_json(certificate.to_dict(), out / "certificate.json")
         certificate_valid = certificate.valid
-        if not certificate.valid:
-            _say(quiet, "certificate INVALID (see certificate.json)")
-        elif not certificate.supplies_h_lower:
-            _say(quiet, f"certificate valid for mode {certificate.mode}, which certifies "
-                        f"no positive h; not used as h_lower")
-        elif certificate.mode == flavor:
-            h_lower = certificate.h_certified
-            h_source = "certificate"
+        certified = certificate.h_lower_for(flavor)
+        if certified is None:
+            _say(quiet, f"certificate {'valid' if certificate.valid else 'INVALID'} for mode "
+                        f"{certificate.mode}; not used for the {flavor} inequality")
+        else:
+            h_lower, h_source = certified, "certificate"
             _say(quiet, f"certificate valid: h >= {h_lower:.9g}")
             if h_lower > h_upper * (1.0 + 1e-9):
                 print(f"solver error: certified lower bound h >= {h_lower!r} exceeds "
                       f"the upper bound h <= {h_upper!r}", file=sys.stderr)
                 return EXIT_SOLVER
-        else:
-            _say(quiet, f"certificate valid for mode {certificate.mode}; "
-                        f"not used for the {flavor} inequality")
 
     report = verify_inequality(lam, h_lower, flavor)
-    doc = report.to_dict()
-    doc["h_upper"] = h_upper
-    doc["h_source"] = h_source
-    doc["certificate_valid"] = certificate_valid
-    _write_json(doc, out / "inequality_report.json")
+    _write_json({**report.to_dict(), "h_upper": h_upper, "h_source": h_source,
+                 "certificate_valid": certificate_valid}, out / "inequality_report.json")
     if report.satisfied:
         verdict = "ok"
     elif h_source == "certificate":
@@ -499,61 +476,43 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
 
 def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
                       do_cross_validate: bool = False) -> int:
-    from .grushin import build_table, cross_validate, write_table_csv
+    from .grushin import build_table, complete_below, cross_validate, write_table_csv
 
     t = config.table
     table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grushin_table.csv"
 
-    if not do_cross_validate:
-        write_table_csv(table, path)
-        for e in table.entries:
-            _say(quiet, f"  n={e.n} m={e.m}  lambda = {e.lam:.9g}  x{e.multiplicity}")
-        _say(quiet, f"wrote {path}")
-        return EXIT_OK
+    worst = None  # (n, m) -> relative error of the 2D cross-check
+    if do_cross_validate:
+        _, forms = build_problem(replace(config, structure=StructureConfig(), bc=t.bc))
+        threshold = complete_below(table, t.tol)
+        covered = [e for e in table.expanded()
+                   if e.lam < threshold - 1e-9 * max(1.0, threshold)]
+        if not covered:
+            raise ConfigError("table is too small for a 2D cross-check: higher "
+                              "angular modes interleave below every entry; "
+                              "increase table.max_n")
+        k = min(len(covered), forms.n_active)
+        report = cross_validate(table, _solve(config, forms, k).lambdas[:k])
+        worst = {}
+        for _lam2d, _lam_mode, n, m, err in report.pairs:
+            worst[n, m] = max(worst.get((n, m), 0.0), err)
 
-    _, forms = build_problem(replace(config, structure=StructureConfig(), bc=t.bc))
-    threshold = _table_complete_below(table, t)
-    covered = [e for e in table.expanded()
-               if e.lam < threshold - 1e-9 * max(1.0, threshold)]
-    if not covered:
-        raise ConfigError("table is too small for a 2D cross-check: higher "
-                          "angular modes interleave below every entry; "
-                          "increase table.max_n")
-    k = min(len(covered), forms.n_active)
-    pairs = _solve(config, forms, k)
-    report = cross_validate(table, pairs.lambdas[:k])
-
-    worst: dict[tuple[int, int], float] = {}
-    for _lam2d, _lam_mode, n, m, err in report.pairs:
-        key = (n, m)
-        worst[key] = max(worst.get(key, 0.0), err)
     write_table_csv(table, path, errors=worst)
     for e in table.entries:
-        err = worst.get((e.n, e.m))
-        shown = "not covered by the 2D solve" if err is None else f"rel err 2d = {err:.3e}"
-        _say(quiet, f"  n={e.n} m={e.m}  lambda = {e.lam:.9g}  x{e.multiplicity}  {shown}")
-    _say(quiet, f"max relative error over the {k} eigenvalues below "
-                f"{threshold:.6g} vs the {forms.grid.nx}x{forms.grid.ny} grid: "
-                f"{report.max_rel_error:.3e}")
+        shown = ""
+        if worst is not None:
+            err = worst.get((e.n, e.m))
+            shown = ("  not covered by the 2D solve" if err is None
+                     else f"  rel err 2d = {err:.3e}")
+        _say(quiet, f"  n={e.n} m={e.m}  lambda = {e.lam:.9g}  x{e.multiplicity}{shown}")
+    if worst is not None:
+        _say(quiet, f"max relative error over the {k} eigenvalues below "
+                    f"{threshold:.6g} vs the {forms.grid.nx}x{forms.grid.ny} grid: "
+                    f"{report.max_rel_error:.3e}")
     _say(quiet, f"wrote {path}")
     return EXIT_OK
-
-
-def _table_complete_below(table: "ModeTable", t: TableConfig) -> float:
-    """Largest lambda below which the expanded table lists every eigenvalue.
-
-    Each listed mode n covers its spectrum up to its last entry, and modes
-    beyond max_n only contribute above the first eigenvalue of mode
-    max_n + 1 (the lowest eigenvalue grows with the angular frequency).
-    """
-    from .grushin import ModeProblem, find_eigenvalues
-
-    per_mode_last = min(max(e.lam for e in table.entries if e.n == n)
-                        for n in range(t.max_n + 1))
-    next_first = find_eigenvalues(ModeProblem(n=t.max_n + 1, bc=t.bc), 1, tol=t.tol)[0]
-    return min(per_mode_last, float(next_first))
 
 
 def cmd_carnot(config: RunConfig, out: Path, quiet: bool = False) -> int:

@@ -40,17 +40,6 @@ from .geometry import CCStructure, Chart2D, _check_compatible
 if TYPE_CHECKING:  # scipy.sparse is imported where a matrix is built
     import scipy.sparse as sp
 
-__all__ = [
-    "Grid2D",
-    "build_grid",
-    "BCSegment",
-    "BoundarySpec",
-    "AssembledForms",
-    "assemble",
-    "rayleigh_quotient",
-    "write_matrix_market",
-]
-
 _EDGES = {"x_min": (0, 0), "x_max": (0, -1), "y_min": (1, 0), "y_max": (1, -1)}
 _CONDITIONS = ("dirichlet", "neumann")
 

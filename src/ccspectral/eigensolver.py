@@ -35,9 +35,6 @@ import scipy.sparse.linalg as spla
 
 from .discretization import AssembledForms
 
-__all__ = ["Eigenpairs", "ConvergenceError", "solve_smallest", "check_minmax", "MinMaxReport"]
-
-
 # Lanczos iteration budget per requested mode.
 MAXITER_PER_MODE = 50
 

@@ -22,8 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ExpressionError", "Expression", "compile_expression"]
-
 _FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": np.log, "sqrt": np.sqrt, "abs": np.abs,

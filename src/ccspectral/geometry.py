@@ -21,17 +21,6 @@ import numpy as np
 if TYPE_CHECKING:  # only for annotations; discretization imports this module
     from .discretization import Grid2D
 
-__all__ = [
-    "Chart2D",
-    "CCStructure",
-    "HorizontalField",
-    "SampleError",
-    "constant_coefficient",
-    "builtin_grushin_cylinder",
-    "builtin_euclidean",
-    "divergence",
-]
-
 Coefficient = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -45,14 +34,11 @@ class Chart2D:
     periodic_y: bool = False
 
     def __post_init__(self):
-        xr = (float(self.x_range[0]), float(self.x_range[1]))
-        yr = (float(self.y_range[0]), float(self.y_range[1]))
-        object.__setattr__(self, "x_range", xr)
-        object.__setattr__(self, "y_range", yr)
-        if not xr[1] > xr[0]:
-            raise ValueError(f"x_range must have positive length, got {xr}")
-        if not yr[1] > yr[0]:
-            raise ValueError(f"y_range must have positive length, got {yr}")
+        for name in ("x_range", "y_range"):
+            lo, hi = (float(v) for v in getattr(self, name))
+            object.__setattr__(self, name, (lo, hi))
+            if not hi > lo:
+                raise ValueError(f"{name} must have positive length, got {(lo, hi)}")
 
     @property
     def x_length(self) -> float:

@@ -23,19 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ModeProblem",
-    "shoot",
-    "mode_zero_crossings",
-    "find_eigenvalues",
-    "ModeEntry",
-    "ModeTable",
-    "build_table",
-    "CrossValidationReport",
-    "cross_validate",
-    "write_table_csv",
-]
-
 _BCS = ("neumann", "dirichlet")
 
 ODE_TOL = 1e-10  # relative local tolerance of every integration; atol is 1e-2 of it
@@ -217,10 +204,8 @@ class ModeTable:
 
     def expanded(self) -> list[ModeEntry]:
         """Entries repeated by multiplicity, ascending in lambda."""
-        out: list[ModeEntry] = []
-        for e in self.entries:
-            out.extend([e] * e.multiplicity)
-        return sorted(out, key=lambda e: (e.lam, e.n, e.m))
+        return sorted((e for e in self.entries for _ in range(e.multiplicity)),
+                      key=lambda e: (e.lam, e.n, e.m))
 
 
 def build_table(max_n: int, max_m: int, bc: str = "neumann",
@@ -238,6 +223,20 @@ def build_table(max_n: int, max_m: int, bc: str = "neumann",
             entries.append(ModeEntry(n=n, m=m, lam=float(lam),
                                      multiplicity=1 if n == 0 else 2))
     return ModeTable(entries=tuple(entries), bc=bc, max_n=max_n, max_m=max_m)
+
+
+def complete_below(table: ModeTable, tol: float = 1e-8) -> float:
+    """Largest lambda below which the expanded table lists every eigenvalue.
+
+    Each listed mode n covers its spectrum up to its last entry, and modes
+    beyond max_n only contribute above the first eigenvalue of mode
+    max_n + 1 (the lowest eigenvalue grows with the angular frequency),
+    which is found to ``tol``.
+    """
+    per_mode_last = min(max(e.lam for e in table.entries if e.n == n)
+                        for n in range(table.max_n + 1))
+    next_first = find_eigenvalues(ModeProblem(n=table.max_n + 1, bc=table.bc), 1, tol=tol)[0]
+    return min(per_mode_last, float(next_first))
 
 
 def write_table_csv(table: ModeTable, path, errors=None) -> None:
@@ -278,10 +277,9 @@ def cross_validate(table: ModeTable, lambdas_2d: np.ndarray) -> CrossValidationR
         raise ValueError(f"mode table covers {len(expanded)} eigenvalues, "
                          f"{lambdas_2d.size} requested; enlarge max_n/max_m")
     pairs = []
-    worst = 0.0
     for lam2d, entry in zip(lambdas_2d, expanded):
         ref = abs(entry.lam)
         err = float(abs(lam2d - entry.lam) / (ref if ref > 1e-9 else 1.0))
-        worst = max(worst, err)
         pairs.append((float(lam2d), entry.lam, entry.n, entry.m, err))
-    return CrossValidationReport(pairs=tuple(pairs), max_rel_error=worst)
+    return CrossValidationReport(pairs=tuple(pairs),
+                                 max_rel_error=max((p[-1] for p in pairs), default=0.0))

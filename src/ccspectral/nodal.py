@@ -21,15 +21,6 @@ from .discretization import AssembledForms, Grid2D
 from .eigensolver import Eigenpairs
 from .pgm import labels_to_gray, write_pgm
 
-__all__ = [
-    "NodalDecomposition",
-    "nodal_domains",
-    "CourantEntry",
-    "CourantReport",
-    "check_courant",
-    "write_labels_pgm",
-]
-
 
 @dataclass(frozen=True)
 class NodalDecomposition:

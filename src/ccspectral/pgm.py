@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_pgm", "field_to_gray", "labels_to_gray"]
-
 
 def write_pgm(gray: np.ndarray, path) -> None:
     """Write a 2D uint8 array (rows, cols) as a binary PGM file."""

@@ -320,6 +320,49 @@ def test_dirichlet_upper_requires_vanishing_trace(grushin, grushin_grid):
                                    np.zeros(grushin_grid.n_nodes), [])
 
 
+def test_upper_bound_follows_the_flavor(grushin, grushin_grid):
+    X, _ = grushin_grid.meshes()
+    u = np.sin(np.pi * X).ravel()
+    level_cuts = cc.superlevel_cuts(grushin, grushin_grid, u, n_levels=12)
+    two_sided = [c.ratio for c in level_cuts if np.isfinite(c.ratio)]
+    cuts, h = cc.upper_bound(grushin, grushin_grid, "dirichlet", u, 12)
+    assert [c.ratio for c in cuts] == two_sided
+    assert h == cc.dirichlet_cheeger_upper(grushin, grushin_grid, u, level_cuts)
+    cuts, h = cc.upper_bound(grushin, grushin_grid, "mixed", u, 12)
+    assert [c.ratio for c in cuts] == two_sided and h == min(two_sided)
+    # neumann adds the cylinder's closed-form families to the best level cut
+    cuts, h = cc.upper_bound(grushin, grushin_grid, "neumann", np.cos(np.pi * X).ravel(), 12)
+    assert [c.kind for c in cuts].count("level_set") == 1
+    assert {"vertical_circle", "line_pair"} <= {c.kind for c in cuts}
+    assert h == min(c.ratio for c in cuts) == pytest.approx(1.0 / np.pi, rel=1e-9)
+    with pytest.raises(ValueError, match="flavor"):
+        cc.upper_bound(grushin, grushin_grid, "robin", u, 12)
+
+
+def test_perimeter_quadrature_failure_is_a_value_error():
+    # integrable, but the midpoint rule converges like h^(1/2) through x = 0.55
+    e = cc.compile_expression
+    singular = cc.CCStructure(cc.Chart2D((0.0, 1.0), (0.0, 1.0)),
+                              ((e("1"), e("0")), (e("0"), e("1"))),
+                              density=e("1/sqrt(abs(x-0.55))"))
+    with pytest.raises(ValueError, match="perimeter quadrature did not reach"):
+        cc.horizontal_perimeter(singular, (((0.0, 0.5), (1.0, 0.5)),))
+
+
+def test_certificate_h_lower_for_each_flavor(grushin, grushin_grid):
+    import dataclasses
+
+    X, _ = grushin_grid.meshes()
+    V = make_field(grushin_grid, X.ravel(), 0.0)
+    cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="dirichlet")
+    assert cert.h_lower_for("dirichlet") == cert.h_certified
+    assert cert.h_lower_for("neumann") is None and cert.h_lower_for("mixed") is None
+    assert dataclasses.replace(cert, valid=False).h_lower_for("dirichlet") is None
+    # a valid neumann-mode certificate supplies no h_lower, even for neumann
+    inward = dataclasses.replace(cert, mode="neumann")
+    assert inward.valid and inward.h_lower_for("neumann") is None
+
+
 # ---------------------------------------------------------------------------
 # inequality reports
 # ---------------------------------------------------------------------------

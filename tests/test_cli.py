@@ -378,6 +378,51 @@ def test_cheeger_mixed_grid_too_coarse_for_a_cut(tmp_path, capsys, nx, ny):
     assert not (out / "inequality_report.json").exists()
 
 
+def assert_grid_error(capsys, out, grid_text, cause):
+    """One stderr line naming the cause and the grid; no report written."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver error: {cause}") and err.count("\n") == 1
+    assert f"{grid_text} grid with 40 levels" in err
+    assert not (out / "inequality_report.json").exists()
+
+
+def test_cheeger_neumann_grid_too_coarse_for_a_cut(tmp_path, capsys):
+    # no quantile level of lambda_2's eigenfunction cuts this 4x4 grid in two
+    doc = {"structure": {"kind": "custom", "chart": {"periodic_y": True},
+                         "fields": [["1", "0"], ["0", "x"]]},
+           "grid": {"nx": 4, "ny": 4}}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+    assert_grid_error(capsys, out, "4x4", "no level produced a two-sided cut")
+
+
+def test_cheeger_density_singularity_on_a_cut(tmp_path, capsys):
+    # rho = |x - 0.55|^(-1/2) is integrable, but on a cut through x = 0.55
+    # the perimeter's midpoint rule converges like h^(1/2) and gives up
+    doc = {"structure": {"kind": "custom", "chart": {}, "fields": [["1", "0"], ["0", "1"]],
+                         "density": "1/sqrt(abs(x-0.55))"},
+           "grid": {"nx": 5, "ny": 5}, "bc": "dirichlet"}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+    assert_grid_error(capsys, out, "5x5", "perimeter quadrature did not reach")
+
+
+def test_cheeger_sample_error_on_a_cut_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # a SampleError is a ValueError, but the structure is at fault, not the grid
+    import ccspectral.cheeger as cheeger
+
+    def failing(structure, segments):
+        raise cc.SampleError("density", structure.density, "not finite",
+                             np.array([np.nan]), 0.5, 0.5)
+
+    monkeypatch.setattr(cheeger, "horizontal_perimeter", failing)
+    doc = {"grid": {"nx": 8, "ny": 16}, "bc": "dirichlet", "cheeger": {"levels": 4}}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: density is not finite")
+    assert not (out / "inequality_report.json").exists()
+
+
 def strict_json(path):
     """The JSON document at path; NaN, Infinity and -Infinity are errors."""
     def reject(constant):

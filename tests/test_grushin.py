@@ -119,6 +119,18 @@ def test_cross_validate_against_2d_solver(grushin, neumann_table):
     assert ns == [0, 1, 1, 2, 2]
 
 
+def test_complete_below_stops_at_the_first_missing_eigenvalue(neumann_table):
+    # max_n = 1, max_m = 1: lambda_{2,0} ~ 1.20 lies below the last entries
+    # pi^2 and lambda_{1,1}, so the listed spectrum is complete only below it
+    small = cc.build_table(1, 1, bc="neumann")
+    next_first = cc.find_eigenvalues(cc.ModeProblem(n=2), 1)[0]
+    assert cc.complete_below(small) == next_first
+    # max_n = 2: lambda_{3,0} < 9 still lies below every mode's last entry
+    assert cc.complete_below(neumann_table) == cc.find_eigenvalues(cc.ModeProblem(n=3), 1)[0]
+    # a table with one entry per mode is complete only below the n = 0 entry 0
+    assert cc.complete_below(cc.build_table(1, 0)) == neumann_table.lam(0, 0)
+
+
 def test_cross_validate_rejects_too_many_values(neumann_table):
     with pytest.raises(ValueError):
         cc.cross_validate(neumann_table, np.zeros(16))

@@ -2,6 +2,8 @@
 package, and each command only the layers it runs.  Every check starts a
 fresh interpreter, since this process has long since loaded everything."""
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -83,3 +85,18 @@ def test_cheeger_and_cross_validation_skip_the_nodal_layer(tmp_path, command, do
     assert "ccspectral.eigensolver" in modules  # the command did solve
     assert "ccspectral.nodal" not in modules
     assert "scipy.sparse.csgraph" not in modules
+
+
+def test_the_package_table_is_the_one_list_of_public_names():
+    # each library module's public classes and functions are exactly its
+    # _EXPORTS entry; cli exports only its entry points
+    for module, names in cc._EXPORTS.items():
+        mod = importlib.import_module(f"ccspectral.{module}")
+        assert not hasattr(mod, "__all__"), module
+        defined = {name for name, obj in vars(mod).items()
+                   if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
+                   and obj.__module__ == mod.__name__}
+        assert set(names) <= defined and (module == "cli" or defined == set(names)), module
+        assert all(getattr(cc, name) is getattr(mod, name) for name in names), module
+    assert cc.SampleError.__module__ == "ccspectral.geometry"
+    assert (cc.ModeEntry, cc.CourantEntry) == (cc.grushin.ModeEntry, cc.nodal.CourantEntry)
