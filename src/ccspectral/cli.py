@@ -234,7 +234,8 @@ class TableConfig:
     max_n: int = _spec(2, min=0)
     max_m: int = _spec(2, min=1)
     bc: str = _spec("neumann", choices=("neumann", "dirichlet"))
-    # bisection stops once its bracket is narrower than tol
+    # each root is refined until its bracket is narrower than tol: Illinois
+    # steps narrow it, then a replay of plain bisection gives that method's digits
     tol: float = _spec(1e-8, gt=0.0)
 
 

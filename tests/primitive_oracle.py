@@ -3,14 +3,16 @@
 ``nodal._cluster_bounds`` and ``pgm.labels_to_gray`` replaced by numpy
 primitives, the cell-point formulas that ``Grid2D.cell_meshes`` replaced,
 the per-axis boundary slicing of ``mfmc_certify`` that the grid's edge
-table replaced, and the per-dimension loop of ``unit_ball_volume`` that
-the one-pass table ``unit_ball_volumes`` replaced.
+table replaced, the per-dimension loop of ``unit_ball_volume`` that
+the one-pass table ``unit_ball_volumes`` replaced, and the plain
+bisection that ``grushin._bisect`` replays after narrowing its bracket.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ccspectral.grushin import ModeProblem, shoot
 from ccspectral.pgm import _to_image_axes
 
 
@@ -78,3 +80,25 @@ def unit_ball_volume(a: int) -> float:
     for b in range(2 + a % 2, a + 1, 2):
         omega = omega / b * 2.0 * np.pi
     return float(omega)
+
+
+def _bisect(problem: ModeProblem, a: float, fa: float, b: float, fb: float,
+            tol: float) -> float:
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        raise RuntimeError("bisection bracket lost its sign change")
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:  # a and b are adjacent doubles: tol is below their spacing
+            break
+        fm = shoot(problem, mid)
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0.0:
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)

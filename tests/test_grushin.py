@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ccspectral as cc
+from ccspectral import grushin
 
 # reference low Neumann eigenvalues lambda_{n,m} with matching tolerances
 NEUMANN_REFERENCE = {
@@ -90,14 +91,45 @@ def test_tolerance_tightens_roots():
     assert abs(cc.shoot(problem, tight)) <= abs(cc.shoot(problem, loose)) + 1e-12
 
 
-def test_tolerance_below_the_double_spacing_terminates():
+def count_shoot_calls(monkeypatch, budget):
+    """Patch ``grushin.shoot`` to count its calls; a call past ``budget``
+    fails the test at once, so a root finder that never stops cannot hang."""
+    calls, shoot = [], grushin.shoot
+
+    def counted(problem, lam):
+        calls.append(lam)
+        assert len(calls) <= budget, f"more than {budget} shoot calls"
+        return shoot(problem, lam)
+
+    monkeypatch.setattr(grushin, "shoot", counted)
+    return calls
+
+
+def test_tolerance_below_the_double_spacing_terminates(monkeypatch):
     # Doubles near pi^2 are 1.8e-15 apart, so no bracket gets as narrow as
-    # 1e-17: bisection stops once the bracket ends are adjacent doubles.
+    # 1e-17: the narrowing and the bisection both stop once their bracket
+    # ends are adjacent doubles.
     tight = cc.build_table(0, 1, tol=1e-17)
     default = cc.build_table(0, 1)
     assert [(e.n, e.m) for e in tight.entries] == [(e.n, e.m) for e in default.entries]
     for a, b in zip(tight.entries, default.entries):
         assert a.lam == pytest.approx(b.lam, abs=1e-8)
+    # Dirichlet doublets, with a call budget: plain bisection integrates 92
+    # times here, the narrowed one 61 times
+    problem = cc.ModeProblem(n=2, bc="dirichlet")
+    default = cc.find_eigenvalues(problem, 2)
+    calls = count_shoot_calls(monkeypatch, budget=90)
+    tight = cc.find_eigenvalues(problem, 2, tol=1e-17)
+    assert calls
+    assert np.allclose(tight, default, rtol=0.0, atol=1e-8)
+
+
+def test_dirichlet_table_shoot_budget(monkeypatch):
+    # The benchmark's Dirichlet table job: plain bisection integrates 250
+    # times, the narrowed one about a quarter of that.
+    calls = count_shoot_calls(monkeypatch, budget=90)
+    cc.complete_below(cc.build_table(2, 2, "dirichlet"))
+    assert len(calls) <= 90
 
 
 def test_mode_problem_validation():

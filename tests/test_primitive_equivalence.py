@@ -1,7 +1,8 @@
 """Cluster bounds and label gray levels from numpy primitives, cell points
-and certificate boundary values from the grid's edge table, and the one-pass
-unit-ball volume table, against the code they replaced
-(``primitive_oracle``): equal on every input."""
+and certificate boundary values from the grid's edge table, the one-pass
+unit-ball volume table, and the narrowed bisection of the mode roots,
+against the code they replaced (``primitive_oracle``): equal on every
+input."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import ccspectral as cc
 import primitive_oracle as oracle
+from ccspectral import grushin
 from ccspectral.geometry import divergence
 from ccspectral.nodal import _cluster_bounds
 from ccspectral.pgm import labels_to_gray
@@ -98,3 +100,16 @@ def test_unit_ball_volume_table_matches_the_loop():
         want = oracle.unit_ball_volume(a)
         assert omega.hex() == want.hex()
         assert cc.unit_ball_volume(a).hex() == want.hex()
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_narrowed_bisection_gives_the_plain_bisection_digits(bc, monkeypatch):
+    cases = [(n, tol) for n in (0, 1, 3) for tol in (1e-7, 1e-11)]
+
+    def roots():
+        return [[lam.hex() for lam in grushin.find_eigenvalues(
+            cc.ModeProblem(n=n, bc=bc), 3, tol=tol)] for n, tol in cases]
+
+    got = roots()
+    monkeypatch.setattr(grushin, "_bisect", oracle._bisect)
+    assert got == roots()
