@@ -300,6 +300,12 @@ def superlevel_cuts(structure: CCStructure, grid: Grid2D, u, n_levels: int = 40)
     return _level_cuts(structure, grid, values2d, np.quantile(positives, qs))
 
 
+def _dirichlet_ratio(cut: Cut) -> float:
+    """sigma / vol1, the ratio a superlevel cut bounds h_dirichlet by;
+    infinite without a level set or a region."""
+    return cut.sigma / cut.vol1 if len(cut.segments) and cut.vol1 > 0.0 else float("inf")
+
+
 def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u, cuts) -> float:
     """Upper bound for the Dirichlet Cheeger constant from super-level sets.
 
@@ -316,21 +322,24 @@ def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u, cuts) -> fl
         raise ValueError("u is identically zero")
     if np.abs(values2d[grid.boundary_mask()]).max(initial=0.0) > 1e-10 * vmax:
         raise ValueError("u does not vanish on the boundary")
-    ratios = [c.sigma / c.vol1 for c in cuts if len(c.segments) and c.vol1 > 0.0]
-    if not ratios:
+    h = min(map(_dirichlet_ratio, cuts), default=float("inf"))
+    if h == float("inf"):
         raise ValueError("no positive level produced a non-empty region")
-    return min(ratios)
+    return h
 
 
 def upper_bound(structure: CCStructure, grid: Grid2D, flavor: str, u,
-                n_levels: int) -> tuple[list[Cut], float]:
-    """The cuts a run lists for h_flavor and the upper bound they give.
+                n_levels: int) -> tuple[list[Cut], Cut, float]:
+    """The cuts a run lists for h_flavor, the cut that sets the upper bound,
+    and that bound.
 
     u is lambda_2's eigenfunction for neumann, else lambda_1's, on the full
     grid.  Neumann: the Grushin cylinder's closed-form families (for that
     structure) and the best quantile level cut of u.  Dirichlet and mixed:
-    the two-sided superlevel_cuts of u; dirichlet_cheeger_upper reads them
-    all.  Raises ValueError when the grid is too coarse for any admissible cut.
+    the two-sided superlevel_cuts of u.  The bound is the least Cut.ratio,
+    except for dirichlet: dirichlet_cheeger_upper reads every superlevel
+    cut, one-sided ones included, by sigma / vol1.  Raises ValueError when
+    the grid is too coarse for any admissible cut.
     """
     if flavor not in _KINDS:
         raise ValueError(f"flavor must be one of {_KINDS}, got {flavor!r}")
@@ -338,14 +347,16 @@ def upper_bound(structure: CCStructure, grid: Grid2D, flavor: str, u,
         cuts = (candidate_cuts_grushin(structure, grid)
                 if structure.name == "grushin-cylinder" else [])
         cuts.append(sweep_level_sets(structure, grid, u, n_levels=n_levels))
-        return cuts, min(c.ratio for c in cuts)
-    level_cuts = superlevel_cuts(structure, grid, u, n_levels=n_levels)
-    cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
-    if flavor == "dirichlet":
-        return cuts, dirichlet_cheeger_upper(structure, grid, u, level_cuts)
-    if not cuts:
-        raise ValueError("no level produced a two-sided cut")
-    return cuts, min(c.ratio for c in cuts)
+    else:
+        level_cuts = superlevel_cuts(structure, grid, u, n_levels=n_levels)
+        cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
+        if flavor == "dirichlet":
+            h_upper = dirichlet_cheeger_upper(structure, grid, u, level_cuts)
+            return cuts, min(level_cuts, key=_dirichlet_ratio), h_upper
+        if not cuts:
+            raise ValueError("no level produced a two-sided cut")
+    best = min(cuts, key=lambda c: c.ratio)
+    return cuts, best, best.ratio
 
 
 @dataclass(frozen=True)

@@ -398,9 +398,8 @@ def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def _certificate_field(config: RunConfig, structure: CCStructure,
+def _certificate_field(cert: CertificateConfig, structure: CCStructure,
                        grid: Grid2D) -> HorizontalField:
-    cert = config.cheeger.certificate
     if len(cert.phi) != structure.m:
         raise ConfigError(f"certificate needs {structure.m} phi expressions "
                           f"(one per generating field), got {len(cert.phi)}")
@@ -419,6 +418,9 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
 
     structure, forms = build_problem(config)
     grid, flavor = forms.grid, forms.flavor
+    cert = config.cheeger.certificate
+    # a bad certificate is a config error, so it is found before any solve
+    V = None if cert is None else _certificate_field(cert, structure, grid)
     index = 1 if flavor == "neumann" else 0
     pairs = _solve(config, forms, index + 1)  # lambda_2 for neumann, else lambda_1 alone
     out.mkdir(parents=True, exist_ok=True)
@@ -426,7 +428,7 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
     lam = float(pairs.lambdas[index])
     u = forms.expand(pairs.vectors[:, index])
     try:
-        cuts, h_upper = upper_bound(structure, grid, flavor, u, config.cheeger.levels)
+        cuts, best, h_upper = upper_bound(structure, grid, flavor, u, config.cheeger.levels)
     except SampleError:  # a coefficient or density sample, not the grid, is at fault
         raise
     except ValueError as exc:  # too coarse a grid for any admissible cut
@@ -435,18 +437,15 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
         return EXIT_SOLVER
 
     write_cuts_csv(cuts, out / "cuts.csv")
-    if cuts:
-        best = min(cuts, key=lambda c: c.ratio)
-        _say(quiet, f"{len(cuts)} candidate cuts; best: {best.kind} "
-                    f"ratio = {best.ratio:.9g}")
+    _say(quiet, f"{len(cuts)} candidate cuts; best for h_{flavor}: {best.kind} "
+                f"ratio = {h_upper:.9g}")
     _say(quiet, f"upper bound for h_{flavor}: {h_upper:.9g}")
 
     # Unless a certificate bounds h from below, presume the best upper bound
     # is sharp, so the report still exercises lambda >= h^2/4 with a concrete h.
     h_lower, h_source, certificate_valid = h_upper, "upper_bound_presumed", None
-    if config.cheeger.certificate is not None:
-        V = _certificate_field(config, structure, grid)
-        certificate = mfmc_certify(structure, grid, V, config.cheeger.certificate.mode)
+    if V is not None:
+        certificate = mfmc_certify(structure, grid, V, cert.mode)
         _write_json(certificate.to_dict(), out / "certificate.json")
         certificate_valid = certificate.valid
         certified = certificate.h_lower_for(flavor)
@@ -490,10 +489,6 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
         threshold = complete_below(table, t.tol)
         covered = [e for e in table.expanded()
                    if e.lam < threshold - 1e-9 * max(1.0, threshold)]
-        if not covered:
-            raise ConfigError("table is too small for a 2D cross-check: higher "
-                              "angular modes interleave below every entry; "
-                              "increase table.max_n")
         k = min(len(covered), forms.n_active)
         report = cross_validate(table, _solve(config, forms, k).lambdas[:k])
         worst = {}

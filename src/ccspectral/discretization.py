@@ -14,17 +14,16 @@ x_max to layer -1 along axis 0, and a periodic axis has none.  Every part
 that asks which nodes lie on an edge asks this table, via Grid2D.edges().
 
 A couples each node only to its eight neighbours, so it is assembled as a
-nine-point stencil, one offset (dx, dy) at a time, straight from the 4x4
-cell matrices, and compressed to CSR.  The stencil is kept with the forms:
-it is what the FFT inverse of the eigensolver reads.
+nine-point stencil straight from the 4x4 cell matrices and compressed to
+CSR.  The stencil is kept with the forms: it is what the FFT inverse of the
+eigensolver reads.
 
-Summation-order contract: an entry of A sums the contributions of the (up
-to four) cells that hold both of its nodes in ascending flat cell index,
-in the order np.add.reduceat sums a group, v0 + ((v1 + v2) + v3); a single
-contribution is used as is, signed zero included.  Cell matrices are
-mirrored bitwise across the diagonal and the cells shared by nodes r and c
-are the same for (r, c) and (c, r), so A is exactly symmetric, and the
-same bits come out for the same grid on every run.
+Assembly contract: A is symmetric by construction.  Only the centre and the
+four forward offsets (0, 1), (1, 0), (1, 1), (-1, 1) are summed, each over
+its cells in one fixed corner order, so every node row sums in the same
+order; each backward offset is its forward partner read from the
+neighbour.  A single contribution is kept as is, signed zero included, and
+the same bits come out for the same grid on every run.
 """
 
 from __future__ import annotations
@@ -238,7 +237,7 @@ _GAUSS_2D = tuple((gx, gy) for gx in _GAUSS_1D for gy in _GAUSS_1D)
 
 def _local_cell_matrices(structure: CCStructure, grid: Grid2D) -> np.ndarray:
     """Per-cell 4x4 energy contributions L[p, q], each of shape (cells_x,
-    cells_y); bitwise symmetric in (p, q).
+    cells_y); only the upper triangle p <= q is filled, the rest is zero.
 
     Corner p = px + 2 py of the cell with origin node (i, j) is node
     (i + px, j + py).
@@ -263,59 +262,34 @@ def _local_cell_matrices(structure: CCStructure, grid: Grid2D) -> np.ndarray:
             for q in range(p, 4):
                 L[p, q] += ((wa * (vx[p] * vx[q]) + wb * (vx[p] * vy[q] + vy[p] * vx[q]))
                             + wg * (vy[p] * vy[q]))
-    # mirror the strict upper triangle so symmetry is bitwise, not just nominal
-    for p in range(4):
-        for q in range(p + 1, 4):
-            L[q, p] = L[p, q]
     return L.reshape(4, 4, *X0.shape)
-
-
-def _reduceat_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """t0 + ((t1 + t2) + t3): the order in which np.add.reduceat sums a group."""
-    total = terms[0]
-    if len(terms) > 1:
-        rest = terms[1]
-        for t in terms[2:]:
-            rest = rest + t
-        total = total + rest
-    return total
 
 
 def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
     """The nine-point stencil of A on the full grid; shape (nx, ny, 3, 3).
 
-    Entry (a, b, 1 + dx, 1 + dy) sums L[p, q] over the cells in which node
-    (a, b) is corner p and node (a + dx, b + dy) is corner q, in ascending
-    flat cell index.  A missing cell (beyond a non-periodic edge) adds -0.0,
-    which leaves every sum unchanged as long as it is not the first term;
-    it never is, because missing cells sort last in ascending index, as do
-    the wrapped cells of the first node row and column.  Entries with no
-    cell at all are -0.0 here.
+    A forward entry (a, b, 1 + dx, 1 + dy), (dx, dy) one of (0, 0), (0, 1),
+    (1, 0), (1, 1), (-1, 1), sums L[p, q] over the cells in which node (a, b)
+    is corner p and node (a + dx, b + dy) is corner q >= p, in ascending p,
+    starting from -0.0; a missing cell (beyond a
+    non-periodic edge) adds -0.0, which changes no sum.  The backward entry
+    S[a, b, 1 - dx, 1 - dy] is S[a - dx, b - dy, 1 + dx, 1 + dy], indices
+    wrapping, so A is bitwise symmetric.  Entries with no cell hold -0.0 or
+    a wrapped value; _stencil_matrix zeroes them.
     """
     nx, ny = grid.nx, grid.ny
-    ncx, ncy = grid.n_cells_x, grid.n_cells_y
     S = np.empty((nx, ny, 3, 3))
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            # corners (px, py) of the cells that also hold the neighbour
-            corners = [(px, py) for px in (0, 1) if 0 <= px + dx <= 1
-                       for py in (0, 1) if 0 <= py + dy <= 1]
-            terms = {}
-            for px, py in corners:
-                padded = np.full((nx, ny), -0.0)
-                padded[:ncx, :ncy] = L[px + 2 * py, px + dx + 2 * (py + dy)]
-                # terms[a, b] = value of the cell (a - px, b - py)
-                terms[px, py] = np.roll(padded, (px, py), axis=(0, 1))
-            # Cell a - px ascends with -px, except in node row 0, where px = 1
-            # is the wrapped last cell or a missing one; likewise for columns.
-            for first_row in (False, True):
-                rows = slice(0, 1) if first_row else slice(1, None)
-                for first_col in (False, True):
-                    cols = slice(0, 1) if first_col else slice(1, None)
-                    order = sorted(corners, key=lambda c: (c[0] if first_row else -c[0],
-                                                           c[1] if first_col else -c[1]))
-                    S[rows, cols, 1 + dx, 1 + dy] = _reduceat_sum(
-                        [terms[c][rows, cols] for c in order])
+    padded = np.full((nx, ny), -0.0)
+    for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1), (-1, 1)):
+        total = np.full((nx, ny), -0.0)
+        for p in range(4):
+            px, py = p % 2, p // 2
+            if 0 <= px + dx <= 1 and 0 <= py + dy <= 1:
+                padded[:grid.n_cells_x, :grid.n_cells_y] = L[p, p + dx + 2 * dy]
+                # value of the cell (a - px, b - py) at node (a, b)
+                total += np.roll(padded, (px, py), axis=(0, 1))
+        S[:, :, 1 + dx, 1 + dy] = total
+        S[:, :, 1 - dx, 1 - dy] = np.roll(total, (dx, dy), axis=(0, 1))
     return S
 
 

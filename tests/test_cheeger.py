@@ -325,16 +325,20 @@ def test_upper_bound_follows_the_flavor(grushin, grushin_grid):
     u = np.sin(np.pi * X).ravel()
     level_cuts = cc.superlevel_cuts(grushin, grushin_grid, u, n_levels=12)
     two_sided = [c.ratio for c in level_cuts if np.isfinite(c.ratio)]
-    cuts, h = cc.upper_bound(grushin, grushin_grid, "dirichlet", u, 12)
+    cuts, best, h = cc.upper_bound(grushin, grushin_grid, "dirichlet", u, 12)
     assert [c.ratio for c in cuts] == two_sided
     assert h == cc.dirichlet_cheeger_upper(grushin, grushin_grid, u, level_cuts)
-    cuts, h = cc.upper_bound(grushin, grushin_grid, "mixed", u, 12)
-    assert [c.ratio for c in cuts] == two_sided and h == min(two_sided)
+    assert (best.sigma, best.vol1) in [(c.sigma, c.vol1) for c in level_cuts]
+    assert h == best.sigma / best.vol1 < best.ratio
+    cuts, best, h = cc.upper_bound(grushin, grushin_grid, "mixed", u, 12)
+    assert [c.ratio for c in cuts] == two_sided and h == min(two_sided) == best.ratio
     # neumann adds the cylinder's closed-form families to the best level cut
-    cuts, h = cc.upper_bound(grushin, grushin_grid, "neumann", np.cos(np.pi * X).ravel(), 12)
+    cuts, best, h = cc.upper_bound(grushin, grushin_grid, "neumann",
+                                   np.cos(np.pi * X).ravel(), 12)
     assert [c.kind for c in cuts].count("level_set") == 1
     assert {"vertical_circle", "line_pair"} <= {c.kind for c in cuts}
     assert h == min(c.ratio for c in cuts) == pytest.approx(1.0 / np.pi, rel=1e-9)
+    assert any(c is best for c in cuts) and h == best.ratio
     with pytest.raises(ValueError, match="flavor"):
         cc.upper_bound(grushin, grushin_grid, "robin", u, 12)
 

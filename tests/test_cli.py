@@ -193,6 +193,20 @@ def test_cheeger_dirichlet_uses_certificate(tmp_path):
     assert report["satisfied"] is True
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", [{"edge": "x_max", "condition": "dirichlet"}],
+                                "neumann"], ids=["dirichlet", "mixed", "neumann"])
+def test_cheeger_prints_the_cut_that_sets_h_upper(tmp_path, capsys, bc):
+    # Dirichlet reads sigma/vol1; at 32x64 the least two-sided ratio is about
+    # 4.13 while h_upper is about 2.14, and the printed best cut must be the latter
+    doc = dict(GRUSHIN_CHEEGER, grid={"nx": 32, "ny": 64}, bc=bc)
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    report = strict_json(out / "inequality_report.json")
+    best = [line for line in capsys.readouterr().out.splitlines() if "candidate cuts; best" in line]
+    assert len(best) == 1
+    assert best[0].endswith(f" ratio = {report['h_upper']:.9g}")
+
+
 def test_cheeger_dirichlet_builds_each_level_once(tmp_path, monkeypatch):
     import ccspectral.cheeger as cheeger
 
@@ -605,6 +619,42 @@ def test_convergence_error_is_a_solver_error(tmp_path, monkeypatch, capsys):
     assert cc.ConvergenceError is eigensolver.ConvergenceError
 
 
+# Dirichlet across a thin strip that is long in y: the lowest eigenvalues
+# crowd together, so one Lanczos restart per mode converges none of them.
+CROWDED = {"structure": {"kind": "euclidean",
+                         "chart": {"x_range": [0, 0.1], "y_range": [0, 30], "periodic_y": True}},
+           "grid": {"nx": 6, "ny": 100}, "bc": "dirichlet", "solver": {"k": 4}}
+
+
+@pytest.mark.parametrize("case, cause", [
+    ("one restart per mode", "shift-invert Lanczos converged 0 of 4 modes within 4 iterations"),
+    ("residual tolerance 1e-300", "residuals ["),
+    ("vectors scaled by 1.1", "M-orthonormality defect 2.100e-01 exceeds 1e-8"),
+])
+def test_solve_smallest_failures_are_solver_errors(tmp_path, monkeypatch, capsys, case, cause):
+    # each ConvergenceError that solve_smallest raises, through main
+    import ccspectral.eigensolver as eigensolver
+
+    doc = json.loads(json.dumps(CROWDED))
+    if case == "one restart per mode":
+        monkeypatch.setattr(eigensolver, "MAXITER_PER_MODE", 1)
+    elif case == "residual tolerance 1e-300":
+        doc["solver"]["tol"] = 1e-300
+    else:
+        solve = eigensolver._solve_iterative
+
+        def scaled(forms, k, seed):
+            w, V, stats = solve(forms, k, seed)
+            return w, 1.1 * V, stats
+
+        monkeypatch.setattr(eigensolver, "_solve_iterative", scaled)
+    out = tmp_path / "run"
+    assert run(["spectrum", "--config", write_config(tmp_path, doc), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver error: {cause}") and err.count("\n") == 1, err
+    assert not (out / "eigenvalues.csv").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run(["spectrum", "--config", tmp_path / "nope.json",
                 "--out", tmp_path]) == 2
@@ -717,19 +767,29 @@ SINGULAR = {
     ("cheeger", {"certificate": ["log(x)", "0"]},
      ["cheeger.certificate.phi[0] 'log(x)' is not finite at (x, y) = (0.0, ", "sample -inf",
       "; log of 0.0 gives -inf"]),
+    # On this grid the Grushin cylinder's Dirichlet cut sweep fails (exit 3),
+    # so the certificate is checked before anything is solved.
+    ("cheeger", {"structure": {"kind": "grushin"}, "certificate": ["x"]},
+     ["certificate needs 2 phi expressions (one per generating field), got 1"]),
+    ("cheeger", {"structure": {"kind": "grushin"}, "certificate": ["x", "sin("]},
+     ["bad certificate expression:\nexpected a value, found 'end of input' at position 4\n"
+      "  sin(\n      ^"]),
 ])
 def test_singular_expression_is_a_config_error(tmp_path, capsys, command, change, expected):
     doc = json.loads(json.dumps(SINGULAR))
+    change = dict(change)
     if "certificate" in change:
-        doc["cheeger"] = {"certificate": {"phi": change["certificate"]}}
-    else:
-        doc["structure"].update(change)
+        doc["cheeger"] = {"certificate": {"phi": change.pop("certificate")}}
+    doc["structure"] = change.pop("structure", doc["structure"])
+    doc["structure"].update(change)
     cfg = write_config(tmp_path, doc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
         assert run([command, "--config", cfg, "--out", tmp_path / "run"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
+    # one line, besides the lines of an echoed expression
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1 + sum(text.count("\n") for text in expected)
     for text in expected:
         assert text in err
 

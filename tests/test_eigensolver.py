@@ -267,6 +267,23 @@ def test_cross_term_symbol_is_complex():
     assert np.abs(stencil[:-1, 2, 2] - stencil[:-1, 2, 0]).max() > 1e-3 * np.abs(stencil).max()
 
 
+@pytest.mark.parametrize("nx, ny", [(31, 64), (5, 3)])
+@pytest.mark.parametrize("structure, bc", [
+    ("grushin", "neumann"), ("grushin", "dirichlet"), ("cross", "neumann"), ("cross", "dirichlet")])
+def test_y_free_stencil_is_bitwise_y_invariant(grushin, structure, bc, nx, ny):
+    # every node row sums in the same order, so no roundoff varies along y
+    structure = grushin if structure == "grushin" else _custom(CROSS_TERM)
+    bc = (cc.BoundarySpec.all_neumann() if bc == "neumann"
+          else cc.BoundarySpec.all_dirichlet(structure.chart))
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, nx, ny), bc)
+    S = forms.stencil
+    assert S.tobytes() == np.repeat(S[:, :1], ny, axis=1).tobytes()
+    stencil, reason = eigensolver._y_stencil(forms)
+    assert reason == "A + eps M is invariant under y-translation"
+    rows = forms.active_nodes[[0, -1]] // ny
+    assert stencil.tobytes() == S[rows[0]:rows[1] + 1, 0].tobytes()
+
+
 MIXED_X_MAX = cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet"),))
 
 
@@ -294,6 +311,10 @@ def _fallback_cases():
     return {
         "y-dependent field": (
             _custom(((ONE, ZERO), (ZERO, lambda x, y: x * (1.0 + 0.25 * np.sin(y))))),
+            cc.BoundarySpec.all_neumann(), "A varies along y"),
+        # A varies along y by less than 1e-14 max|A|: only an exact row comparison sees it
+        "field varying at 1e-15": (
+            _custom(((ONE, ZERO), (ZERO, lambda x, y: x + 1e-15 * np.sin(y)))),
             cc.BoundarySpec.all_neumann(), "A varies along y"),
         "y-dependent density": (
             _custom(grushin.field_coeffs, density=lambda x, y: 1.0 + 0.5 * np.cos(y) ** 2),
