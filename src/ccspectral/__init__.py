@@ -38,8 +38,8 @@ _EXPORTS = {
     "geometry": ("CCStructure", "Chart2D", "HorizontalField", "SampleError",
                  "builtin_euclidean", "builtin_grushin_cylinder", "constant_coefficient",
                  "divergence"),
-    "grushin": ("CrossValidationReport", "ModeEntry", "ModeProblem", "ModeTable",
-                "build_table", "complete_below", "cross_validate", "find_eigenvalues",
+    "grushin": ("ModeEntry", "ModeProblem", "ModeTable", "build_table",
+                "complete_below", "cross_validate", "find_eigenvalues",
                 "mode_zero_crossings", "shoot", "write_table_csv"),
     "nodal": ("CourantEntry", "CourantReport", "NodalDecomposition", "check_courant",
               "nodal_domains", "write_labels_pgm"),

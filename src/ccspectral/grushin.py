@@ -51,38 +51,37 @@ class ModeProblem:
 _INITIAL_STATE = {"neumann": (1.0, 0.0), "dirichlet": (0.0, 1.0)}
 
 
-def _integrate(rhs, y0, xs: np.ndarray | None = None) -> np.ndarray:
-    """Integrate y' = rhs(x, y) from x = 0 to 1 by scipy's RK45 at ODE_TOL.
-
-    The solver is stepped directly, so no step history is kept.  Returns the
-    state at x = 1, or, given ascending ``xs`` in [0, 1], the dense output
-    at those points, one column each.
-    """
+def _integrate(rhs, y0) -> np.ndarray:
+    """The state at x = 1 of y' = rhs(x, y), y(0) = y0, by scipy's RK45 at
+    ODE_TOL.  The solver is stepped directly, so no step history is kept."""
     from scipy.integrate import RK45  # deferred: keeps `import ccspectral` light
 
     solver = RK45(rhs, 0.0, y0, 1.0, rtol=ODE_TOL, atol=ODE_TOL * 1e-2)
-    columns, done = [], 0
     while solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             raise RuntimeError(f"mode integration failed: {message}")
-        if xs is not None:
-            upto = np.searchsorted(xs, solver.t, side="right")
-            if upto > done:
-                columns.append(solver.dense_output()(xs[done:upto]))
-                done = upto
-    return solver.y if xs is None else np.hstack(columns)
+    return solver.y
 
 
 def _mode(problem: ModeProblem, lam: float, xs: np.ndarray | None = None) -> np.ndarray:
-    """(v, v') of the mode at one lambda: at x = 1, or at the points ``xs``."""
+    """(v, v') of the mode at one lambda: at x = 1, or, by the same RK45 run
+    through ``solve_ivp``, its dense output at the ascending points ``xs``."""
     n2 = float(problem.n) ** 2
     lam = float(lam)
 
     def rhs(x, y):
         return (y[1], (n2 * x * x - lam) * y[0])
 
-    return _integrate(rhs, _INITIAL_STATE[problem.bc], xs)
+    if xs is None:
+        return _integrate(rhs, _INITIAL_STATE[problem.bc])
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(rhs, (0.0, 1.0), _INITIAL_STATE[problem.bc], t_eval=xs,
+                    rtol=ODE_TOL, atol=ODE_TOL * 1e-2)
+    if not sol.success:
+        raise RuntimeError(f"mode integration failed: {sol.message}")
+    return sol.y
 
 
 def shoot(problem: ModeProblem, lam: float) -> float:
@@ -174,8 +173,8 @@ def find_eigenvalues(problem: ModeProblem, count: int, tol: float = 1e-8) -> np.
 
     Scans the grid k * SCAN_STEP up to the min-max bound of the last
     requested eigenvalue (module docstring) for sign changes of the
-    mismatch, confirms each bracket with ``shoot``, and bisects to
-    |dlambda| <= tol.
+    mismatch, confirms each bracket with ``shoot`` (or moves it to the
+    neighbouring cell that holds the root), and bisects to |dlambda| <= tol.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -196,15 +195,12 @@ def find_eigenvalues(problem: ModeProblem, count: int, tol: float = 1e-8) -> np.
             continue
         ga, gb = shoot(problem, a), shoot(problem, b)
         if ga * gb > 0.0:
-            # near-tangent pair: rescan the cell with the accurate mismatch
-            # and bisect its first sub-cell that holds a zero
-            sub = np.linspace(a, b, 21)
-            gs = [shoot(problem, s) for s in sub]
-            hits = [j for j in range(20) if gs[j] == 0.0 or gs[j] * gs[j + 1] < 0.0]
-            if not hits:
-                continue
-            j = hits[0]
-            a, ga, b, gb = float(sub[j]), gs[j], float(sub[j + 1]), gs[j + 1]
+            # shoot contradicts the scan sample at a or b, which is then within
+            # integration noise of a root just outside the cell (one mode's
+            # roots are many cells apart): bisect the neighbouring cell there
+            j = i - 1 if ga * F[i] < 0.0 else i + 1
+            a, b = SCAN_STEP * j, SCAN_STEP * (j + 1)
+            ga, gb = shoot(problem, a), shoot(problem, b)
         # _bisect returns a bracket end where the mismatch is exactly zero
         roots.append(_bisect(problem, a, ga, b, gb, tol))
     if len(roots) < count:
@@ -290,30 +286,21 @@ def write_table_csv(table: ModeTable, path, errors=None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class CrossValidationReport:
-    """Pairing of 2D eigenvalues with mode-table values, with relative errors."""
+def cross_validate(table: ModeTable, lambdas_2d: np.ndarray) -> dict[tuple[int, int], float]:
+    """The largest relative error per mode (n, m) of the 2D eigenvalues,
+    matched in order against the multiplicity-expanded table.
 
-    pairs: tuple[tuple[float, float, int, int, float], ...]  # (lambda_2d, lambda_mode, n, m, rel_err)
-    max_rel_error: float
-
-
-def cross_validate(table: ModeTable, lambdas_2d: np.ndarray) -> CrossValidationReport:
-    """Match 2D eigenvalues, in order, against the multiplicity-expanded table.
-
-    Relative errors use the mode value as reference; for the zero mode the
-    absolute error is reported instead.  Raises if the table does not cover
-    all 2D eigenvalues handed in.
+    Errors are relative to the mode value, absolute for the zero mode.
+    Raises if the table does not cover all 2D eigenvalues handed in.
     """
     lambdas_2d = np.asarray(lambdas_2d, dtype=float)
     expanded = table.expanded()
     if len(expanded) < lambdas_2d.size:
         raise ValueError(f"mode table covers {len(expanded)} eigenvalues, "
                          f"{lambdas_2d.size} requested; enlarge max_n/max_m")
-    pairs = []
-    for lam2d, entry in zip(lambdas_2d, expanded):
-        ref = abs(entry.lam)
-        err = float(abs(lam2d - entry.lam) / (ref if ref > 1e-9 else 1.0))
-        pairs.append((float(lam2d), entry.lam, entry.n, entry.m, err))
-    return CrossValidationReport(pairs=tuple(pairs),
-                                 max_rel_error=max((p[-1] for p in pairs), default=0.0))
+    errors: dict[tuple[int, int], float] = {}
+    for lam2d, e in zip(lambdas_2d, expanded):
+        ref = abs(e.lam)
+        err = float(abs(lam2d - e.lam) / (ref if ref > 1e-9 else 1.0))
+        errors[e.n, e.m] = max(errors.get((e.n, e.m), 0.0), err)
+    return errors

@@ -355,6 +355,29 @@ def test_cheeger_ignores_solver_k(tmp_path):
     assert strict_json(out / "inequality_report.json")["kind"] == "dirichlet"
 
 
+def test_cheeger_certified_bound_above_lambda_is_reported_violated(tmp_path, monkeypatch,
+                                                                  capsys):
+    # A valid certificate h >= 9 on a 2x2-node interior, where lambda = 15 and
+    # h_upper = 10.99: 9 <= h_upper, so the bounds agree, but 15 < 9^2/4.
+    import dataclasses
+
+    import ccspectral.cheeger as cheeger
+
+    certify = cheeger.mfmc_certify
+    monkeypatch.setattr(cheeger, "mfmc_certify", lambda *args: dataclasses.replace(
+        certify(*args), valid=True, h_certified=9.0))
+    doc = {"structure": {"kind": "euclidean"}, "grid": {"nx": 4, "ny": 4}, "bc": "dirichlet",
+           "cheeger": {"certificate": {"phi": ["x", "0"], "mode": "dirichlet"}}}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    report = strict_json(out / "inequality_report.json")
+    assert report["h_source"] == "certificate" and report["h_lower"] == 9.0
+    assert report["satisfied"] is False and report["h_upper"] > 9.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("lambda = 15 >= 20.25 = h_lower^2/4")
+    assert lines[-1].endswith("(VIOLATED)")
+
+
 def test_cheeger_presumed_bound_is_not_reported_violated(tmp_path, capsys):
     # Without a certificate h_lower is the best cut's ratio, presumed sharp.
     # On a 2x2-node interior the 3 level cuts overstate h, so lambda falls

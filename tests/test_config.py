@@ -121,6 +121,27 @@ def test_malformed_config_is_one_config_error_line(tmp_path, capsys, doc, expect
         assert text in err, (text, err)
 
 
+# Config files that used to end in a traceback while they were read, decoded
+# or sized; the last grid needs 728 TiB, beyond the address space, so no
+# allocation succeeds.
+UNUSABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    "nested-past-the-recursion-limit": b"[" * 100_000,
+    "nx-too-large-for-a-float": b'{"grid": {"nx": 1' + b"0" * 400 + b"}}",
+    "grid-too-large-to-allocate": b'{"grid": {"nx": 10000000, "ny": 10000000}}',
+}
+
+
+@pytest.mark.parametrize("content", list(UNUSABLE.values()), ids=list(UNUSABLE))
+def test_unusable_config_file_is_one_config_error_line(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert cc.main(["spectrum", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
 # Out-of-range numbers that used to hang, raise a traceback or run on: each is
 # now a config error.  A table.tol <= 0 looped forever in the bisection, so it
 # runs in a child process with a deadline.
@@ -132,6 +153,8 @@ OUT_OF_RANGE = [
     ("spectrum", {"nodal": {"rel_threshold": math.nan}}, ["rel_threshold", "nan"], False),
     ("spectrum", {"nodal": {"gap_rel_tol": -1e-6}}, ["gap_rel_tol", "-1e-06"], False),
     ("spectrum", {"solver": {"tol": math.inf}}, ["solver.tol", "inf"], False),
+    # an integer too large for a float is not finite either
+    ("spectrum", {"solver": {"tol": 10 ** 400}}, ["solver.tol must be finite"], False),
     ("spectrum", {"structure": {"kind": "euclidean", "chart": {"x_range": [0, math.inf]}}},
      ["structure.chart.x_range[1]", "inf"], False),
 ]

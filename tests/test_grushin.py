@@ -132,6 +132,43 @@ def test_dirichlet_table_shoot_budget(monkeypatch):
     assert len(calls) <= 90
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n, bc", [(0, "neumann"), (1, "neumann"), (0, "dirichlet"),
+                                   (2, "dirichlet")])
+def test_scan_sample_flipped_beside_a_root_keeps_the_root(monkeypatch, n, bc, side):
+    # A scan sample within integration noise of a root may take the wrong
+    # sign.  The scan then reports the sign change one cell off, where shoot
+    # does not confirm it; the root must still be bisected from its own cell.
+    problem = cc.ModeProblem(n=n, bc=bc)
+    expected = [lam.hex() for lam in cc.find_eigenvalues(problem, 3)]
+    scan = grushin._scan
+
+    def flipped(problem, lams):
+        F = scan(problem, lams)
+        # the grid point just below (left) or above (right) root m = 1
+        i = int(np.searchsorted(lams, float.fromhex(expected[1]))) - (side == "left")
+        F[i] = -F[i]
+        return F
+
+    monkeypatch.setattr(grushin, "_scan", flipped)
+    assert [lam.hex() for lam in cc.find_eigenvalues(problem, 3)] == expected
+
+
+def test_scan_without_sign_changes_is_an_error(monkeypatch):
+    monkeypatch.setattr(grushin, "_scan", lambda problem, lams: np.ones(lams.size))
+    with pytest.raises(RuntimeError, match="has 0 eigenvalues below its min-max bound"):
+        cc.find_eigenvalues(cc.ModeProblem(n=1), 2)
+
+
+def test_bisect_returns_an_exact_zero_and_needs_a_sign_change(monkeypatch):
+    count_shoot_calls(monkeypatch, budget=0)
+    problem = cc.ModeProblem(n=1)
+    assert grushin._bisect(problem, 1.0, 0.0, 2.0, 3.0, 1e-8) == 1.0
+    assert grushin._bisect(problem, 1.0, -3.0, 2.0, 0.0, 1e-8) == 2.0
+    with pytest.raises(RuntimeError, match="lost its sign change"):
+        grushin._bisect(problem, 1.0, 2.0, 2.0, 3.0, 1e-8)
+
+
 def test_mode_problem_validation():
     with pytest.raises(ValueError):
         cc.ModeProblem(n=-1)
@@ -145,10 +182,10 @@ def test_cross_validate_against_2d_solver(grushin, neumann_table):
     grid = cc.build_grid(grushin.chart, 32, 64)
     forms = cc.assemble(grushin, grid, cc.BoundarySpec.all_neumann())
     pairs = cc.solve_smallest(forms, k=5)
-    report = cc.cross_validate(neumann_table, pairs.lambdas)
-    assert report.max_rel_error <= 5e-3
-    ns = [p[2] for p in report.pairs]
-    assert ns == [0, 1, 1, 2, 2]
+    errors = cc.cross_validate(neumann_table, pairs.lambdas)
+    # the five values are lambda_{0,0} and the n = 1 and n = 2 doublets
+    assert list(errors) == [(0, 0), (1, 0), (2, 0)]
+    assert max(errors.values()) <= 5e-3
 
 
 def test_complete_below_stops_at_the_first_missing_eigenvalue(neumann_table):
@@ -167,8 +204,8 @@ def test_cross_validate_rejects_too_many_values(neumann_table):
     with pytest.raises(ValueError):
         cc.cross_validate(neumann_table, np.zeros(16))
     # a wild eigenvalue is reported, not silently matched
-    report = cc.cross_validate(neumann_table, np.array([0.0, 1e6]))
-    assert report.max_rel_error > 1.0
+    errors = cc.cross_validate(neumann_table, np.array([0.0, 1e6]))
+    assert errors[0, 0] == 0.0 and errors[1, 0] > 1.0
 
 
 def test_table_csv_roundtrip(tmp_path, neumann_table):
