@@ -11,12 +11,13 @@ Four subcommands drive the library end to end from a JSON configuration:
 
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 ``--quiet``.  Exit codes: 0 on success, 2 on a configuration error (also a
-config file that is unreadable, not UTF-8 or nested too deeply to decode,
-and a grid too large to size or allocate), 3 when the eigensolver fails to
-converge, a certified lower Cheeger bound contradicts the upper bound from
-cuts, or ``cheeger.upper_bound`` finds no admissible cut on the grid: a
-Dirichlet grid too coarse for any level set to enclose a region, a mixed or
-Neumann grid too coarse for any level set to cut it in two, or a cut whose
+config file that is unreadable, not UTF-8, nested too deeply to decode or
+holding an integer too long for int(), and a grid too large to size or
+allocate), 3 when the eigensolver fails to converge, a certified lower
+Cheeger bound contradicts the upper bound from cuts, or
+``cheeger.upper_bound`` finds no admissible cut on the grid: a Dirichlet
+grid too coarse for any level set to enclose a region, a mixed or Neumann
+grid too coarse for any level set to cut it in two, or a cut whose
 perimeter quadrature does not converge (an integrable density singularity
 on it).  CSV artifacts use the shortest round-trip decimal representation
 for floats so identical runs produce byte-identical files.
@@ -242,7 +243,10 @@ class TableConfig:
 
 @dataclass(frozen=True)
 class CarnotConfig:
-    n: int = _spec(1, min=1)
+    # carnot.json lists omega_1 ... omega_(2n+1), and every omega_a with
+    # a >= 452 is 0.0 in double precision: n = 10^5 writes 3.7 MB, and a
+    # larger n only lengthens the run with more zeros
+    n: int = _spec(1, min=1, max=100_000)
 
 
 @dataclass(frozen=True)
@@ -273,7 +277,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(data)
 
@@ -306,8 +310,12 @@ def build_problem(config: RunConfig) -> tuple[CCStructure, AssembledForms]:
         forms = assemble(structure, grid, _boundary_spec(config.bc, structure.chart))
     except ConfigError:
         raise
-    except (ValueError, OverflowError, MemoryError) as exc:  # the last two: a huge grid
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except (OverflowError, MemoryError) as exc:  # too many nodes to size or to allocate
+        counts = " x ".join(str(n) if n < 10 ** 12 else f"<{len(str(n))} digits>"
+                            for n in (config.grid.nx, config.grid.ny))
+        raise ConfigError(f"grid.nx x grid.ny = {counts} is too large: {exc}") from exc
     return structure, forms
 
 
@@ -357,6 +365,16 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _solve_line(structure: CCStructure, forms: AssembledForms, pairs: "Eigenpairs") -> str:
+    """The progress line that names the problem, the solver path, the
+    inverse and why; stdout only, never an artifact."""
+    info = pairs.info
+    inverse = (f", inverse {info['inverse']} ({info['inverse_reason']}), ncv {info['ncv']}"
+               if "inverse" in info else "")
+    return (f"structure {structure.name}, grid {forms.grid.nx}x{forms.grid.ny}, "
+            f"bc {forms.flavor}, k={pairs.k}, solver {info['path']} ({info['reason']}){inverse}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -371,12 +389,7 @@ def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     _write_eigenvalues_csv(pairs, out / "eigenvalues.csv")
-    info = pairs.info
-    inverse = (f", inverse {info['inverse']} ({info['inverse_reason']}), ncv {info['ncv']}"
-               if "inverse" in info else "")
-    _say(quiet, f"structure {structure.name}, grid {grid.nx}x{grid.ny}, "
-                f"bc {forms.flavor}, k={pairs.k}, solver {info['path']} "
-                f"({info['reason']}){inverse}")
+    _say(quiet, _solve_line(structure, forms, pairs))
     report = check_courant(pairs, forms, rel_threshold=config.nodal.rel_threshold,
                            gap_rel_tol=config.nodal.gap_rel_tol)
     for i, entry in enumerate(report.entries):
@@ -425,6 +438,7 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
     index = 1 if flavor == "neumann" else 0
     pairs = _solve(config, forms, index + 1)  # lambda_2 for neumann, else lambda_1 alone
     out.mkdir(parents=True, exist_ok=True)
+    _say(quiet, _solve_line(structure, forms, pairs))
 
     lam = float(pairs.lambdas[index])
     u = forms.expand(pairs.vectors[:, index])

@@ -15,8 +15,9 @@ that asks which nodes lie on an edge asks this table, via Grid2D.edges().
 
 A couples each node only to its eight neighbours, so it is assembled as a
 nine-point stencil straight from the 4x4 cell matrices and compressed to
-CSR.  The stencil is kept with the forms: it is what the FFT inverse of the
-eigensolver reads.
+CSR.  Assembly also decides, once, whether K = A + eps M is invariant under
+y-translation, and keeps only the one y-row block of the stencil that the
+eigensolver's FFT inverse reads; the full stencil is dropped once A is built.
 
 Assembly contract: A is symmetric by construction.  Only the centre and the
 four forward offsets (0, 1), (1, 0), (1, 1), (-1, 1) are summed, each over
@@ -188,15 +189,18 @@ class BoundarySpec:
 @dataclass(frozen=True)
 class AssembledForms:
     """Stiffness matrix A, lumped mass diagonal, the active-node map, the
-    stencil of A and the flavor of the boundary conditions.
-
-    stencil has shape (nx, ny, 3, 3): stencil[i, j, 1 + dx, 1 + dy] is the
-    entry of A coupling node (i, j) to node (i + dx, j + dy), indices wrapping
-    on periodic axes, and 0.0 where A stores none (every coupling of an
-    eliminated node included).
+    flavor of the boundary conditions and whether K = A + eps M is
+    invariant under y-translation.
 
     flavor is "neumann" when no node is Dirichlet, "dirichlet" when every
     boundary node is, and "mixed" otherwise.
+
+    y_stencil is the y-independent stencil of A when K is y-invariant (for
+    every eps > 0), else None; y_reason says which, in words.  It has shape
+    (rows, 3, 3) over the active x-rows: y_stencil[i, 1 + dx, 1 + dy] couples
+    node (i, j) of those rows to node (i + dx, j + dy mod ny), bitwise the
+    same for every j, and is 0.0 where A stores no entry.  It is a copy, so
+    the forms hold no full-grid stencil.
     """
 
     A: sp.csr_matrix
@@ -204,7 +208,8 @@ class AssembledForms:
     active_nodes: np.ndarray
     grid: Grid2D
     flavor: str
-    stencil: np.ndarray
+    y_stencil: np.ndarray | None
+    y_reason: str
 
     @property
     def n_active(self) -> int:
@@ -319,6 +324,33 @@ def _stencil_matrix(S: np.ndarray, grid: Grid2D, active: np.ndarray) -> sp.csr_m
     return A
 
 
+def _y_stencil(S: np.ndarray, grid: Grid2D, active_nodes: np.ndarray,
+               mass: np.ndarray) -> tuple[np.ndarray | None, str]:
+    """A copy of the y-independent stencil block of the active x-rows, or None
+    and why A + eps M is not y-invariant; S is the stencil _stencil_matrix
+    zeroed, and the block is AssembledForms.y_stencil.
+
+    The O(1) and O(n) tests run first, so a partial boundary segment or a
+    y-dependent density is rejected before any stencil row is compared.
+    """
+    ny = grid.ny
+    if not grid.chart.periodic_y:
+        return None, "chart not periodic in y"
+    if grid.chart.periodic_x:
+        return None, "chart periodic in x"
+    n = active_nodes.size
+    if n % ny or active_nodes[0] % ny or active_nodes[-1] - active_nodes[0] != n - 1:
+        return None, "active nodes are not full y-rows"
+    mass = mass.reshape(-1, ny)
+    if np.any(mass != mass[:, :1]):
+        return None, "mass varies along y"
+    rows = S[active_nodes[0] // ny:active_nodes[-1] // ny + 1]
+    if np.any(rows != rows[:, :1]):
+        return None, "A varies along y"
+    # a view would keep all of S alive with the forms
+    return rows[:, 0].copy(), "A + eps M is invariant under y-translation"
+
+
 def _lumped_mass(structure: CCStructure, grid: Grid2D) -> np.ndarray:
     rho = structure.density_at(*grid.meshes())
     wx = np.ones(grid.nx)
@@ -330,7 +362,8 @@ def _lumped_mass(structure: CCStructure, grid: Grid2D) -> np.ndarray:
 
 
 def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> AssembledForms:
-    """Assemble the energy and mass forms, with Dirichlet nodes eliminated."""
+    """Assemble the energy and mass forms, with Dirichlet nodes eliminated,
+    and decide whether K = A + eps M is invariant under y-translation."""
     _check_compatible(structure, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # solve_smallest rejects a non-finite A
         S = _stencil(_local_cell_matrices(structure, grid), grid)
@@ -346,9 +379,11 @@ def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> Assemble
     else:
         flavor = "mixed"
     A = _stencil_matrix(S, grid, active)
-    return AssembledForms(A=A, mass=mass_full[active.ravel()],
-                          active_nodes=np.flatnonzero(active), grid=grid, flavor=flavor,
-                          stencil=S)
+    mass = mass_full[active.ravel()]
+    active_nodes = np.flatnonzero(active)
+    y_stencil, y_reason = _y_stencil(S, grid, active_nodes, mass)
+    return AssembledForms(A=A, mass=mass, active_nodes=active_nodes, grid=grid,
+                          flavor=flavor, y_stencil=y_stencil, y_reason=y_reason)
 
 
 def rayleigh_quotient(forms: AssembledForms, u: np.ndarray) -> float:

@@ -13,6 +13,8 @@ nearest-neighbour stencil do not vary along y, such as the Grushin
 cylinder), an FFT along y turns K into one Hermitian tridiagonal system per
 frequency, which is factorized directly (the fast direct solver of Hockney
 1965 and Buzbee-Golub-Nielson 1970); any other K gets a sparse LU.  The
+assembly decides which and keeps the one stencil block the FFT path needs
+(forms.y_stencil, forms.y_reason), so this module never reads the grid.  The
 shift eps M moves eigenvalues, not eigenvectors, so both paths finish with
 one Rayleigh-Ritz projection against the unshifted pencil, which takes the
 regularization out of the results.  Residuals and M-orthonormality are
@@ -89,34 +91,6 @@ def _solve_dense(forms: AssembledForms, k: int) -> tuple[np.ndarray, np.ndarray]
     return w[:k], V[:, :k]
 
 
-def _y_stencil(forms: AssembledForms) -> tuple[np.ndarray | None, str]:
-    """The y-independent stencil of A, or None and why A + eps M is not y-invariant.
-
-    The stencil S has shape (rows, 3, 3): S[i, 1 + dx, 1 + dy] couples node
-    (i, j) of the active x-rows to node (i + dx, j + dy mod ny), bitwise the
-    same for every j.  It is read from the stencil the assembly kept; the
-    O(1) and O(n) tests run first, so a partial boundary segment or a
-    y-dependent density is rejected before any stencil row is compared.
-    """
-    grid = forms.grid
-    ny = grid.ny
-    if not grid.chart.periodic_y:
-        return None, "chart not periodic in y"
-    if grid.chart.periodic_x:
-        return None, "chart periodic in x"
-    active = forms.active_nodes
-    n = active.size
-    if n % ny or active[0] % ny or active[-1] - active[0] != n - 1:
-        return None, "active nodes are not full y-rows"
-    mass = forms.mass.reshape(-1, ny)
-    if np.any(mass != mass[:, :1]):
-        return None, "mass varies along y"
-    S = forms.stencil[active[0] // ny:active[-1] // ny + 1]
-    if np.any(S != S[:, :1]):
-        return None, "A varies along y"
-    return S[:, 0], "A + eps M is invariant under y-translation"
-
-
 def _fft_y_inverse(stencil: np.ndarray, mass_row: np.ndarray, eps: float,
                    ny: int) -> Callable[[np.ndarray], np.ndarray]:
     """Exact solver for the y-invariant K = A + eps M with that stencil.
@@ -150,11 +124,12 @@ def _fft_y_inverse(stencil: np.ndarray, mass_row: np.ndarray, eps: float,
 
 def _shifted_inverse(forms: AssembledForms,
                      eps: float) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
-    """A solver for K = A + eps M and how it was built: FFT in y, else sparse LU."""
-    stencil, reason = _y_stencil(forms)
+    """A solver for K = A + eps M and how it was built: FFT in y where the
+    assembly kept a y-invariant stencil, else sparse LU."""
+    stencil, reason = forms.y_stencil, forms.y_reason
     if stencil is not None:
-        mass_row = forms.mass.reshape(stencil.shape[0], -1)[:, 0]
-        solve = _fft_y_inverse(stencil, mass_row, eps, forms.grid.ny)
+        mass_rows = forms.mass.reshape(stencil.shape[0], -1)
+        solve = _fft_y_inverse(stencil, mass_rows[:, 0], eps, mass_rows.shape[1])
         return solve, {"inverse": "fft-y", "inverse_reason": reason}
     # K is symmetric, so order on A + A^T and let SuperLU prefer diagonal pivots.
     # It is bitwise symmetric too, so the transpose of its CSR form is K in

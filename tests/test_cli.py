@@ -84,12 +84,16 @@ def test_spectrum_quiet_silences_stdout(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().out
 
 
-def test_spectrum_names_the_inverse_on_stdout_only(tmp_path, capsys):
-    cfg = write_config(tmp_path, GRUSHIN_SPECTRUM)
+@pytest.mark.parametrize("command, doc, k", [("spectrum", GRUSHIN_SPECTRUM, 4),
+                                             ("cheeger", GRUSHIN_CHEEGER, 2)],
+                         ids=["spectrum", "cheeger"])
+def test_spectrum_names_the_inverse_on_stdout_only(tmp_path, capsys, command, doc, k):
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "run"
-    assert run(["spectrum", "--config", cfg, "--out", out]) == 0
+    assert run([command, "--config", cfg, "--out", out]) == 0
     stdout = capsys.readouterr().out
-    assert "solver shift-invert (k = 4 < n_active - 1 = 1151), inverse fft-y" in stdout
+    assert ("structure grushin-cylinder, grid 24x48, bc neumann, "
+            f"k={k}, solver shift-invert (k = {k} < n_active - 1 = 1151), inverse fft-y") in stdout
     assert "), ncv 20\n" in stdout
     for path in out.iterdir():
         assert b"fft-y" not in path.read_bytes() and b"ncv" not in path.read_bytes(), path.name

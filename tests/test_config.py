@@ -123,22 +123,30 @@ def test_malformed_config_is_one_config_error_line(tmp_path, capsys, doc, expect
 
 # Config files that used to end in a traceback while they were read, decoded
 # or sized; the last grid needs 728 TiB, beyond the address space, so no
-# allocation succeeds.
+# allocation succeeds.  Each maps to text its one error line must hold: the
+# grid cases name the grid.
 UNUSABLE = {
-    "not-utf8": b"\xff\xfe{}",
-    "nested-past-the-recursion-limit": b"[" * 100_000,
-    "nx-too-large-for-a-float": b'{"grid": {"nx": 1' + b"0" * 400 + b"}}",
-    "grid-too-large-to-allocate": b'{"grid": {"nx": 10000000, "ny": 10000000}}',
+    "not-utf8": (b"\xff\xfe{}", ()),
+    "nested-past-the-recursion-limit": (b"[" * 100_000, ()),
+    # past int()'s default limit of 4300 digits, where Python enforces one
+    "nx-past-the-integer-digit-limit": (b'{"grid": {"nx": 1' + b"0" * 5000 + b"}}", ()),
+    "nx-too-large-for-a-float": (b'{"grid": {"nx": 1' + b"0" * 400 + b"}}",
+                                 ("grid.nx x grid.ny = <401 digits> x 128 is too large",)),
+    "grid-too-large-to-allocate": (b'{"grid": {"nx": 10000000, "ny": 10000000}}',
+                                   ("grid.nx x grid.ny = 10000000 x 10000000 is too large",)),
 }
 
 
-@pytest.mark.parametrize("content", list(UNUSABLE.values()), ids=list(UNUSABLE))
-def test_unusable_config_file_is_one_config_error_line(tmp_path, capsys, content):
+@pytest.mark.parametrize("content, expected", list(UNUSABLE.values()), ids=list(UNUSABLE))
+def test_unusable_config_file_is_one_config_error_line(tmp_path, capsys, content, expected):
     path = tmp_path / "config.json"
     path.write_bytes(content)
     assert cc.main(["spectrum", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
+    for text in expected:
+        assert text in err, (text, err)
+    assert "0" * 20 not in err  # a huge count is not echoed
     assert not (tmp_path / "run").exists()
 
 
@@ -157,6 +165,8 @@ OUT_OF_RANGE = [
     ("spectrum", {"solver": {"tol": 10 ** 400}}, ["solver.tol must be finite"], False),
     ("spectrum", {"structure": {"kind": "euclidean", "chart": {"x_range": [0, math.inf]}}},
      ["structure.chart.x_range[1]", "inf"], False),
+    # one past the largest n whose omega table is worth writing
+    ("carnot", {"carnot": {"n": 100_001}}, ["carnot.n must be <= 100000", "100001"], False),
 ]
 
 
@@ -271,7 +281,7 @@ VALID_DOCS = optional(
                      certificate=st.one_of(st.none(), CERTIFICATE)),
     table=optional(max_n=st.integers(min_value=0), max_m=st.integers(min_value=1),
                    bc=st.sampled_from(["neumann", "dirichlet"]), tol=POSITIVE),
-    carnot=optional(n=st.integers(min_value=1)))
+    carnot=optional(n=st.integers(min_value=1, max_value=100_000)))
 # what json.loads can return, NaN and infinities included
 JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
                     lambda inner: st.lists(inner, max_size=4)

@@ -1,5 +1,6 @@
 """Generalized eigenvalue solves: accuracy, path agreement, determinism."""
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import ccspectral as cc
-from ccspectral import eigensolver
+from ccspectral import discretization, eigensolver
 
 
 def test_validation():
@@ -213,9 +214,11 @@ def test_shift_invert_factorizes_once(count_gstrf, arpack_ncv):
 
 
 def test_shift_invert_working_set(grushin):
-    # At its peak the solve holds ARPACK's basis twice (the Lanczos vectors
-    # and the n x ncv array its Ritz vectors are extracted into) and a few
-    # n x k blocks; nothing else may grow with n.
+    # At its peak the solve allocates ARPACK's basis twice (the Lanczos
+    # vectors and the n x ncv array its Ritz vectors are extracted into) and
+    # a few n x k blocks; nothing else may grow with n.  tracemalloc counts
+    # the second basis in full, but it is zero-filled on demand and only its
+    # first k columns are written, so resident memory grows by less.
     forms = cc.assemble(grushin, cc.build_grid(grushin.chart, 128, 256),
                         cc.BoundarySpec.all_neumann())
     n, k = forms.n_active, 6
@@ -261,7 +264,7 @@ def test_cross_term_symbol_is_complex():
     structure = _custom(CROSS_TERM)
     forms = cc.assemble(structure, cc.build_grid(structure.chart, 12, 16),
                         cc.BoundarySpec.all_neumann())
-    stencil, _ = eigensolver._y_stencil(forms)
+    stencil = forms.y_stencil
     # diagonal neighbours (i+1, j+1) and (i+1, j-1) couple differently,
     # so the sub-diagonal of the y-frequency symbol has an imaginary part
     assert np.abs(stencil[:-1, 2, 2] - stencil[:-1, 2, 0]).max() > 1e-3 * np.abs(stencil).max()
@@ -276,12 +279,20 @@ def test_y_free_stencil_is_bitwise_y_invariant(grushin, structure, bc, nx, ny):
     bc = (cc.BoundarySpec.all_neumann() if bc == "neumann"
           else cc.BoundarySpec.all_dirichlet(structure.chart))
     forms = cc.assemble(structure, cc.build_grid(structure.chart, nx, ny), bc)
-    S = forms.stencil
-    assert S.tobytes() == np.repeat(S[:, :1], ny, axis=1).tobytes()
-    stencil, reason = eigensolver._y_stencil(forms)
-    assert reason == "A + eps M is invariant under y-translation"
+    assert forms.y_reason == "A + eps M is invariant under y-translation"
+    assert forms.y_stencil.flags.owndata  # a copy, not a view of the full stencil
+    # the kept block, repeated along y on the active x-rows, is A bit for bit,
+    # and it is already 0.0 wherever A stores no entry
     rows = forms.active_nodes[[0, -1]] // ny
-    assert stencil.tobytes() == S[rows[0]:rows[1] + 1, 0].tobytes()
+    S = np.zeros((nx, ny, 3, 3))
+    S[rows[0]:rows[1] + 1] = forms.y_stencil[:, None]
+    kept = S.tobytes()
+    active = np.zeros(nx * ny, dtype=bool)
+    active[forms.active_nodes] = True
+    A = discretization._stencil_matrix(S, forms.grid, active.reshape(nx, ny))
+    assert S.tobytes() == kept
+    for name in ("data", "indices", "indptr"):
+        assert getattr(A, name).tobytes() == getattr(forms.A, name).tobytes(), name
 
 
 MIXED_X_MAX = cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet"),))
@@ -291,7 +302,7 @@ MIXED_X_MAX = cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet"),))
 @pytest.mark.parametrize("structure, bc", [
     ("grushin", "neumann"), ("grushin", "dirichlet"), ("grushin", "mixed"),
     ("cross", "neumann")])
-def test_fft_inverse_matches_splu(grushin, monkeypatch, count_gstrf, structure, bc, ny):
+def test_fft_inverse_matches_splu(grushin, count_gstrf, structure, bc, ny):
     structure = grushin if structure == "grushin" else _custom(CROSS_TERM)
     bc = {"neumann": cc.BoundarySpec.all_neumann(),
           "dirichlet": cc.BoundarySpec.all_dirichlet(structure.chart),
@@ -299,8 +310,7 @@ def test_fft_inverse_matches_splu(grushin, monkeypatch, count_gstrf, structure, 
     forms = cc.assemble(structure, cc.build_grid(structure.chart, 20, ny), bc)
     fft = cc.solve_smallest(forms, k=6)
     assert fft.info["inverse"] == "fft-y" and not count_gstrf
-    monkeypatch.setattr(eigensolver, "_y_stencil", lambda forms: (None, "disabled"))
-    lu = cc.solve_smallest(forms, k=6)
+    lu = cc.solve_smallest(dataclasses.replace(forms, y_stencil=None, y_reason="disabled"), k=6)
     assert lu.info["inverse"] == "splu" and len(count_gstrf) == 1
     assert np.all(np.abs(fft.lambdas - lu.lambdas) <= 1e-12 * np.maximum(1.0, np.abs(lu.lambdas)))
     assert fft.info["opinv_applies"] > 0
@@ -334,6 +344,7 @@ def _fallback_cases():
 def test_y_dependent_operators_fall_back_to_splu(count_gstrf, case):
     structure, bc, reason = _fallback_cases()[case]
     forms = cc.assemble(structure, cc.build_grid(structure.chart, 12, 16), bc)
+    assert forms.y_stencil is None and forms.y_reason == reason
     pairs = cc.solve_smallest(forms, k=3)
     assert len(count_gstrf) == 1
     assert pairs.info["inverse"] == "splu" and pairs.info["inverse_reason"] == reason

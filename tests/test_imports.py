@@ -52,7 +52,7 @@ def test_exports_resolve_lazily():
         "       or star[n] is not getattr(sys.modules[star[n].__module__], n)]\n"
         "assert (first, bad) == (['ccspectral', 'ccspectral.carnot'], []), (first, bad)\n"
         "assert set(cc.__all__) <= set(dir(cc)) and 'eigensolver' in dir(cc)\n"
-        "assert callable(cc.eigensolver._y_stencil)\n"
+        "assert callable(cc.eigensolver._fft_y_inverse)\n"
         "assert cc.ConvergenceError is cc.eigensolver.ConvergenceError\n"
         "assert not hasattr(cc, 'no_such_name')\n")
     loaded_after(code)
