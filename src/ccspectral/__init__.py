@@ -27,11 +27,10 @@ _EXPORTS = {
                 "candidate_cuts_grushin", "coarea_check", "cut_from_level_set",
                 "dirichlet_cheeger_upper", "horizontal_perimeter", "mfmc_certify",
                 "region_volume", "superlevel_cuts", "sweep_level_sets", "upper_bound",
-                "verify_inequality", "write_cuts_csv", "write_cut_segments_csv"),
+                "verify_inequality"),
     "cli": ("RunConfig", "main"),
     "discretization": ("AssembledForms", "BCSegment", "BoundarySpec", "Grid2D",
-                       "assemble", "build_grid", "rayleigh_quotient",
-                       "write_matrix_market"),
+                       "assemble", "build_grid"),
     "eigensolver": ("ConvergenceError", "Eigenpairs", "MinMaxReport", "check_minmax",
                     "solve_smallest"),
     "expressions": ("Expression", "ExpressionError", "compile_expression"),
@@ -39,10 +38,9 @@ _EXPORTS = {
                  "builtin_euclidean", "builtin_grushin_cylinder", "constant_coefficient",
                  "divergence"),
     "grushin": ("ModeEntry", "ModeProblem", "ModeTable", "build_table",
-                "complete_below", "cross_validate", "find_eigenvalues",
-                "mode_zero_crossings", "shoot", "write_table_csv"),
+                "complete_below", "cross_validate", "find_eigenvalues", "shoot"),
     "nodal": ("CourantEntry", "CourantReport", "NodalDecomposition", "check_courant",
-              "nodal_domains", "write_labels_pgm"),
+              "nodal_domains"),
     "pgm": ("field_to_gray", "labels_to_gray", "write_pgm"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -506,24 +506,3 @@ def coarea_check(structure: CCStructure, grid: Grid2D, u,
     rel_gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return CoareaReport(lhs=lhs, rhs=rhs, rel_gap=rel_gap, n_levels=n_levels)
 
-
-def _csv_floats(*values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def write_cuts_csv(cuts, path) -> None:
-    """Summary CSV, one row per cut: kind,sigma,vol1,vol2,ratio."""
-    lines = ["kind,sigma,vol1,vol2,ratio"]
-    lines += [f"{c.kind},{_csv_floats(c.sigma, c.vol1, c.vol2, c.ratio)}" for c in cuts]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_cut_segments_csv(cut: Cut, path) -> None:
-    """Full CSV for one cut: metadata columns plus one row per segment."""
-    lines = ["kind,sigma,vol1,vol2,ratio,x0,y0,x1,y1"]
-    meta = f"{cut.kind},{_csv_floats(cut.sigma, cut.vol1, cut.vol2, cut.ratio)}"
-    lines += [f"{meta},{_csv_floats(*row)}"
-              for row in _segments_array(cut.segments).reshape(-1, 4).tolist()]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -12,15 +12,16 @@ Four subcommands drive the library end to end from a JSON configuration:
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 ``--quiet``.  Exit codes: 0 on success, 2 on a configuration error (also a
 config file that is unreadable, not UTF-8, nested too deeply to decode or
-holding an integer too long for int(), and a grid too large to size or
-allocate), 3 when the eigensolver fails to converge, a certified lower
-Cheeger bound contradicts the upper bound from cuts, or
-``cheeger.upper_bound`` finds no admissible cut on the grid: a Dirichlet
-grid too coarse for any level set to enclose a region, a mixed or Neumann
-grid too coarse for any level set to cut it in two, or a cut whose
-perimeter quadrature does not converge (an integrable density singularity
-on it).  CSV artifacts use the shortest round-trip decimal representation
-for floats so identical runs produce byte-identical files.
+holding an integer too long for int(), and a grid, ``cheeger.levels`` or
+``table.max_m`` too large to size or allocate), 3 when the eigensolver
+fails to converge, a certified lower Cheeger bound contradicts the upper
+bound from cuts, or ``cheeger.upper_bound`` finds no admissible cut on the
+grid: a Dirichlet grid too coarse for any level set to enclose a region, a
+mixed or Neumann grid too coarse for any level set to cut it in two, or a
+cut whose perimeter quadrature does not converge (an integrable density
+singularity on it).  Artifacts are written only here, images through
+``pgm.write_pgm`` and every CSV file through ``_write_csv`` (shortest
+round-trip floats, so identical runs give byte-identical files).
 
 Loading a config needs numpy only.  Each command imports the layers it
 uses when it runs, so ``carnot`` loads no scipy, and ``cheeger`` and
@@ -210,7 +211,7 @@ class SegmentConfig:
 class SolverConfig:
     k: int = _spec(6, min=1)
     tol: float = _spec(1e-8, gt=0.0)
-    seed: int = 0
+    seed: int = _spec(0, min=0)
 
 
 @dataclass(frozen=True)
@@ -313,10 +314,14 @@ def build_problem(config: RunConfig) -> tuple[CCStructure, AssembledForms]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except (OverflowError, MemoryError) as exc:  # too many nodes to size or to allocate
-        counts = " x ".join(str(n) if n < 10 ** 12 else f"<{len(str(n))} digits>"
-                            for n in (config.grid.nx, config.grid.ny))
+        counts = " x ".join(map(_count, (config.grid.nx, config.grid.ny)))
         raise ConfigError(f"grid.nx x grid.ny = {counts} is too large: {exc}") from exc
     return structure, forms
+
+
+def _count(n: int) -> str:
+    """A count for a message: its digits, or only how many there are from 10^12 on."""
+    return str(n) if n < 10 ** 12 else f"<{len(str(n))} digits>"
 
 
 def _boundary_spec(bc: str | tuple[SegmentConfig, ...], chart: Chart2D) -> BoundarySpec:
@@ -348,11 +353,16 @@ def _solve(config: RunConfig, forms: AssembledForms, k: int) -> "Eigenpairs":
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _write_eigenvalues_csv(pairs: "Eigenpairs", path: Path) -> None:
-    lines = ["index,lambda,residual"]
-    for i in range(pairs.k):
-        lines.append(f"{i + 1},{float(pairs.lambdas[i])!r},{float(pairs.residuals[i])!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write every CSV artifact: floats (numpy's too) as shortest round-trip
+    decimals, ints as digits, None as an empty cell; LF line ends, UTF-8."""
+    def cell(value) -> str:
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return "" if value is None else str(value)
+
+    lines = [header] + [",".join(map(cell, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_json(obj: dict, path: Path) -> None:
@@ -380,22 +390,24 @@ def _solve_line(structure: CCStructure, forms: AssembledForms, pairs: "Eigenpair
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
-    from .nodal import check_courant, write_labels_pgm
-    from .pgm import field_to_gray, write_pgm
+    from .nodal import check_courant
+    from .pgm import field_to_gray, labels_to_gray, write_pgm
 
     structure, forms = build_problem(config)
     grid = forms.grid
     pairs = _solve(config, forms, config.solver.k)
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_eigenvalues_csv(pairs, out / "eigenvalues.csv")
+    _write_csv(out / "eigenvalues.csv", "index,lambda,residual",
+               zip(range(1, pairs.k + 1), pairs.lambdas, pairs.residuals))
     _say(quiet, _solve_line(structure, forms, pairs))
     report = check_courant(pairs, forms, rel_threshold=config.nodal.rel_threshold,
                            gap_rel_tol=config.nodal.gap_rel_tol)
     for i, entry in enumerate(report.entries):
         full = forms.expand(pairs.vectors[:, i])
         write_pgm(field_to_gray(full.reshape(grid.nx, grid.ny)), out / f"eig_{i + 1}.pgm")
-        write_labels_pgm(grid, entry.decomposition, out / f"nodal_{i + 1}.pgm")
+        labels = entry.decomposition.labels.reshape(grid.nx, grid.ny)
+        write_pgm(labels_to_gray(labels), out / f"nodal_{i + 1}.pgm")
         _say(quiet, f"  {i + 1:3d}  lambda = {pairs.lambdas[i]:.12g}  "
                     f"residual = {pairs.residuals[i]:.3e}  domains = {entry.n_domains}")
 
@@ -428,13 +440,17 @@ def _certificate_field(cert: CertificateConfig, structure: CCStructure,
 
 
 def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
-    from .cheeger import mfmc_certify, upper_bound, verify_inequality, write_cuts_csv
+    from .cheeger import mfmc_certify, upper_bound, verify_inequality
 
     structure, forms = build_problem(config)
     grid, flavor = forms.grid, forms.flavor
-    cert = config.cheeger.certificate
-    # a bad certificate is a config error, so it is found before any solve
+    cert, levels = config.cheeger.certificate, config.cheeger.levels
+    # a bad certificate or level count is a config error, found before any solve
     V = None if cert is None else _certificate_field(cert, structure, grid)
+    try:  # the sweep holds one float per level
+        np.empty(levels)
+    except (ValueError, MemoryError) as exc:  # past numpy's size limit or the address space
+        raise ConfigError(f"cheeger.levels = {_count(levels)} is too large: {exc}") from exc
     index = 1 if flavor == "neumann" else 0
     pairs = _solve(config, forms, index + 1)  # lambda_2 for neumann, else lambda_1 alone
     out.mkdir(parents=True, exist_ok=True)
@@ -443,15 +459,16 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
     lam = float(pairs.lambdas[index])
     u = forms.expand(pairs.vectors[:, index])
     try:
-        cuts, best, h_upper = upper_bound(structure, grid, flavor, u, config.cheeger.levels)
+        cuts, best, h_upper = upper_bound(structure, grid, flavor, u, levels)
     except SampleError:  # a coefficient or density sample, not the grid, is at fault
         raise
     except ValueError as exc:  # too coarse a grid for any admissible cut
         print(f"solver error: {exc} on the {grid.nx}x{grid.ny} grid with "
-              f"{config.cheeger.levels} levels", file=sys.stderr)
+              f"{_count(levels)} levels", file=sys.stderr)
         return EXIT_SOLVER
 
-    write_cuts_csv(cuts, out / "cuts.csv")
+    _write_csv(out / "cuts.csv", "kind,sigma,vol1,vol2,ratio",
+               ((c.kind, c.sigma, c.vol1, c.vol2, c.ratio) for c in cuts))
     _say(quiet, f"{len(cuts)} candidate cuts; best for h_{flavor}: {best.kind} "
                 f"ratio = {h_upper:.9g}")
     _say(quiet, f"upper bound for h_{flavor}: {h_upper:.9g}")
@@ -491,10 +508,13 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
 
 def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
                       do_cross_validate: bool = False) -> int:
-    from .grushin import build_table, complete_below, cross_validate, write_table_csv
+    from .grushin import build_table, complete_below, cross_validate
 
     t = config.table
-    table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
+    try:
+        table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
+    except (ValueError, OverflowError, MemoryError) as exc:  # a scan too long to size or allocate
+        raise ConfigError(f"table.max_m = {_count(t.max_m)} is too large: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grushin_table.csv"
 
@@ -507,7 +527,12 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
         k = min(len(covered), forms.n_active)
         worst = cross_validate(table, _solve(config, forms, k).lambdas[:k])
 
-    write_table_csv(table, path, errors=worst)
+    header = "n,m,lambda,multiplicity"
+    rows = [(e.n, e.m, e.lam, e.multiplicity) for e in table.entries]
+    if worst is not None:  # None, an empty cell, for a mode the 2D solve does not cover
+        header += ",rel_error_2d"
+        rows = [row + (worst.get(row[:2]),) for row in rows]
+    _write_csv(path, header, rows)
     for e in table.entries:
         shown = ""
         if worst is not None:

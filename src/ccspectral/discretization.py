@@ -385,30 +385,3 @@ def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> Assemble
     return AssembledForms(A=A, mass=mass, active_nodes=active_nodes, grid=grid,
                           flavor=flavor, y_stencil=y_stencil, y_reason=y_reason)
 
-
-def rayleigh_quotient(forms: AssembledForms, u: np.ndarray) -> float:
-    """A[u,u] / M[u,u] for a vector on the active nodes."""
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != forms.n_active:
-        raise ValueError(f"expected {forms.n_active} active values, got {u.size}")
-    den = float(u @ (forms.mass * u))
-    if den == 0.0:
-        raise ValueError("Rayleigh quotient of the zero vector")
-    return float(u @ (forms.A @ u)) / den
-
-
-def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:
-    """Write a sparse matrix in real Matrix Market coordinate format.
-
-    Values are printed with shortest round-trip decimals, so reading the
-    file back reproduces the stored doubles exactly.  Symmetric matrices
-    are detected and written in symmetric storage (lower triangle).
-    """
-    import scipy.io  # only this writer needs it
-    import scipy.sparse as sp
-
-    matrix = sp.csr_matrix(matrix, dtype=float)
-    symmetric = matrix.shape[0] == matrix.shape[1] and (matrix != matrix.T).nnz == 0
-    with open(path, "wb") as fh:  # given a path, mmwrite would append .mtx
-        scipy.io.mmwrite(fh, matrix, comment=str(comment),
-                         symmetry="symmetric" if symmetric else "general")

@@ -10,7 +10,7 @@ Illinois steps narrow each sign change, and plain bisection is replayed
 with only the midpoints inside the narrowed bracket integrated, so the
 digits are those of plain bisection from about a quarter of the work.
 Every n >= 1 eigenvalue of the cylinder is a doublet (e^{+-iny}); n = 0
-modes are simple.
+modes are simple.  The table is computed here and written by ``cli``.
 
 The scan needs no search window.  On (0, 1) the potential satisfies
 0 <= n^2 x^2 <= n^2, so by the min-max principle (Courant-Hilbert,
@@ -64,26 +64,6 @@ def _integrate(rhs, y0) -> np.ndarray:
     return solver.y
 
 
-def _mode(problem: ModeProblem, lam: float, xs: np.ndarray | None = None) -> np.ndarray:
-    """(v, v') of the mode at one lambda: at x = 1, or, by the same RK45 run
-    through ``solve_ivp``, its dense output at the ascending points ``xs``."""
-    n2 = float(problem.n) ** 2
-    lam = float(lam)
-
-    def rhs(x, y):
-        return (y[1], (n2 * x * x - lam) * y[0])
-
-    if xs is None:
-        return _integrate(rhs, _INITIAL_STATE[problem.bc])
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, (0.0, 1.0), _INITIAL_STATE[problem.bc], t_eval=xs,
-                    rtol=ODE_TOL, atol=ODE_TOL * 1e-2)
-    if not sol.success:
-        raise RuntimeError(f"mode integration failed: {sol.message}")
-    return sol.y
-
-
 def shoot(problem: ModeProblem, lam: float) -> float:
     """Boundary mismatch at x = 1: v'(1) for neumann, v(1) for dirichlet.
 
@@ -91,15 +71,14 @@ def shoot(problem: ModeProblem, lam: float) -> float:
     tolerance ODE_TOL; the mismatch is a smooth function of lambda whose
     zeros are the mode eigenvalues.
     """
-    v, dv = _mode(problem, lam)
+    n2 = float(problem.n) ** 2
+    lam = float(lam)
+
+    def rhs(x, y):
+        return (y[1], (n2 * x * x - lam) * y[0])
+
+    v, dv = _integrate(rhs, _INITIAL_STATE[problem.bc])
     return float(dv if problem.bc == "neumann" else v)
-
-
-def mode_zero_crossings(problem: ModeProblem, lam: float, n_points: int = 2001) -> int:
-    """Number of interior sign changes of v on (0, 1) at the given lambda."""
-    v = _mode(problem, lam, np.linspace(0.0, 1.0, n_points))[0]
-    signs = np.sign(v[np.abs(v) > 1e-13 * np.abs(v).max()])
-    return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
 def _scan(problem: ModeProblem, lams: np.ndarray) -> np.ndarray:
@@ -267,23 +246,6 @@ def complete_below(table: ModeTable, tol: float = 1e-8) -> float:
                         for n in range(table.max_n + 1))
     next_first = find_eigenvalues(ModeProblem(n=table.max_n + 1, bc=table.bc), 1, tol=tol)[0]
     return min(per_mode_last, float(next_first))
-
-
-def write_table_csv(table: ModeTable, path, errors=None) -> None:
-    """CSV with header n,m,lambda,multiplicity, shortest round-trip decimals.
-
-    ``errors`` maps (n, m) to the relative error of a 2D cross-check and adds
-    a rel_error_2d column, left empty for the modes it does not cover.
-    """
-    lines = ["n,m,lambda,multiplicity" + ("" if errors is None else ",rel_error_2d")]
-    for e in table.entries:
-        row = f"{e.n},{e.m},{repr(e.lam)},{e.multiplicity}"
-        if errors is not None:
-            err = errors.get((e.n, e.m))
-            row += "," + ("" if err is None else repr(float(err)))
-        lines.append(row)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def cross_validate(table: ModeTable, lambdas_2d: np.ndarray) -> dict[tuple[int, int], float]:

@@ -6,7 +6,8 @@ or strictly negative outside a near-zero band.  The components are the
 connected components of the graph of same-sign grid edges
 (scipy.sparse.csgraph).  The Courant check compares the number of
 nodal domains of the i-th eigenfunction against i, crediting clusters of
-numerically equal eigenvalues with the top index of the cluster.
+numerically equal eigenvalues with the top index of the cluster.  The
+labels are computed here; ``cli`` writes them as images (``labels_to_gray``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .discretization import AssembledForms, Grid2D
 from .eigensolver import Eigenpairs
-from .pgm import labels_to_gray, write_pgm
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,3 @@ def check_courant(pairs: Eigenpairs, forms: AssembledForms,
                                     n_domains=decomp.n_domains, bound=bounds[i], ok=ok,
                                     decomposition=decomp))
     return CourantReport(entries=tuple(entries), ok=all(e.ok for e in entries))
-
-
-def write_labels_pgm(grid: Grid2D, decomp: NodalDecomposition, path) -> None:
-    """Export the label array as an 8-bit PGM image (band black)."""
-    labels2d = decomp.labels.reshape(grid.nx, grid.ny)
-    write_pgm(labels_to_gray(labels2d), path)

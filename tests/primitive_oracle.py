@@ -6,13 +6,15 @@ the per-axis boundary slicing of ``mfmc_certify`` that the grid's edge
 table replaced, the per-dimension loop of ``unit_ball_volume`` that
 the one-pass table ``unit_ball_volumes`` replaced, and the plain
 bisection that ``grushin._bisect`` replays after narrowing its bracket.
+``mode_zero_crossings`` is a reference implementation the library never
+had a caller for: it counts the Sturm oscillations of a shooting mode.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ccspectral.grushin import ModeProblem, shoot
+from ccspectral.grushin import _INITIAL_STATE, ODE_TOL, ModeProblem, shoot
 from ccspectral.pgm import _to_image_axes
 
 
@@ -102,3 +104,23 @@ def _bisect(problem: ModeProblem, a: float, fa: float, b: float, fb: float,
         else:
             a, fa = mid, fm
     return 0.5 * (a + b)
+
+
+def mode_zero_crossings(problem: ModeProblem, lam: float, n_points: int = 2001) -> int:
+    """Number of interior sign changes of v on (0, 1) at the given lambda,
+    sampled from the dense output of the RK45 run that ``shoot`` steps."""
+    from scipy.integrate import solve_ivp
+
+    n2 = float(problem.n) ** 2
+    lam = float(lam)
+
+    def rhs(x, y):
+        return (y[1], (n2 * x * x - lam) * y[0])
+
+    sol = solve_ivp(rhs, (0.0, 1.0), _INITIAL_STATE[problem.bc],
+                    t_eval=np.linspace(0.0, 1.0, n_points), rtol=ODE_TOL, atol=ODE_TOL * 1e-2)
+    if not sol.success:
+        raise RuntimeError(f"mode integration failed: {sol.message}")
+    v = sol.y[0]
+    signs = np.sign(v[np.abs(v) > 1e-13 * np.abs(v).max()])
+    return int(np.sum(signs[1:] * signs[:-1] < 0))

@@ -438,23 +438,16 @@ def test_coarea_rejects_constant(grushin, grushin_grid):
 # ---------------------------------------------------------------------------
 
 def test_cuts_csv(tmp_path, grushin, grushin_grid):
-    cuts = cc.candidate_cuts_grushin(grushin, grushin_grid, n_circles=3, n_line_pairs=2)
+    # a Neumann Grushin run lists the closed-form families, then its best level cut
+    config = tmp_path / "config.json"
+    config.write_text('{"grid": {"nx": 8, "ny": 16}, "cheeger": {"levels": 4}}')
+    assert cc.main(["cheeger", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    cuts = cc.candidate_cuts_grushin(grushin, grushin_grid)
     path = tmp_path / "cuts.csv"
-    cc.write_cuts_csv(cuts, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "kind,sigma,vol1,vol2,ratio"
-    assert len(lines) == 1 + len(cuts)
+    assert len(lines) == 1 + len(cuts) + 1
     assert "np.float64" not in path.read_text()
     row = lines[1].split(",")
     assert row[0] == "vertical_circle"
     assert float(row[4]) == pytest.approx(cuts[0].ratio, rel=1e-15)
-
-
-def test_cut_segments_csv(tmp_path, grushin, grushin_grid):
-    cut = cc.candidate_cuts_grushin(grushin, grushin_grid, n_circles=1, n_line_pairs=1)[-1]
-    path = tmp_path / "segments.csv"
-    cc.write_cut_segments_csv(cut, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "kind,sigma,vol1,vol2,ratio,x0,y0,x1,y1"
-    assert len(lines) == 1 + len(cut.segments)
-    assert "np.float64" not in path.read_text()

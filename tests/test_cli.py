@@ -1,6 +1,8 @@
 """Command line driver: configs, artifacts, exit codes, determinism."""
 
+import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import ccspectral as cc
-from ccspectral.cli import RunConfig, SegmentConfig, build_problem
+from ccspectral.cli import RunConfig, SegmentConfig, _write_csv, build_problem
 
 GRUSHIN_SPECTRUM = {
     "structure": {"kind": "grushin"},
@@ -570,6 +572,64 @@ def test_table_cross_validate_marks_uncovered(tmp_path):
     assert cells[(0, 0)] != "" and cells[(1, 0)] != ""
     assert cells[(0, 1)] == "" and cells[(1, 1)] == ""
     assert float(cells[(1, 0)]) <= 1e-2
+
+
+# ---------------------------------------------------------------------------
+# artifact format
+# ---------------------------------------------------------------------------
+
+def test_only_cli_and_pgm_write_files():
+    # the library computes; the CLI writes the CSV and JSON artifacts and
+    # pgm.write_pgm the images
+    writers = {}
+    for path in sorted(Path(cc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in ("open", "write_text", "write_bytes"):
+                writers.setdefault(path.stem, set()).add(name)
+    assert set(writers) <= {"cli", "pgm"}, writers
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    rows = [(np.float64(0.1) + 0.2, np.int64(3), None, "level_set", np.float32(0.1), math.inf),
+            (1.0, 2, "", "x", 0.0, -0.0)]
+    _write_csv(path, "a,b,c,d,e,f", rows)
+    assert path.read_bytes() == (b"a,b,c,d,e,f\n"
+                                 b"0.30000000000000004,3,,level_set,0.10000000149011612,inf\n"
+                                 b"1.0,2,,x,0.0,-0.0\n")
+
+
+# each CSV artifact: its header and which of its columns hold floats
+CSV_ARTIFACTS = {
+    "eigenvalues.csv": ("index,lambda,residual", {"lambda", "residual"}),
+    "cuts.csv": ("kind,sigma,vol1,vol2,ratio", {"sigma", "vol1", "vol2", "ratio"}),
+    "grushin_table.csv": ("n,m,lambda,multiplicity,rel_error_2d", {"lambda", "rel_error_2d"}),
+}
+
+
+def test_csv_artifacts_share_one_format(tmp_path):
+    doc = dict(GRUSHIN_SPECTRUM, cheeger={"levels": 8}, table={"max_n": 1, "max_m": 1})
+    cfg, out = write_config(tmp_path, doc), tmp_path / "run"
+    for command in (["spectrum"], ["cheeger"], ["grushin-table", "--cross-validate"]):
+        assert run([*command, "--config", cfg, "--out", out, "--quiet"]) == 0
+    empty = []
+    for name, (header, float_columns) in CSV_ARTIFACTS.items():
+        data = (out / name).read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), name
+        lines = data.decode("utf-8").split("\n")[:-1]
+        assert lines[0] == header and len(lines) > 1, name
+        for line in lines[1:]:
+            for column, cell in zip(header.split(","), line.split(","), strict=True):
+                if cell == "":
+                    empty.append((name, column))
+                elif column in float_columns:
+                    assert repr(float(cell)) == cell, (name, column, cell)
+                elif column != "kind":
+                    assert str(int(cell)) == cell, (name, column, cell)
+    # lambda_{2,0} ~ 1.20 interleaves below pi^2: the m = 1 rows are not covered
+    assert empty == [("grushin_table.csv", "rel_error_2d")] * 2
 
 
 # ---------------------------------------------------------------------------

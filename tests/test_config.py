@@ -121,27 +121,40 @@ def test_malformed_config_is_one_config_error_line(tmp_path, capsys, doc, expect
         assert text in err, (text, err)
 
 
-# Config files that used to end in a traceback while they were read, decoded
-# or sized; the last grid needs 728 TiB, beyond the address space, so no
-# allocation succeeds.  Each maps to text its one error line must hold: the
-# grid cases name the grid.
+# Config files that used to end in a traceback (or, for the level counts, a
+# solver error) while they were read, decoded or sized; the last grid needs
+# 728 TiB and 10^15 levels need 7 PiB, beyond the address space, so no
+# allocation succeeds.  Each maps to the command it runs and text its one
+# error line must hold: the grid cases name the grid.
 UNUSABLE = {
-    "not-utf8": (b"\xff\xfe{}", ()),
-    "nested-past-the-recursion-limit": (b"[" * 100_000, ()),
+    "not-utf8": ("spectrum", b"\xff\xfe{}", ()),
+    "nested-past-the-recursion-limit": ("spectrum", b"[" * 100_000, ()),
     # past int()'s default limit of 4300 digits, where Python enforces one
-    "nx-past-the-integer-digit-limit": (b'{"grid": {"nx": 1' + b"0" * 5000 + b"}}", ()),
-    "nx-too-large-for-a-float": (b'{"grid": {"nx": 1' + b"0" * 400 + b"}}",
+    "nx-past-the-integer-digit-limit": ("spectrum", b'{"grid": {"nx": 1' + b"0" * 5000 + b"}}",
+                                        ()),
+    "nx-too-large-for-a-float": ("spectrum", b'{"grid": {"nx": 1' + b"0" * 400 + b"}}",
                                  ("grid.nx x grid.ny = <401 digits> x 128 is too large",)),
-    "grid-too-large-to-allocate": (b'{"grid": {"nx": 10000000, "ny": 10000000}}',
+    "grid-too-large-to-allocate": ("spectrum", b'{"grid": {"nx": 10000000, "ny": 10000000}}',
                                    ("grid.nx x grid.ny = 10000000 x 10000000 is too large",)),
+    "levels-too-large-to-allocate": ("cheeger", b'{"grid": {"nx": 8, "ny": 8}, '
+                                                b'"cheeger": {"levels": 1' + b"0" * 15 + b"}}",
+                                     ("cheeger.levels = <16 digits> is too large",)),
+    "levels-past-the-array-size-limit": ("cheeger", b'{"grid": {"nx": 8, "ny": 8}, '
+                                                    b'"cheeger": {"levels": 1' + b"0" * 20 + b"}}",
+                                         ("cheeger.levels = <21 digits> is too large",)),
+    "levels-too-large-for-a-float": ("cheeger", b'{"grid": {"nx": 8, "ny": 8}, '
+                                                b'"cheeger": {"levels": 1' + b"0" * 400 + b"}}",
+                                     ("cheeger.levels = <401 digits> is too large",)),
 }
 
 
-@pytest.mark.parametrize("content, expected", list(UNUSABLE.values()), ids=list(UNUSABLE))
-def test_unusable_config_file_is_one_config_error_line(tmp_path, capsys, content, expected):
+@pytest.mark.parametrize("command, content, expected", list(UNUSABLE.values()),
+                         ids=list(UNUSABLE))
+def test_unusable_config_file_is_one_config_error_line(tmp_path, capsys, command, content,
+                                                       expected):
     path = tmp_path / "config.json"
     path.write_bytes(content)
-    assert cc.main(["spectrum", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert cc.main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
     for text in expected:
@@ -167,6 +180,15 @@ OUT_OF_RANGE = [
      ["structure.chart.x_range[1]", "inf"], False),
     # one past the largest n whose omega table is worth writing
     ("carnot", {"carnot": {"n": 100_001}}, ["carnot.n must be <= 100000", "100001"], False),
+    ("spectrum", {"solver": {"seed": -1}}, ["solver.seed must be >= 0", "-1"], False),
+    # a mode scan past the address space, one past numpy's size limit, and a
+    # min-max bound too large for a float; none of them allocates
+    ("grushin-table", {"table": {"max_m": 10 ** 6}}, ["table.max_m = 1000000 is too large"],
+     False),
+    ("grushin-table", {"table": {"max_m": 10 ** 9}}, ["table.max_m = 1000000000 is too large"],
+     False),
+    ("grushin-table", {"table": {"max_m": 10 ** 400}}, ["table.max_m = <401 digits> is too large"],
+     False),
 ]
 
 
@@ -274,7 +296,7 @@ VALID_DOCS = optional(
     structure=STRUCTURE,
     grid=optional(nx=st.integers(min_value=3), ny=st.integers(min_value=3)),
     bc=st.one_of(st.sampled_from(["neumann", "dirichlet"]), st.lists(SEGMENT, max_size=4)),
-    solver=optional(k=st.integers(min_value=1), tol=POSITIVE, seed=st.integers()),
+    solver=optional(k=st.integers(min_value=1), tol=POSITIVE, seed=st.integers(min_value=0)),
     nodal=optional(rel_threshold=st.floats(min_value=0.0, max_value=0.1),
                    gap_rel_tol=st.floats(min_value=0.0, allow_infinity=False)),
     cheeger=optional(levels=st.integers(min_value=1),

@@ -11,6 +11,7 @@ import pytest
 
 import ccspectral as cc
 from ccspectral import grushin
+from primitive_oracle import mode_zero_crossings
 
 # reference low Neumann eigenvalues lambda_{n,m} with matching tolerances
 NEUMANN_REFERENCE = {
@@ -73,7 +74,7 @@ def test_sturm_oscillation_counts():
     problem = cc.ModeProblem(n=1, bc="neumann")
     lams = cc.find_eigenvalues(problem, 4)
     for m, lam in enumerate(lams):
-        assert cc.mode_zero_crossings(problem, lam) == m
+        assert mode_zero_crossings(problem, lam) == m
 
 
 def test_shoot_changes_sign_across_eigenvalue():
@@ -209,8 +210,9 @@ def test_cross_validate_rejects_too_many_values(neumann_table):
 
 
 def test_table_csv_roundtrip(tmp_path, neumann_table):
-    path = tmp_path / "table.csv"
-    cc.write_table_csv(neumann_table, path)
+    # the default table config is the fixture's table
+    assert cc.main(["grushin-table", "--out", str(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "grushin_table.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "n,m,lambda,multiplicity"
     assert len(lines) == 10
@@ -275,7 +277,7 @@ SHOOT_DIGITS = {
     (4, "dirichlet", 200.0): "0x1.22af8bcaab896p-4",
 }
 
-# mode_zero_crossings(ModeProblem(n, bc), lam), keyed by (n, bc, lam)
+# primitive_oracle.mode_zero_crossings(ModeProblem(n, bc), lam), keyed by (n, bc, lam)
 CROSSINGS = {(1, "neumann", 45.0): 2, (2, "dirichlet", 60.0): 2,
              (0, "neumann", 100.0): 3, (3, "dirichlet", 150.0): 3}
 
@@ -292,7 +294,7 @@ def test_shoot_and_crossings_are_pinned():
     for (n, bc, lam), digits in SHOOT_DIGITS.items():
         assert cc.shoot(cc.ModeProblem(n=n, bc=bc), lam).hex() == digits, (n, bc, lam)
     for (n, bc, lam), count in CROSSINGS.items():
-        assert cc.mode_zero_crossings(cc.ModeProblem(n=n, bc=bc), lam) == count, (n, bc, lam)
+        assert mode_zero_crossings(cc.ModeProblem(n=n, bc=bc), lam) == count, (n, bc, lam)
 
 
 def test_table_keeps_no_step_history():

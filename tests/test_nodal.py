@@ -102,7 +102,9 @@ def test_write_labels_pgm(tmp_path, grushin_grid):
     _, Y = grushin_grid.meshes()
     decomp = cc.nodal_domains(grushin_grid, np.sin(Y).ravel())
     path = tmp_path / "labels.pgm"
-    cc.write_labels_pgm(grushin_grid, decomp, path)
+    # as the spectrum command writes nodal_<i>.pgm
+    cc.write_pgm(cc.labels_to_gray(decomp.labels.reshape(grushin_grid.nx, grushin_grid.ny)),
+                 path)
     data = path.read_bytes()
     assert data.startswith(b"P5\n")
     header = data.split(b"\n", 3)
