@@ -110,15 +110,15 @@ def _parse(tp, value, path: str):
         return _parse_object(tp, value, path)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path} must be a list, got {value!r}")
+            raise ConfigError(f"{path} must be a list, got {_echo(value)}")
         if args[-1] is Ellipsis:
             args = (args[0],) * len(value)
         elif len(value) != len(args):
-            raise ConfigError(f"{path} must be a list of {len(args)}, got {value!r}")
+            raise ConfigError(f"{path} must be a list of {len(args)}, got {_echo(value)}")
         return tuple(_parse(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
     accepted, noun = _SCALARS[tp]
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
-        raise ConfigError(f"{path} must be {noun}, got {value!r}")
+        raise ConfigError(f"{path} must be {noun}, got {_echo(value)}")
     if tp is not float:
         return value
     # json.loads accepts NaN and Infinity; no number in the schema may be either
@@ -127,14 +127,14 @@ def _parse(tp, value, path: str):
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{path} must be finite, got {value!r}")
+        raise ConfigError(f"{path} must be finite, got {_echo(value)}")
     return number
 
 
 def _parse_object(cls, value, path: str):
     where = path or "configuration"
     if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
+        raise ConfigError(f"{where} must be an object, got {_echo(value)}")
     names = [f.name for f in fields(cls)]
     extra = sorted(set(value) - set(names))
     if extra:
@@ -151,7 +151,7 @@ def _parse_object(cls, value, path: str):
         kwargs[f.name] = parsed = _parse(f.type, value[f.name], key)
         for rule, (passes, says) in _RULES.items():
             if rule in f.metadata and not passes(parsed, f.metadata[rule]):
-                raise ConfigError(f"{key} {says(f.metadata[rule])}, got {value[f.name]!r}")
+                raise ConfigError(f"{key} {says(f.metadata[rule])}, got {_echo(value[f.name])}")
     return cls(**kwargs)
 
 
@@ -320,8 +320,16 @@ def build_problem(config: RunConfig) -> tuple[CCStructure, AssembledForms]:
 
 
 def _count(n: int) -> str:
-    """A count for a message: its digits, or only how many there are from 10^12 on."""
-    return str(n) if n < 10 ** 12 else f"<{len(str(n))} digits>"
+    """An integer for a message: its digits, or only how many there are
+    from 10^12 on (a sign kept)."""
+    return str(n) if abs(n) < 10 ** 12 else f"{'-' * (n < 0)}<{len(str(abs(n)))} digits>"
+
+
+def _echo(value) -> str:
+    """A config value for a message: its repr, with each integer as _count shows it."""
+    if isinstance(value, list):
+        return f"[{', '.join(map(_echo, value))}]"
+    return _count(value) if type(value) is int else repr(value)
 
 
 def _boundary_spec(bc: str | tuple[SegmentConfig, ...], chart: Chart2D) -> BoundarySpec:

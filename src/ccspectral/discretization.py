@@ -14,10 +14,15 @@ x_max to layer -1 along axis 0, and a periodic axis has none.  Every part
 that asks which nodes lie on an edge asks this table, via Grid2D.edges().
 
 A couples each node only to its eight neighbours, so it is assembled as a
-nine-point stencil straight from the 4x4 cell matrices and compressed to
-CSR.  Assembly also decides, once, whether K = A + eps M is invariant under
-y-translation, and keeps only the one y-row block of the stencil that the
-eigensolver's FFT inverse reads; the full stencil is dropped once A is built.
+nine-point stencil straight from the 4x4 cell matrices.  Assembly also
+decides, once, whether K = A + eps M is invariant under y-translation, and
+keeps only the one y-row block of the stencil that the eigensolver's FFT
+inverse reads; the full stencil is dropped before assemble returns.  One
+compressor turns stencil rows into CSR: assemble runs it on the full stencil
+when K is not y-invariant, and otherwise the first read of forms.A runs it
+on the kept block repeated along y, which gives the same matrix bit for bit.
+Shift-invert Lanczos on the FFT path never applies A, so it runs before A
+exists.
 
 Assembly contract: A is symmetric by construction.  Only the centre and the
 four forward offsets (0, 1), (1, 0), (1, 1), (-1, 1) are summed, each over
@@ -29,7 +34,7 @@ the same bits come out for the same grid on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -201,15 +206,43 @@ class AssembledForms:
     node (i, j) of those rows to node (i + dx, j + dy mod ny), bitwise the
     same for every j, and is 0.0 where A stores no entry.  It is a copy, so
     the forms hold no full-grid stencil.
+
+    csr is A once compressed.  assemble compresses A for every form without
+    a y_stencil; a y-invariant form is fully described by its y_stencil, so
+    A is compressed from it, the block repeated along y, on the first read
+    of A and kept.  diagonal() reads the y_stencil and never builds A.
     """
 
-    A: sp.csr_matrix
     mass: np.ndarray
     active_nodes: np.ndarray
     grid: Grid2D
     flavor: str
     y_stencil: np.ndarray | None
     y_reason: str
+    csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.csr is None and self.y_stencil is None:
+            raise ValueError("the forms need A (csr) or a y_stencil to build it from")
+
+    @property
+    def A(self) -> sp.csr_matrix:
+        """The stiffness matrix on the active nodes, in CSR with sorted indices."""
+        if self.csr is None:
+            nx, ny = self.grid.nx, self.grid.ny
+            first, rows = self.active_nodes[0] // ny, self.y_stencil.shape[0]
+            block = np.zeros((nx, 1, 9))  # every x-row, zero where eliminated
+            block[first:first + rows, 0] = self.y_stencil.reshape(rows, 9)
+            values = np.broadcast_to(block, (nx, ny, 9))
+            object.__setattr__(self, "csr", _compress(values, self.grid, self.active_nodes))
+        return self.csr
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of A, bitwise A.diagonal(); from the y_stencil's
+        centre, repeated along y, where there is one, so A is not built."""
+        if self.y_stencil is None:
+            return self.A.diagonal()
+        return np.repeat(self.y_stencil[:, 1, 1], self.grid.ny)
 
     @property
     def n_active(self) -> int:
@@ -280,7 +313,7 @@ def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
     non-periodic edge) adds -0.0, which changes no sum.  The backward entry
     S[a, b, 1 - dx, 1 - dy] is S[a - dx, b - dy, 1 + dx, 1 + dy], indices
     wrapping, so A is bitwise symmetric.  Entries with no cell hold -0.0 or
-    a wrapped value; _stencil_matrix zeroes them.
+    a wrapped value; _compress drops them.
     """
     nx, ny = grid.nx, grid.ny
     S = np.empty((nx, ny, 3, 3))
@@ -298,28 +331,35 @@ def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
     return S
 
 
-def _stencil_matrix(S: np.ndarray, grid: Grid2D, active: np.ndarray) -> sp.csr_matrix:
-    """A on the active nodes (boolean (nx, ny) mask) in CSR with sorted indices.
-
-    Zeroes S wherever A stores no entry: across a non-periodic edge and at
-    every coupling of an eliminated node.
-    """
-    import scipy.sparse as sp
-
-    n_active = int(np.count_nonzero(active))
-    number = np.full(active.shape, -1, dtype=np.int32)  # active index, -1 if eliminated
-    number[active] = np.arange(n_active, dtype=np.int32)
-    # Pad with the wrapped neighbours, or with -1 beyond a non-periodic edge;
-    # cols[a, b, 1 + dx, 1 + dy] is then the active index of (a + dx, b + dy).
-    padded = np.pad(number, 1, mode="wrap")
+def _columns(grid: Grid2D, active_nodes: np.ndarray) -> np.ndarray:
+    """The columns of A for every node, shape (n_nodes, 9): entry
+    3 (1 + dx) + 1 + dy of node (a, b) is the active index of node
+    (a + dx, b + dy), indices wrapping, or -1 where A stores no entry: across
+    a non-periodic edge, at a coupling to an eliminated node and in the whole
+    row of one."""
+    number = np.full(grid.n_nodes, -1, dtype=np.int32)  # active index, -1 if eliminated
+    number[active_nodes] = np.arange(active_nodes.size, dtype=np.int32)
+    padded = np.pad(number.reshape(grid.nx, grid.ny), 1, mode="wrap")
     for axis, layer in grid.edges():
         np.moveaxis(padded, axis, 0)[layer] = -1
-    cols = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-    keep = active[:, :, None, None] & (cols >= 0)
-    S[~keep] = 0.0
-    row_nnz = np.count_nonzero(keep, axis=(2, 3))[active]
-    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
-    A = sp.csr_matrix((S[keep], cols[keep], indptr), shape=(n_active, n_active))
+    cols = np.lib.stride_tricks.sliding_window_view(padded, (3, 3)).reshape(grid.n_nodes, 9)
+    cols[number < 0] = -1
+    return cols
+
+
+def _compress(values: np.ndarray, grid: Grid2D, active_nodes: np.ndarray) -> sp.csr_matrix:
+    """A in CSR with sorted indices from the stencil values of every node,
+    in node order with the 9 offsets last (any view, a broadcast one too);
+    the entries that A does not store (_columns -1) are dropped."""
+    import scipy.sparse as sp
+
+    cols = _columns(grid, active_nodes)
+    keep = cols >= 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1)[active_nodes])))
+    indices = cols[keep]
+    del cols  # freed before the values are gathered, to lower the peak
+    n = active_nodes.size
+    A = sp.csr_matrix((values[keep.reshape(values.shape)], indices, indptr), shape=(n, n))
     A.sort_indices()
     return A
 
@@ -327,8 +367,8 @@ def _stencil_matrix(S: np.ndarray, grid: Grid2D, active: np.ndarray) -> sp.csr_m
 def _y_stencil(S: np.ndarray, grid: Grid2D, active_nodes: np.ndarray,
                mass: np.ndarray) -> tuple[np.ndarray | None, str]:
     """A copy of the y-independent stencil block of the active x-rows, or None
-    and why A + eps M is not y-invariant; S is the stencil _stencil_matrix
-    zeroed, and the block is AssembledForms.y_stencil.
+    and why A + eps M is not y-invariant; S is the full-grid stencil, and the
+    block is AssembledForms.y_stencil.
 
     The O(1) and O(n) tests run first, so a partial boundary segment or a
     y-dependent density is rejected before any stencil row is compared.
@@ -347,8 +387,12 @@ def _y_stencil(S: np.ndarray, grid: Grid2D, active_nodes: np.ndarray,
     rows = S[active_nodes[0] // ny:active_nodes[-1] // ny + 1]
     if np.any(rows != rows[:, :1]):
         return None, "A varies along y"
-    # a view would keep all of S alive with the forms
-    return rows[:, 0].copy(), "A + eps M is invariant under y-translation"
+    block = rows[:, 0].copy()  # a view would keep all of S alive with the forms
+    # A stores no coupling across the x-rows next to the block: they are
+    # eliminated or lie beyond an x-edge.  The row test above also compares
+    # those couplings, which can reject a form but never accept one.
+    block[0, 0] = block[-1, 2] = 0.0
+    return block, "A + eps M is invariant under y-translation"
 
 
 def _lumped_mass(structure: CCStructure, grid: Grid2D) -> np.ndarray:
@@ -363,7 +407,8 @@ def _lumped_mass(structure: CCStructure, grid: Grid2D) -> np.ndarray:
 
 def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> AssembledForms:
     """Assemble the energy and mass forms, with Dirichlet nodes eliminated,
-    and decide whether K = A + eps M is invariant under y-translation."""
+    and decide whether K = A + eps M is invariant under y-translation; A is
+    compressed here unless the y-invariant stencil block describes it."""
     _check_compatible(structure, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # solve_smallest rejects a non-finite A
         S = _stencil(_local_cell_matrices(structure, grid), grid)
@@ -378,10 +423,10 @@ def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> Assemble
         flavor = "dirichlet"
     else:
         flavor = "mixed"
-    A = _stencil_matrix(S, grid, active)
     mass = mass_full[active.ravel()]
     active_nodes = np.flatnonzero(active)
     y_stencil, y_reason = _y_stencil(S, grid, active_nodes, mass)
-    return AssembledForms(A=A, mass=mass, active_nodes=active_nodes, grid=grid,
-                          flavor=flavor, y_stencil=y_stencil, y_reason=y_reason)
-
+    csr = None if y_stencil is not None else _compress(S.reshape(grid.n_nodes, 9), grid,
+                                                        active_nodes)
+    return AssembledForms(mass=mass, active_nodes=active_nodes, grid=grid, flavor=flavor,
+                          y_stencil=y_stencil, y_reason=y_reason, csr=csr)

@@ -15,13 +15,16 @@ frequency, which is factorized directly (the fast direct solver of Hockney
 1965 and Buzbee-Golub-Nielson 1970); any other K gets a sparse LU.  The
 assembly decides which and keeps the one stencil block the FFT path needs
 (forms.y_stencil, forms.y_reason), so this module never reads the grid.  The
-shift eps M moves eigenvalues, not eigenvectors, so both paths finish with
-one Rayleigh-Ritz projection against the unshifted pencil, which takes the
-regularization out of the results.  Residuals and M-orthonormality are
-checked once, on either path.  The Ritz, residual, Gram and sign steps work
-one column at a time and hold no n-sized block besides the vectors they
-return.  Runs are deterministic: the iterative start vector is drawn from a
-seeded generator, and signs do not depend on it (see solve_smallest).
+shift eps reads the trace from forms.diagonal(), and Lanczos is handed A's
+shape alone, so on the FFT path forms.A is first read, and so compressed,
+after Lanczos returns.  The shift eps M moves eigenvalues, not eigenvectors,
+so both paths finish with one Rayleigh-Ritz projection against the
+unshifted pencil, which takes the regularization out of the results.
+Residuals and M-orthonormality are checked once, on either path.  The Ritz,
+residual, Gram and sign steps work one column at a time and hold no n-sized
+block besides the vectors they return.  Runs are deterministic: the
+iterative start vector is drawn from a seeded generator, and signs do not
+depend on it (see solve_smallest).
 """
 
 from __future__ import annotations
@@ -139,14 +142,17 @@ def _shifted_inverse(forms: AssembledForms,
     return lu.solve, {"inverse": "splu", "inverse_reason": reason, "factor_nnz": int(lu.nnz)}
 
 
+def _never_applied(x: np.ndarray) -> np.ndarray:
+    raise RuntimeError("shift-invert Lanczos applied A itself")
+
+
 def _solve_iterative(forms: AssembledForms, k: int,
                      seed: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    A = forms.A
     mass = forms.mass
     n = forms.n_active
     # Eigenvalue-scale shift keeps the pencil positive definite without
     # drowning in roundoff; the final Rayleigh-Ritz projection removes it.
-    eps = 1e-8 * float(A.diagonal().sum()) / float(mass.sum())
+    eps = 1e-8 * float(forms.diagonal().sum()) / float(mass.sum())
     solve, stats = _shifted_inverse(forms, eps)
     applies = 0
 
@@ -157,18 +163,20 @@ def _solve_iterative(forms: AssembledForms, k: int,
 
     OPinv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
     M = spla.LinearOperator((n, n), matvec=lambda x: mass * x, dtype=float)
+    shape_of_A = spla.LinearOperator((n, n), matvec=_never_applied, dtype=float)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     # The basis eigsh builds when it is given no ncv (ARPACK's own default).
     ncv = min(n, max(2 * k + 1, 20))
-    # Shift-invert mode applies only OPinv and M, never its first argument.
+    # Shift-invert mode applies only OPinv and M, never its first argument,
+    # so it gets A's shape alone: a y-invariant form has no A until here.
     # tol=0 (machine precision) is load-bearing: single-vector Lanczos finds
     # the second member of each exactly degenerate pair (the cos/sin y-modes)
     # only through roundoff, and at a looser tolerance it can converge with
     # a partner missing while every residual passes (Lehoucq, Sorensen and
     # Yang, ARPACK Users' Guide, 1998).
     try:
-        _, V = spla.eigsh(A, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=OPinv,
+        _, V = spla.eigsh(shape_of_A, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=OPinv,
                           maxiter=MAXITER_PER_MODE * k, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
@@ -176,7 +184,7 @@ def _solve_iterative(forms: AssembledForms, k: int,
             f"within {MAXITER_PER_MODE * k} iterations") from exc
     # The Ritz vectors of (K, M) span the wanted eigenspaces of (A, M);
     # projecting onto the unshifted pencil removes eps and sorts the values.
-    w, V = _rayleigh_ritz(A, mass, V)
+    w, V = _rayleigh_ritz(forms.A, mass, V)
     return w, V, {**stats, "opinv_applies": applies, "ncv": ncv}
 
 
@@ -201,7 +209,7 @@ def solve_smallest(forms: AssembledForms, k: int, tol: float = 1e-8,
     # A is positive semidefinite, so its trace is 0 only when A is; with a
     # subnormal or infinite trace the shift eps cannot make A + eps M regular.
     with np.errstate(over="ignore"):
-        trace = float(forms.A.diagonal().sum())
+        trace = float(forms.diagonal().sum())
     if not np.finfo(float).tiny <= trace < np.inf:
         raise ValueError(f"the energy form is zero or not finite (trace {trace!r}): "
                          f"the fields or the density vanish, underflow or overflow")

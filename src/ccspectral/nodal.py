@@ -4,9 +4,11 @@ A nodal domain is a connected component (4-neighbor adjacency, wrapping
 across periodic axes) of the set where the function is strictly positive
 or strictly negative outside a near-zero band.  The components are the
 connected components of the graph of same-sign grid edges
-(scipy.sparse.csgraph).  The Courant check compares the number of
-nodal domains of the i-th eigenfunction against i, crediting clusters of
-numerically equal eigenvalues with the top index of the cluster.  The
+(scipy.sparse.csgraph), built as one CSR row per node from int8 signs and
+int32 node ids and freed before the components are numbered, so a call
+allocates about 60 bytes a node at its peak.  The Courant check compares
+the number of nodal domains of the i-th eigenfunction against i, crediting
+clusters of numerically equal eigenvalues with the top index of the cluster.  The
 labels are computed here; ``cli`` writes them as images (``labels_to_gray``).
 """
 
@@ -39,44 +41,54 @@ def nodal_domains(grid: Grid2D, u, rel_threshold: float = 1e-6) -> NodalDecompos
     """Label the nodal domains of u (values on all grid nodes).
 
     Nodes with |u| <= rel_threshold * max|u| form the zero band (label 0)
-    and separate domains.  rel_threshold must lie in [0, 0.1].
+    and separate domains.  rel_threshold must lie in [0, 0.1], and u must be
+    finite.
     """
     if not 0.0 <= rel_threshold <= 0.1:
         raise ValueError(f"rel_threshold must be in [0, 0.1], got {rel_threshold}")
     values = np.asarray(u, dtype=float).ravel()
-    if values.size != grid.n_nodes:
-        raise ValueError(f"expected {grid.n_nodes} node values, got {values.size}")
-    vmax = np.abs(values).max()
-    sign = np.sign(values)
-    sign[np.abs(values) <= rel_threshold * vmax] = 0
-    # Same-sign 4-neighbour edges: each node against its successor along
-    # each axis, the last layer against the first only where the axis wraps.
+    n = grid.n_nodes
+    if values.size != n:
+        raise ValueError(f"expected {n} node values, got {values.size}")
+    vmax = max(values.max(), -values.min())
+    if not np.isfinite(vmax):
+        raise ValueError(f"u must be finite, got max |u| = {vmax}")
+    cut = rel_threshold * vmax
+    sign = (values > cut).view(np.int8) - (values < -cut).view(np.int8)
+    # Same-sign 4-neighbour edges, one graph row per node: its successor
+    # along x, then along y, the last layer against the first only where
+    # the axis wraps.
     sign2d = sign.reshape(grid.nx, grid.ny)
-    node = np.arange(grid.n_nodes).reshape(sign2d.shape)
-    i, j = [], []
+    node = np.arange(n, dtype=np.int32).reshape(sign2d.shape)
+    successor = np.empty((grid.nx, grid.ny, 2), dtype=np.int32)
+    linked = np.empty((grid.nx, grid.ny, 2), dtype=bool)
     for axis, periodic in ((0, grid.chart.periodic_x), (1, grid.chart.periodic_y)):
-        same = (sign2d == np.roll(sign2d, -1, axis)) & (sign2d != 0)
+        successor[..., axis] = np.roll(node, -1, axis)
+        linked[..., axis] = (sign2d == np.roll(sign2d, -1, axis)) & (sign2d != 0)
         if not periodic:
-            np.moveaxis(same, axis, 0)[-1] = False
-        i.append(node[same])
-        j.append(np.roll(node, -1, axis)[same])
-    i, j = np.concatenate(i), np.concatenate(j)
-    graph = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(grid.n_nodes, grid.n_nodes))
-    _, component = connected_components(graph, directed=False)
-    # Number the components by their first nonzero node: positives 1, 2, ...
-    # and negatives -1, -2, ..., each in order of first appearance.
-    nonzero = np.flatnonzero(sign)
-    _, first, inverse = np.unique(component[nonzero], return_index=True,
-                                  return_inverse=True)
+            np.moveaxis(linked[..., axis], axis, 0)[-1] = False
+    del node
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(linked.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
+    indices = successor[linked]
+    del successor, linked
+    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    n_components, component = connected_components(graph, directed=False)
+    del graph, indices, indptr
+    # Number the components by their first node: positives 1, 2, ... and
+    # negatives -1, -2, ..., each in order of first appearance; the zero
+    # band, one component per node, gets 0.
+    first = np.full(n_components, n, dtype=np.int32)
+    np.minimum.at(first, component, np.arange(n, dtype=np.int32))
     order = np.argsort(first)
-    signs = sign[nonzero[first[order]]]
-    number = np.empty(first.size, dtype=int)
-    number[order] = np.where(signs > 0, np.cumsum(signs > 0), -np.cumsum(signs < 0))
-    labels = np.zeros(grid.n_nodes, dtype=int)
-    labels[nonzero] = number[inverse]
+    signs = sign[first[order]]
+    number = np.empty(n_components, dtype=int)
+    number[order] = np.where(signs > 0, np.cumsum(signs > 0),
+                             np.where(signs < 0, -np.cumsum(signs < 0), 0))
     n_pos = int(np.count_nonzero(signs > 0))
-    return NodalDecomposition(labels=labels, n_domains=first.size,
-                              n_positive=n_pos, n_negative=first.size - n_pos,
+    n_neg = int(np.count_nonzero(signs < 0))
+    return NodalDecomposition(labels=number[component], n_domains=n_pos + n_neg,
+                              n_positive=n_pos, n_negative=n_neg,
                               rel_threshold=rel_threshold)
 
 

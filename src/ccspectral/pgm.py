@@ -38,9 +38,14 @@ def field_to_gray(values2d: np.ndarray) -> np.ndarray:
 
 
 def labels_to_gray(labels2d: np.ndarray) -> np.ndarray:
-    """Map integer labels to distinct gray levels; label 0 stays black."""
-    labels2d = np.asarray(labels2d)
-    uniq, inverse = np.unique(labels2d, return_inverse=True)
-    lookup = np.zeros(uniq.size, dtype=np.uint8)
-    lookup[uniq != 0] = np.linspace(60, 255, np.count_nonzero(uniq)).astype(np.uint8)
-    return _to_image_axes(lookup[inverse].reshape(labels2d.shape))
+    """Map integer labels to distinct gray levels, ascending with the label;
+    label 0 stays black.  A presence table spans the labels' range, so they
+    should be dense, as nodal_domains numbers them."""
+    labels2d = np.asarray(labels2d).astype(np.intp, casting="safe", copy=False)
+    zero = -labels2d.min(initial=0)  # table slot of label 0
+    shifted = labels2d + zero
+    present = np.bincount(shifted.ravel(), minlength=zero + 1) > 0
+    present[zero] = False
+    lookup = np.zeros(present.size, dtype=np.uint8)
+    lookup[present] = np.linspace(60, 255, np.count_nonzero(present)).astype(np.uint8)
+    return _to_image_axes(lookup[shifted])

@@ -4,8 +4,10 @@
 primitives, the cell-point formulas that ``Grid2D.cell_meshes`` replaced,
 the per-axis boundary slicing of ``mfmc_certify`` that the grid's edge
 table replaced, the per-dimension loop of ``unit_ball_volume`` that
-the one-pass table ``unit_ball_volumes`` replaced, and the plain
-bisection that ``grushin._bisect`` replays after narrowing its bracket.
+the one-pass table ``unit_ball_volumes`` replaced, the plain
+bisection that ``grushin._bisect`` replays after narrowing its bracket, and
+the boolean gathers over the strided 3x3 window that compressed the stencil
+to CSR before ``discretization._compress`` gathered from (n_active, 9) arrays.
 ``mode_zero_crossings`` is a reference implementation the library never
 had a caller for: it counts the Sturm oscillations of a shooting mode.
 """
@@ -124,3 +126,29 @@ def mode_zero_crossings(problem: ModeProblem, lam: float, n_points: int = 2001) 
     v = sol.y[0]
     signs = np.sign(v[np.abs(v) > 1e-13 * np.abs(v).max()])
     return int(np.sum(signs[1:] * signs[:-1] < 0))
+
+
+def _stencil_matrix(S: np.ndarray, grid, active: np.ndarray):
+    """A on the active nodes (boolean (nx, ny) mask) in CSR with sorted indices.
+
+    Zeroes S wherever A stores no entry: across a non-periodic edge and at
+    every coupling of an eliminated node.
+    """
+    import scipy.sparse as sp
+
+    n_active = int(np.count_nonzero(active))
+    number = np.full(active.shape, -1, dtype=np.int32)  # active index, -1 if eliminated
+    number[active] = np.arange(n_active, dtype=np.int32)
+    # Pad with the wrapped neighbours, or with -1 beyond a non-periodic edge;
+    # cols[a, b, 1 + dx, 1 + dy] is then the active index of (a + dx, b + dy).
+    padded = np.pad(number, 1, mode="wrap")
+    for axis, layer in grid.edges():
+        np.moveaxis(padded, axis, 0)[layer] = -1
+    cols = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
+    keep = active[:, :, None, None] & (cols >= 0)
+    S[~keep] = 0.0
+    row_nnz = np.count_nonzero(keep, axis=(2, 3))[active]
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    A = sp.csr_matrix((S[keep], cols[keep], indptr), shape=(n_active, n_active))
+    A.sort_indices()
+    return A

@@ -174,13 +174,22 @@ OUT_OF_RANGE = [
     ("spectrum", {"nodal": {"rel_threshold": math.nan}}, ["rel_threshold", "nan"], False),
     ("spectrum", {"nodal": {"gap_rel_tol": -1e-6}}, ["gap_rel_tol", "-1e-06"], False),
     ("spectrum", {"solver": {"tol": math.inf}}, ["solver.tol", "inf"], False),
-    # an integer too large for a float is not finite either
-    ("spectrum", {"solver": {"tol": 10 ** 400}}, ["solver.tol must be finite"], False),
+    # an integer too large for a float is not finite either, and is not echoed
+    ("spectrum", {"solver": {"tol": 10 ** 400}}, ["solver.tol must be finite, got <401 digits>"],
+     False),
     ("spectrum", {"structure": {"kind": "euclidean", "chart": {"x_range": [0, math.inf]}}},
      ["structure.chart.x_range[1]", "inf"], False),
     # one past the largest n whose omega table is worth writing
     ("carnot", {"carnot": {"n": 100_001}}, ["carnot.n must be <= 100000", "100001"], False),
+    ("carnot", {"carnot": {"n": 10 ** 30}}, ["carnot.n must be <= 100000, got <31 digits>"],
+     False),
     ("spectrum", {"solver": {"seed": -1}}, ["solver.seed must be >= 0", "-1"], False),
+    ("spectrum", {"solver": {"seed": -10 ** 30}}, ["solver.seed must be >= 0, got -<31 digits>"],
+     False),
+    # a huge integer where a section, a list or a pair is due
+    ("spectrum", {"bc": 10 ** 30}, ["bc must be a list, got <31 digits>"], False),
+    ("spectrum", {"structure": {"kind": "euclidean", "chart": {"x_range": [10 ** 30]}}},
+     ["x_range must be a list of 2, got [<31 digits>]"], False),
     # a mode scan past the address space, one past numpy's size limit, and a
     # min-max bound too large for a float; none of them allocates
     ("grushin-table", {"table": {"max_m": 10 ** 6}}, ["table.max_m = 1000000 is too large"],
@@ -211,6 +220,7 @@ def test_out_of_range_number_is_a_config_error(tmp_path, capsys, command, change
     assert "Traceback" not in err
     for text in expected:
         assert text in err, (text, err)
+    assert "0" * 20 not in err  # a huge integer is not echoed
 
 
 # The keys each section accepts.

@@ -174,22 +174,22 @@ def test_assemble_rejects_everything_eliminated():
 
 
 def test_forms_keep_no_full_grid_stencil(grushin):
-    # Past A's three arrays, the mass, the active-node map and the one y-row
-    # block of the stencil, the forms keep nothing that grows with n: the
-    # full (nx, ny, 3, 3) stencil, 9 n doubles, is dropped once A is built,
-    # and a view of it in place of the copied block would keep all of it.
+    # Past the mass, the active-node map and the one y-row block of the
+    # stencil, a y-invariant form keeps nothing that grows with n: A is not
+    # built until it is read, the full (nx, ny, 3, 3) stencil, 9 n doubles,
+    # is dropped, and a view of it in place of the copied block would keep
+    # all of it.
     grid = cc.build_grid(grushin.chart, 128, 256)
     bc = cc.BoundarySpec.all_neumann()
-    cc.assemble(grushin, grid, bc)  # lazy imports and caches outside the measurement
+    cc.assemble(grushin, grid, bc).A  # lazy imports and caches outside the measurement
     tracemalloc.start()
     try:
         forms = cc.assemble(grushin, grid, bc)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert forms.y_stencil.shape == (grid.nx, 3, 3)
-    kept = sum(a.nbytes for a in (forms.A.data, forms.A.indices, forms.A.indptr, forms.mass,
-                                  forms.active_nodes, forms.y_stencil))
+    assert forms.y_stencil.shape == (grid.nx, 3, 3) and forms.csr is None
+    kept = sum(a.nbytes for a in (forms.mass, forms.active_nodes, forms.y_stencil))
     assert retained <= kept + 64 * 1024, (retained - kept) / (forms.n_active * 8)
 
 

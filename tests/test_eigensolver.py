@@ -218,12 +218,15 @@ def test_shift_invert_working_set(grushin):
     # vectors and the n x ncv array its Ritz vectors are extracted into) and
     # a few n x k blocks; nothing else may grow with n.  tracemalloc counts
     # the second basis in full, but it is zero-filled on demand and only its
-    # first k columns are written, so resident memory grows by less.
-    forms = cc.assemble(grushin, cc.build_grid(grushin.chart, 128, 256),
-                        cc.BoundarySpec.all_neumann())
-    n, k = forms.n_active, 6
+    # first k columns are written, so resident memory grows by less.  A is
+    # compressed inside the measured solve, after Lanczos, and stays below it.
+    grid, bc = cc.build_grid(grushin.chart, 128, 256), cc.BoundarySpec.all_neumann()
+    k = 6
     ncv = max(2 * k + 1, 20)
-    cc.solve_smallest(forms, k=k)  # lazy imports and caches outside the measurement
+    cc.solve_smallest(cc.assemble(grushin, grid, bc), k=k)  # lazy imports outside
+    forms = cc.assemble(grushin, grid, bc)
+    n = forms.n_active
+    assert forms.csr is None
     tracemalloc.start()
     try:
         pairs = cc.solve_smallest(forms, k=k)
@@ -232,6 +235,7 @@ def test_shift_invert_working_set(grushin):
         tracemalloc.stop()
     assert peak <= (2 * ncv + 3 * k) * n * 8, peak / (n * 8)
     assert pairs.info["inverse"] == "fft-y" and pairs.info["ncv"] == ncv
+    assert forms.csr is not None
 
 
 def _shifted(forms):
@@ -270,32 +274,90 @@ def test_cross_term_symbol_is_complex():
     assert np.abs(stencil[:-1, 2, 2] - stencil[:-1, 2, 0]).max() > 1e-3 * np.abs(stencil).max()
 
 
+MIXED_X_MAX = cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet"),))
+
+
+def _bc(name, chart):
+    return {"neumann": cc.BoundarySpec.all_neumann(),
+            "dirichlet": cc.BoundarySpec.all_dirichlet(chart), "mixed": MIXED_X_MAX}[name]
+
+
 @pytest.mark.parametrize("nx, ny", [(31, 64), (5, 3)])
 @pytest.mark.parametrize("structure, bc", [
-    ("grushin", "neumann"), ("grushin", "dirichlet"), ("cross", "neumann"), ("cross", "dirichlet")])
+    ("grushin", "neumann"), ("grushin", "dirichlet"), ("grushin", "mixed"),
+    ("cross", "neumann"), ("cross", "dirichlet")])
 def test_y_free_stencil_is_bitwise_y_invariant(grushin, structure, bc, nx, ny):
     # every node row sums in the same order, so no roundoff varies along y
     structure = grushin if structure == "grushin" else _custom(CROSS_TERM)
-    bc = (cc.BoundarySpec.all_neumann() if bc == "neumann"
-          else cc.BoundarySpec.all_dirichlet(structure.chart))
-    forms = cc.assemble(structure, cc.build_grid(structure.chart, nx, ny), bc)
+    grid = cc.build_grid(structure.chart, nx, ny)
+    forms = cc.assemble(structure, grid, _bc(bc, structure.chart))
     assert forms.y_reason == "A + eps M is invariant under y-translation"
     assert forms.y_stencil.flags.owndata  # a copy, not a view of the full stencil
-    # the kept block, repeated along y on the active x-rows, is A bit for bit,
-    # and it is already 0.0 wherever A stores no entry
-    rows = forms.active_nodes[[0, -1]] // ny
-    S = np.zeros((nx, ny, 3, 3))
-    S[rows[0]:rows[1] + 1] = forms.y_stencil[:, None]
-    kept = S.tobytes()
-    active = np.zeros(nx * ny, dtype=bool)
-    active[forms.active_nodes] = True
-    A = discretization._stencil_matrix(S, forms.grid, active.reshape(nx, ny))
-    assert S.tobytes() == kept
+    # the kept block is already 0.0 wherever A stores no entry
+    cols = discretization._columns(grid, forms.active_nodes)[forms.active_nodes]
+    repeated = np.repeat(forms.y_stencil.reshape(-1, 9), ny, axis=0)
+    assert not repeated[cols < 0].any()
+    # A, compressed on first read from the block repeated along y on the
+    # active x-rows, is bit for bit the compression of the full stencil
+    S = discretization._stencil(discretization._local_cell_matrices(structure, grid), grid)
+    eager = discretization._compress(S.reshape(nx * ny, 9), grid, forms.active_nodes)
+    assert forms.csr is None
     for name in ("data", "indices", "indptr"):
-        assert getattr(A, name).tobytes() == getattr(forms.A, name).tobytes(), name
+        assert getattr(forms.A, name).tobytes() == getattr(eager, name).tobytes(), name
+    assert forms.csr is forms.A  # compressed once, then kept
 
 
-MIXED_X_MAX = cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet"),))
+@pytest.mark.parametrize("structure, bc", [
+    ("grushin", "neumann"), ("grushin", "dirichlet"), ("cross", "mixed"),
+    ("y-dependent", "neumann")])
+def test_diagonal_is_bitwise_the_diagonal_of_A(grushin, structure, bc):
+    structure = {"grushin": grushin, "cross": _custom(CROSS_TERM),
+                 "y-dependent": _y_dependent_structure()}[structure]
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, 17, 24),
+                        _bc(bc, structure.chart))
+    diagonal = forms.diagonal()
+    assert forms.csr is None or forms.y_stencil is None  # read without building A
+    assert diagonal.dtype == np.float64 and diagonal.tobytes() == forms.A.diagonal().tobytes()
+
+
+def test_forms_need_A_or_a_y_stencil(grushin):
+    forms = cc.assemble(grushin, cc.build_grid(grushin.chart, 8, 16),
+                        cc.BoundarySpec.all_neumann())
+    with pytest.raises(ValueError, match="csr"):
+        dataclasses.replace(forms, y_stencil=None, y_reason="disabled")
+
+
+def test_lanczos_runs_before_A_is_compressed(grushin, monkeypatch):
+    # On the fft-y path eigsh gets A's shape only, and returns before the
+    # Rayleigh-Ritz step compresses A from the y_stencil.
+    forms = cc.assemble(grushin, cc.build_grid(grushin.chart, 24, 48),
+                        cc.BoundarySpec.all_neumann())
+    seen = []
+    eigsh = eigensolver.spla.eigsh
+
+    def wrapped(A, *args, **kwargs):
+        result = eigsh(A, *args, **kwargs)
+        seen.append(forms.csr)
+        with pytest.raises(RuntimeError, match="applied A"):
+            A.matvec(np.ones(A.shape[1]))
+        return result
+
+    monkeypatch.setattr(eigensolver.spla, "eigsh", wrapped)
+    pairs = cc.solve_smallest(forms, k=6)
+    assert seen == [None] and pairs.info["inverse"] == "fft-y"
+    assert forms.csr is not None
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet", "mixed"])
+def test_lazy_and_eager_A_give_bitwise_equal_pairs(grushin, bc):
+    grid = cc.build_grid(grushin.chart, 20, 33)
+    lazy = cc.assemble(grushin, grid, _bc(bc, grushin.chart))
+    eager = cc.assemble(grushin, grid, _bc(bc, grushin.chart))
+    eager.A  # compressed before the solve
+    a, b = cc.solve_smallest(lazy, k=6, seed=4), cc.solve_smallest(eager, k=6, seed=4)
+    for name in ("lambdas", "vectors", "residuals"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.info == b.info
 
 
 @pytest.mark.parametrize("ny", [32, 33])
@@ -304,13 +366,13 @@ MIXED_X_MAX = cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet"),))
     ("cross", "neumann")])
 def test_fft_inverse_matches_splu(grushin, count_gstrf, structure, bc, ny):
     structure = grushin if structure == "grushin" else _custom(CROSS_TERM)
-    bc = {"neumann": cc.BoundarySpec.all_neumann(),
-          "dirichlet": cc.BoundarySpec.all_dirichlet(structure.chart),
-          "mixed": MIXED_X_MAX}[bc]
-    forms = cc.assemble(structure, cc.build_grid(structure.chart, 20, ny), bc)
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, 20, ny),
+                        _bc(bc, structure.chart))
     fft = cc.solve_smallest(forms, k=6)
     assert fft.info["inverse"] == "fft-y" and not count_gstrf
-    lu = cc.solve_smallest(dataclasses.replace(forms, y_stencil=None, y_reason="disabled"), k=6)
+    # without the y_stencil the forms need A itself, so it is passed along
+    lu = cc.solve_smallest(dataclasses.replace(forms, csr=forms.A, y_stencil=None,
+                                               y_reason="disabled"), k=6)
     assert lu.info["inverse"] == "splu" and len(count_gstrf) == 1
     assert np.all(np.abs(fft.lambdas - lu.lambdas) <= 1e-12 * np.maximum(1.0, np.abs(lu.lambdas)))
     assert fft.info["opinv_applies"] > 0

@@ -1,5 +1,7 @@
 """Nodal domain counting and the Courant bound checker."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,32 @@ def test_threshold_validation(grushin_grid):
         cc.nodal_domains(grushin_grid, np.ones(grushin_grid.n_nodes), rel_threshold=0.5)
     with pytest.raises(ValueError):
         cc.nodal_domains(grushin_grid, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_rejected(grushin_grid, bad):
+    u = np.ones(grushin_grid.n_nodes)
+    u[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cc.nodal_domains(grushin_grid, u)
+
+
+def test_labelling_memory(grushin):
+    # int8 signs, int32 node ids and one CSR graph row per node, freed
+    # before the components are numbered: the peak stays below 80 bytes a
+    # node, the int64 labels included.
+    grid = cc.build_grid(grushin.chart, 128, 256)
+    X, Y = grid.meshes()
+    u = (np.cos(3.0 * Y) * np.cos(np.pi * X)).ravel()
+    want = cc.nodal_domains(grid, u)  # lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        decomp = cc.nodal_domains(grid, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decomp.n_domains == want.n_domains == 12
+    assert peak <= 80 * grid.n_nodes, peak / grid.n_nodes
 
 
 def test_courant_on_grushin_spectrum(grushin_neumann_forms, grushin_neumann_pairs):

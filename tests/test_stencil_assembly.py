@@ -7,8 +7,10 @@ by fancy indexing.  The stencil assembly must reproduce its CSR structure
 bitwise (indices and indptr, dtypes included) and every off-diagonal entry
 bitwise: each sums at most two cell terms, which no summation order
 changes.  A diagonal entry sums up to four terms in another order than the
-oracle's, so it is held to 2 ulps.  The full-grid stencil, once
-_stencil_matrix has zeroed it, must hold exactly the entries of A.
+oracle's, so it is held to 2 ulps.  The stencil rows of the active nodes,
+zeroed where A stores no entry, must hold exactly the entries of A, and the
+compressor must give bitwise the CSR that the strided-window gathers it
+replaced (``primitive_oracle._stencil_matrix``) gave.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 import scipy.sparse as sp
 
 import ccspectral as cc
+import primitive_oracle as oracle
 from ccspectral import discretization
 
 
@@ -161,6 +164,23 @@ def test_stencil_assembly_matches_triplet_oracle(kind, size, periodic):
         assert forms.A.has_sorted_indices
 
 
+@pytest.mark.parametrize("kind, size, periodic", GRIDS,
+                         ids=[f"{k}-{s[0]}x{s[1]}-p{int(p[0])}{int(p[1])}" for k, s, p in GRIDS])
+def test_compressor_matches_the_window_gathers(kind, size, periodic):
+    # forms.A, compressed by assemble or on first read from the y_stencil,
+    # against the gathers over the strided 3x3 window of the full stencil
+    structure = _structure(kind, periodic)
+    grid = cc.build_grid(structure.chart, *size)
+    S = discretization._stencil(discretization._local_cell_matrices(structure, grid), grid)
+    for name, bc in _boundary_specs(structure.chart).items():
+        forms = cc.assemble(structure, grid, bc)
+        want = oracle._stencil_matrix(S.copy(), grid, ~bc.dirichlet_mask(grid))
+        for part in ("data", "indices", "indptr"):
+            got = getattr(forms.A, part)
+            assert got.dtype == getattr(want, part).dtype, (name, part)
+            assert got.tobytes() == getattr(want, part).tobytes(), (name, part)
+
+
 @pytest.mark.parametrize("kind, size, periodic",
                          [g for g in GRIDS if g[1][0] * g[1][1] <= 64 * 64])
 def test_stencil_holds_exactly_the_entries_of_A(kind, size, periodic):
@@ -169,31 +189,30 @@ def test_stencil_holds_exactly_the_entries_of_A(kind, size, periodic):
     nx, ny = grid.nx, grid.ny
     for name, bc in _boundary_specs(structure.chart).items():
         forms = cc.assemble(structure, grid, bc)
-        # the stencil assemble builds and drops once A is made from it
+        # the stencil, compressed as assemble does, then its rows of the
+        # active nodes zeroed where A stores no entry
         S = discretization._stencil(discretization._local_cell_matrices(structure, grid), grid)
-        A = discretization._stencil_matrix(S, grid, ~bc.dirichlet_mask(grid))
+        A = discretization._compress(S.reshape(nx * ny, 9), grid, forms.active_nodes)
+        rows = S.reshape(nx * ny, 9)[forms.active_nodes]
+        rows[discretization._columns(grid, forms.active_nodes)[forms.active_nodes] < 0] = 0.0
         for part in ("data", "indices", "indptr"):
             assert getattr(A, part).tobytes() == getattr(forms.A, part).tobytes(), name
-        assert S.shape == (nx, ny, 3, 3)
-        number = np.full(grid.n_nodes, -1)
-        number[forms.active_nodes] = np.arange(forms.n_active)
         dense = forms.A.toarray()
-        want = np.zeros((nx, ny, 3, 3))
-        for a in range(nx):
-            for b in range(ny):
-                r = number[a * ny + b]
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        i, j = a + dx, b + dy
-                        if grid.chart.periodic_x:
-                            i %= nx
-                        if grid.chart.periodic_y:
-                            j %= ny
-                        if r < 0 or not (0 <= i < nx and 0 <= j < ny):
-                            continue
-                        c = number[i * ny + j]
-                        if c >= 0:
-                            want[a, b, 1 + dx, 1 + dy] = dense[r, c]
-        assert want.tobytes() == S.tobytes(), name
-        # every stored entry of A appears in the stencil
+        want = np.zeros((forms.n_active, 3, 3))
+        for r, node in enumerate(forms.active_nodes):
+            a, b = divmod(int(node), ny)
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    i, j = a + dx, b + dy
+                    if grid.chart.periodic_x:
+                        i %= nx
+                    if grid.chart.periodic_y:
+                        j %= ny
+                    if not (0 <= i < nx and 0 <= j < ny):
+                        continue
+                    c = np.searchsorted(forms.active_nodes, i * ny + j)
+                    if c < forms.n_active and forms.active_nodes[c] == i * ny + j:
+                        want[r, 1 + dx, 1 + dy] = dense[r, c]
+        assert want.tobytes() == rows.tobytes(), name
+        # every stored entry of A appears in the stencil rows
         assert np.count_nonzero(want) == np.count_nonzero(forms.A.data), name
