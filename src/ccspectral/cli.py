@@ -5,21 +5,22 @@ Four subcommands drive the library end to end from a JSON configuration:
   spectrum       lowest eigenvalues, eigenfunction/nodal images, Courant report
   cheeger        candidate cuts, level-set sweeps, flow certificates and the
                  lambda >= h^2/4 report
-  grushin-table  separated 1D mode table by shooting, optional 2D cross-check;
-                 the min-max principle bounds the lambda range it scans
+  grushin-table  separated 1D mode table: collocation places each root and
+                 shooting gives its digits; optional 2D cross-check
   carnot         homogeneous-group constants for the Heisenberg groups
 
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 ``--quiet``.  Exit codes: 0 on success, 2 on a configuration error (also a
 config file that is unreadable, not UTF-8, nested too deeply to decode or
-holding an integer too long for int(), and a grid, ``cheeger.levels`` or
-``table.max_m`` too large to size or allocate), 3 when the eigensolver
-fails to converge, a certified lower Cheeger bound contradicts the upper
-bound from cuts, or ``cheeger.upper_bound`` finds no admissible cut on the
-grid: a Dirichlet grid too coarse for any level set to enclose a region, a
-mixed or Neumann grid too coarse for any level set to cut it in two, or a
-cut whose perimeter quadrature does not converge (an integrable density
-singularity on it).  Artifacts are written only here, images through
+holding an integer too long for int(), a grid or ``cheeger.levels`` too
+large to size or allocate, and a ``table.max_m`` past the roots per mode
+that ``grushin`` solves for), 3 when the eigensolver fails to converge, a
+certified lower Cheeger bound contradicts the upper bound from cuts, or
+``cheeger.upper_bound`` finds no admissible cut on the grid: a Dirichlet
+grid too coarse for any level set to enclose a region, a mixed or Neumann
+grid too coarse for any level set to cut it in two, or a cut whose
+perimeter quadrature does not converge (an integrable density singularity
+on it).  Artifacts are written only here, images through
 ``pgm.write_pgm`` and every CSV file through ``_write_csv`` (shortest
 round-trip floats, so identical runs give byte-identical files).
 
@@ -237,8 +238,8 @@ class TableConfig:
     max_n: int = _spec(2, min=0)
     max_m: int = _spec(2, min=1)
     bc: str = _spec("neumann", choices=("neumann", "dirichlet"))
-    # each root is refined until its bracket is narrower than tol: Illinois
-    # steps narrow it, then a replay of plain bisection gives that method's digits
+    # each root is bisected until its bracket is narrower than tol; shooting
+    # decides every sign, so the digits are those of plain bisection
     tol: float = _spec(1e-8, gt=0.0)
 
 
@@ -521,7 +522,7 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
     t = config.table
     try:
         table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
-    except (ValueError, OverflowError, MemoryError) as exc:  # a scan too long to size or allocate
+    except ValueError as exc:  # more roots per mode than grushin solves for
         raise ConfigError(f"table.max_m = {_count(t.max_m)} is too large: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grushin_table.csv"

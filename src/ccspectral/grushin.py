@@ -1,27 +1,27 @@
-"""Separated radial modes of the Grushin cylinder by shooting.
+"""Separated radial modes of the Grushin cylinder.
 
 Writing an eigenfunction as v(x) e^{i n y} reduces the cylinder problem
 to the ODE v'' + (lambda - n^2 x^2) v = 0 on (0, 1), with the same
 condition at both ends: v'(0) = v'(1) = 0 (neumann; the x = 0 side
-carries no boundary term) or v(0) = v(1) = 0 (dirichlet).  Eigenvalues
-are located by scanning the mismatch at x = 1 over a lambda grid in one
-batched integration, then refined on single integrations in two phases:
-Illinois steps narrow each sign change, and plain bisection is replayed
-with only the midpoints inside the narrowed bracket integrated, so the
-digits are those of plain bisection from about a quarter of the work.
-Every n >= 1 eigenvalue of the cylinder is a doublet (e^{+-iny}); n = 0
-modes are simple.  The table is computed here and written by ``cli``.
+carries no boundary term) or v(0) = v(1) = 0 (dirichlet).  Chebyshev
+collocation (Trefethen, Spectral Methods in MATLAB, 2000) places the
+lowest roots of a mode in one dense eigensolve.  The shooting mismatch
+``shoot`` confirms each root by a sign change and decides every sign of
+the plain bisection that gives its digits.  Every n >= 1 eigenvalue of
+the cylinder is a doublet (e^{+-iny}); n = 0 modes are simple.  The table
+is computed here and written by ``cli``.
 
-The scan needs no search window.  On (0, 1) the potential satisfies
-0 <= n^2 x^2 <= n^2, so by the min-max principle (Courant-Hilbert,
-Methods of Mathematical Physics I, ch. VI) lambda_{n,m} lies in
-[((m+s) pi)^2, ((m+s) pi)^2 + n^2], with s = 0 for neumann and s = 1 for
-dirichlet; the scan stops one grid step past the upper end for the last
-requested m.
+On (0, 1) the potential satisfies 0 <= n^2 x^2 <= n^2, so by the min-max
+principle (Courant-Hilbert, Methods of Mathematical Physics I, ch. VI)
+lambda_{n,m} lies in [((m+s) pi)^2, ((m+s) pi)^2 + n^2], with s = 0 for
+neumann and s = 1 for dirichlet.  That interval, padded by one grid cell
+for the integration noise in the sign of ``shoot`` (it has zero width at
+n = 0), bounds the confirmation of each root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,12 @@ import numpy as np
 _BCS = ("neumann", "dirichlet")
 
 ODE_TOL = 1e-10  # relative local tolerance of every integration; atol is 1e-2 of it
-SCAN_STEP = 0.05  # spacing of the lambda grid scanned for sign changes
+SCAN_STEP = 0.05  # width of the lambda grid cells whose plain bisection gives each root
+
+# The most roots of one mode.  Its collocation matrices have 2 * count + 47
+# rows: 1000 roots take 0.9 s and 166 MB of peak RSS on a 2-vCPU VM.  A
+# larger count is refused before anything of its size is allocated.
+_MAX_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -51,141 +56,127 @@ class ModeProblem:
 _INITIAL_STATE = {"neumann": (1.0, 0.0), "dirichlet": (0.0, 1.0)}
 
 
-def _integrate(rhs, y0) -> np.ndarray:
-    """The state at x = 1 of y' = rhs(x, y), y(0) = y0, by scipy's RK45 at
-    ODE_TOL.  The solver is stepped directly, so no step history is kept."""
-    from scipy.integrate import RK45  # deferred: keeps `import ccspectral` light
-
-    solver = RK45(rhs, 0.0, y0, 1.0, rtol=ODE_TOL, atol=ODE_TOL * 1e-2)
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise RuntimeError(f"mode integration failed: {message}")
-    return solver.y
-
-
 def shoot(problem: ModeProblem, lam: float) -> float:
     """Boundary mismatch at x = 1: v'(1) for neumann, v(1) for dirichlet.
 
-    Integrates with an adaptive embedded Runge-Kutta pair at local
-    tolerance ODE_TOL; the mismatch is a smooth function of lambda whose
-    zeros are the mode eigenvalues.
+    Integrates with scipy's RK45 pair at local tolerance ODE_TOL, stepped
+    directly so that no step history is kept.  The mismatch is a smooth
+    function of lambda whose zeros are the mode eigenvalues.
     """
+    from scipy.integrate import RK45  # deferred: keeps `import ccspectral` light
+
     n2 = float(problem.n) ** 2
     lam = float(lam)
 
     def rhs(x, y):
         return (y[1], (n2 * x * x - lam) * y[0])
 
-    v, dv = _integrate(rhs, _INITIAL_STATE[problem.bc])
+    solver = RK45(rhs, 0.0, _INITIAL_STATE[problem.bc], 1.0, rtol=ODE_TOL, atol=ODE_TOL * 1e-2)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise RuntimeError(f"mode integration failed: {message}")
+    v, dv = solver.y
     return float(dv if problem.bc == "neumann" else v)
 
 
-def _scan(problem: ModeProblem, lams: np.ndarray) -> np.ndarray:
-    """The mismatch at x = 1 for every lambda in ``lams``, integrated as one
-    system [v..., v'...]."""
-    n2 = float(problem.n) ** 2
-    size = lams.size
+def _collocation_roots(problem: ModeProblem, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of -v'' + n^2 x^2 v on the N + 1
+    Chebyshev points of [0, 1] (``cheb.m`` mapped by x = (1 + t) / 2),
+    ascending.  Dirichlet deletes the end rows and columns; neumann
+    eliminates the end values through the rows v'(0) = v'(1) = 0."""
+    N = 2 * count + 46  # about the lowest N / 2 roots are accurate
+    t = np.cos(np.pi * np.arange(N + 1) / N)
+    c = np.where(np.arange(N + 1) % 2, -1.0, 1.0)
+    c[[0, N]] *= 2.0
+    D = np.outer(c, 1.0 / c) / (t[:, None] - t + np.eye(N + 1))
+    D -= np.diag(D.sum(axis=1))
+    D *= 2.0  # d/dx = 2 d/dt
+    A = -D @ D
+    A[np.diag_indices(N + 1)] += float(problem.n) ** 2 * (0.5 * (1.0 + t)) ** 2
+    ends, inner = [0, N], slice(1, N)
+    K = A[inner, inner]
+    if problem.bc == "neumann":
+        K = K - A[inner, ends] @ np.linalg.solve(D[np.ix_(ends, ends)], D[ends, inner])
+    return np.sort(np.linalg.eigvals(K).real)[:count]
 
-    def rhs(x, y):
-        return np.concatenate((y[size:], (n2 * x * x - lams) * y[:size]))
 
-    end = _integrate(rhs, np.repeat(_INITIAL_STATE[problem.bc], size))
-    return end[size:] if problem.bc == "neumann" else end[:size]
-
-
-def _bisect(problem: ModeProblem, a: float, fa: float, b: float, fb: float,
+def _bisect(problem: ModeProblem, lo: float, flo: float, hi: float, fhi: float,
             tol: float) -> float:
-    """Plain bisection of the sign-change bracket [a, b] to width tol, in
-    two phases: narrow, then replay.
+    """Plain bisection, to width tol, of the SCAN_STEP grid cell [a, b] that
+    holds the sign-change bracket [lo, hi] of ``shoot``.
 
-    Narrow: Illinois steps (regula falsi that halves the weight of an end
-    kept twice; Dowell and Jarratt, BIT 11, 1971), each at least tol / 2
-    inside the bracket, shrink a sign-change bracket [lo, hi] inside
-    [a, b] to width tol.  Replay: the bisection loop runs unchanged, but a
-    midpoint below lo takes the side of a and one above hi the side of b
-    without an integration; only midpoints in [lo, hi] call ``shoot``.
-    The result carries the digits of plain bisection whenever the mismatch
-    keeps the sign of fa on [a, lo] and that of fb on [hi, b], as it does
-    with one simple root in the cell and tol above the integration noise
-    near the root (at ODE_TOL a tol of 1e-14 can move the last bits).
+    While a grid point b lies inside the bracket, one integration there
+    picks the side that keeps the sign change.  The bisection of [a, b] is
+    then replayed, but only midpoints inside (lo, hi) call ``shoot``; the
+    others take the sign at lo or hi.  The digits are those of plain
+    bisection whenever the mismatch keeps the sign at lo on [a, lo] and
+    that at hi on [hi, b], as it does with one simple root in the cell and
+    tol above the integration noise near it (at ODE_TOL a tol of 1e-14 can
+    move the last bits).  A point where the mismatch is 0.0 is returned.
     """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise RuntimeError("bisection bracket lost its sign change")
-    # narrow; wlo and whi are the Illinois weights, kept the end kept last
-    lo, hi, wlo, whi, kept = a, b, fa, fb, 0
-    while hi - lo > tol:
-        if not lo < 0.5 * (lo + hi) < hi:  # adjacent doubles, as below
+    while True:
+        if flo * fhi == 0.0:
+            return lo if flo == 0.0 else hi
+        k = math.floor(lo / SCAN_STEP)
+        k -= SCAN_STEP * k > lo  # the quotient may round up across a grid point
+        a, b = SCAN_STEP * k, SCAN_STEP * (k + 1)
+        if hi <= b:
             break
-        x = min(max(lo - wlo * (hi - lo) / (whi - wlo), lo + 0.5 * tol), hi - 0.5 * tol)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = shoot(problem, x)
-        if fx == 0.0:
-            lo = hi = x
-            break
-        if fa * fx > 0.0:
-            lo, wlo, whi, kept = x, fx, whi * (0.5 if kept < 0 else 1.0), -1
+        fb = shoot(problem, b)
+        if flo * fb < 0.0:
+            hi, fhi = b, fb
         else:
-            hi, whi, wlo, kept = x, fx, wlo * (0.5 if kept > 0 else 1.0), 1
-    # replay
+            lo, flo = b, fb
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:  # a and b are adjacent doubles: tol is below their spacing
             break
-        fm = fa if mid < lo else fb if mid > hi else shoot(problem, mid)
+        fm = flo if mid <= lo else fhi if mid >= hi else shoot(problem, mid)
         if fm == 0.0:
             return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
+        if (fm < 0.0) == (flo < 0.0):
+            a = mid
         else:
-            a, fa = mid, fm
+            b = mid
     return 0.5 * (a + b)
 
 
-def find_eigenvalues(problem: ModeProblem, count: int, tol: float = 1e-8) -> np.ndarray:
-    """The first ``count`` eigenvalues of the mode, ascending.
+def _confirm(problem: ModeProblem, m: int, r: float,
+             tol: float) -> tuple[float, float, float, float]:
+    """(lo, shoot at lo, hi, shoot at hi) for a sign-change bracket of root
+    m: [r - h, r + h] around its collocation value r, clipped to the
+    root's padded min-max interval (module docstring), with
+    h = max(tol / 4, 4 ulps of r) widened 16-fold until the mismatch
+    changes sign.  A root that no bracket inside that interval confirms is
+    an error."""
+    least = ((m + (0 if problem.bc == "neumann" else 1)) * math.pi) ** 2
+    low, high = least - SCAN_STEP, least + problem.n ** 2 + SCAN_STEP
+    h = max(0.25 * tol, 4.0 * math.ulp(r))
+    lo = hi = None
+    while (lo, hi) != (low, high):
+        lo, hi = max(r - h, low), min(r + h, high)
+        if not lo < hi:  # r lies outside [low, high]
+            break
+        flo, fhi = shoot(problem, lo), shoot(problem, hi)
+        if flo * fhi <= 0.0:
+            return lo, flo, hi, fhi
+        h *= 16.0
+    raise RuntimeError(f"mode n={problem.n} ({problem.bc}): no sign change of the mismatch "
+                       f"confirms root m={m} within {SCAN_STEP} of its min-max interval "
+                       f"[{least:.9g}, {least + problem.n ** 2:.9g}]")
 
-    Scans the grid k * SCAN_STEP up to the min-max bound of the last
-    requested eigenvalue (module docstring) for sign changes of the
-    mismatch, confirms each bracket with ``shoot`` (or moves it to the
-    neighbouring cell that holds the root), and bisects to |dlambda| <= tol.
-    """
+
+def find_eigenvalues(problem: ModeProblem, count: int, tol: float = 1e-8) -> np.ndarray:
+    """The first ``count`` eigenvalues of the mode, ascending, each to
+    |dlambda| <= tol: collocation places each root, ``_confirm`` brackets
+    it inside its min-max interval, and ``_bisect`` gives the digits."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    shift = 0 if problem.bc == "neumann" else 1
-    bound = ((count - 1 + shift) * np.pi) ** 2 + problem.n ** 2
-    lams = SCAN_STEP * np.arange(int(bound / SCAN_STEP) + 2)
-    F = _scan(problem, lams)
-    roots: list[float] = []
-    for i in range(lams.size - 1):
-        if len(roots) >= count:
-            break
-        a, b = float(lams[i]), float(lams[i + 1])
-        if F[i] == 0.0:
-            if not roots or a > roots[-1] + tol:
-                roots.append(a)
-            continue
-        if F[i] * F[i + 1] >= 0.0:
-            continue
-        ga, gb = shoot(problem, a), shoot(problem, b)
-        if ga * gb > 0.0:
-            # shoot contradicts the scan sample at a or b, which is then within
-            # integration noise of a root just outside the cell (one mode's
-            # roots are many cells apart): bisect the neighbouring cell there
-            j = i - 1 if ga * F[i] < 0.0 else i + 1
-            a, b = SCAN_STEP * j, SCAN_STEP * (j + 1)
-            ga, gb = shoot(problem, a), shoot(problem, b)
-        # _bisect returns a bracket end where the mismatch is exactly zero
-        roots.append(_bisect(problem, a, ga, b, gb, tol))
-    if len(roots) < count:
-        raise RuntimeError(f"mode n={problem.n} has {len(roots)} eigenvalues below "
-                           f"its min-max bound {bound:.9g}, {count} expected")
-    return np.array(roots[:count])
+    if count > _MAX_COUNT:  # the count itself is not echoed: it may be huge
+        raise ValueError(f"at most {_MAX_COUNT} eigenvalues per mode")
+    return np.array([_bisect(problem, *_confirm(problem, m, r, tol), tol)
+                     for m, r in enumerate(_collocation_roots(problem, count).tolist())])
 
 
 @dataclass(frozen=True)

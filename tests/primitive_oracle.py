@@ -5,8 +5,8 @@ primitives, the cell-point formulas that ``Grid2D.cell_meshes`` replaced,
 the per-axis boundary slicing of ``mfmc_certify`` that the grid's edge
 table replaced, the per-dimension loop of ``unit_ball_volume`` that
 the one-pass table ``unit_ball_volumes`` replaced, the plain
-bisection that ``grushin._bisect`` replays after narrowing its bracket, and
-the boolean gathers over the strided 3x3 window that compressed the stencil
+bisection whose digits ``grushin._bisect`` replays around each confirmed
+root, and the boolean gathers over the strided 3x3 window that compressed the stencil
 to CSR before ``discretization._compress`` gathered from (n_active, 9) arrays.
 ``mode_zero_crossings`` is a reference implementation the library never
 had a caller for: it counts the Sturm oscillations of a shooting mode.

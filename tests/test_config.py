@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import typing
@@ -165,7 +166,8 @@ def test_unusable_config_file_is_one_config_error_line(tmp_path, capsys, command
 
 # Out-of-range numbers that used to hang, raise a traceback or run on: each is
 # now a config error.  A table.tol <= 0 looped forever in the bisection, so it
-# runs in a child process with a deadline.
+# runs in a child process with a deadline; an isolated child also runs under an
+# address-space limit.
 OUT_OF_RANGE = [
     ("grushin-table", {"table": {"tol": 0}}, ["table.tol", "0"], True),
     ("grushin-table", {"table": {"tol": -1e-8}}, ["table.tol", "-1e-08"], True),
@@ -190,15 +192,27 @@ OUT_OF_RANGE = [
     ("spectrum", {"bc": 10 ** 30}, ["bc must be a list, got <31 digits>"], False),
     ("spectrum", {"structure": {"kind": "euclidean", "chart": {"x_range": [10 ** 30]}}},
      ["x_range must be a list of 2, got [<31 digits>]"], False),
-    # a mode scan past the address space, one past numpy's size limit, and a
-    # min-max bound too large for a float; none of them allocates
+    # more roots per mode than one collocation solve is sized for.  None of
+    # them allocates in proportion to the count; they run isolated, so that a
+    # build without that guard (3 GiB for the 10**4 collocation matrix, 8 GB
+    # for a 10**9 grid) meets the address-space limit, not a full machine.
+    ("grushin-table", {"table": {"max_m": 10 ** 4}},
+     ["table.max_m = 10000 is too large: at most 1000 eigenvalues per mode"], True),
     ("grushin-table", {"table": {"max_m": 10 ** 6}}, ["table.max_m = 1000000 is too large"],
-     False),
+     True),
     ("grushin-table", {"table": {"max_m": 10 ** 9}}, ["table.max_m = 1000000000 is too large"],
-     False),
+     True),
     ("grushin-table", {"table": {"max_m": 10 ** 400}}, ["table.max_m = <401 digits> is too large"],
-     False),
+     True),
 ]
+
+# The address space of an isolated run: a table run peaks near 350 MB of it
+# on two cores, and one BLAS thread keeps that from growing with the core count.
+ISOLATED_ADDRESS_SPACE = 2 ** 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ISOLATED_ADDRESS_SPACE, ISOLATED_ADDRESS_SPACE))
 
 
 @pytest.mark.parametrize("command, change, expected, isolate", OUT_OF_RANGE,
@@ -209,9 +223,10 @@ def test_out_of_range_number_is_a_config_error(tmp_path, capsys, command, change
     path.write_text(json.dumps(dict({"grid": {"nx": 8, "ny": 8}, "solver": {"k": 2}}, **change)))
     argv = [command, "--config", str(path), "--out", str(tmp_path / "run")]
     if isolate:
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-m", "ccspectral", *argv], env=env,
-                              capture_output=True, text=True, timeout=10)
+                              capture_output=True, text=True, timeout=10,
+                              preexec_fn=_limit_address_space)
         code, err = proc.returncode, proc.stderr
     else:
         code, err = cc.main(argv), capsys.readouterr().err

@@ -108,18 +108,19 @@ def count_shoot_calls(monkeypatch, budget):
 
 def test_tolerance_below_the_double_spacing_terminates(monkeypatch):
     # Doubles near pi^2 are 1.8e-15 apart, so no bracket gets as narrow as
-    # 1e-17: the narrowing and the bisection both stop once their bracket
-    # ends are adjacent doubles.
+    # 1e-17: the bisection stops once its bracket ends are adjacent doubles.
     tight = cc.build_table(0, 1, tol=1e-17)
     default = cc.build_table(0, 1)
     assert [(e.n, e.m) for e in tight.entries] == [(e.n, e.m) for e in default.entries]
     for a, b in zip(tight.entries, default.entries):
         assert a.lam == pytest.approx(b.lam, abs=1e-8)
-    # Dirichlet doublets, with a call budget: plain bisection integrates 92
-    # times here, the narrowed one 61 times
+    # Dirichlet doublets, with a call budget: plain bisection of the cells
+    # integrates 92 times here, and the scan with Illinois narrowing that
+    # collocation replaced 61 times.  A confirmation bracket of tol / 4 is
+    # below one double's spacing here; it starts at 4 of them instead.
     problem = cc.ModeProblem(n=2, bc="dirichlet")
     default = cc.find_eigenvalues(problem, 2)
-    calls = count_shoot_calls(monkeypatch, budget=90)
+    calls = count_shoot_calls(monkeypatch, budget=61)
     tight = cc.find_eigenvalues(problem, 2, tol=1e-17)
     assert calls
     assert np.allclose(tight, default, rtol=0.0, atol=1e-8)
@@ -127,47 +128,86 @@ def test_tolerance_below_the_double_spacing_terminates(monkeypatch):
 
 def test_dirichlet_table_shoot_budget(monkeypatch):
     # The benchmark's Dirichlet table job: plain bisection integrates 250
-    # times, the narrowed one about a quarter of that.
-    calls = count_shoot_calls(monkeypatch, budget=90)
+    # times, the scan with Illinois narrowing 64 times, and a bracket around
+    # each collocation root 28 times.
+    calls = count_shoot_calls(monkeypatch, budget=30)
     cc.complete_below(cc.build_table(2, 2, "dirichlet"))
-    assert len(calls) <= 90
+    assert len(calls) <= 30
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
+def test_one_root_of_a_high_frequency_costs_no_more_than_its_own_bracket(monkeypatch):
+    # The scan that collocation replaced integrated every grid lambda up to
+    # the min-max bound n^2 at once: n = 80 took 8.6 s at 117 MB.
+    count_shoot_calls(monkeypatch, budget=4)
+    tracemalloc.start()
+    try:
+        (lam,) = cc.find_eigenvalues(cc.ModeProblem(n=80), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+    assert lam == pytest.approx(80.0, rel=1e-3)  # the half-line oscillator's n
+
+
+def moved_roots(monkeypatch, move):
+    """Patch the collocation roots of every mode to ``move(m, root)``."""
+    roots = grushin._collocation_roots
+
+    def moved(problem, count):
+        return np.array([move(m, r) for m, r in enumerate(roots(problem, count))])
+
+    monkeypatch.setattr(grushin, "_collocation_roots", moved)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("n, bc", [(0, "neumann"), (1, "neumann"), (0, "dirichlet"),
                                    (2, "dirichlet")])
-def test_scan_sample_flipped_beside_a_root_keeps_the_root(monkeypatch, n, bc, side):
-    # A scan sample within integration noise of a root may take the wrong
-    # sign.  The scan then reports the sign change one cell off, where shoot
-    # does not confirm it; the root must still be bisected from its own cell.
+def test_collocation_root_on_a_grid_point_keeps_the_digits(monkeypatch, n, bc, side):
+    # Collocation only places each root: moved onto the grid point just
+    # below or above it, the bracket widens to the root, and a grid point
+    # inside it picks the cell by one integration there.  These cases take
+    # 70-118 integrations; the budget stops a bracket that outgrows its
+    # min-max interval.
     problem = cc.ModeProblem(n=n, bc=bc)
-    expected = [lam.hex() for lam in cc.find_eigenvalues(problem, 3)]
-    scan = grushin._scan
-
-    def flipped(problem, lams):
-        F = scan(problem, lams)
-        # the grid point just below (left) or above (right) root m = 1
-        i = int(np.searchsorted(lams, float.fromhex(expected[1]))) - (side == "left")
-        F[i] = -F[i]
-        return F
-
-    monkeypatch.setattr(grushin, "_scan", flipped)
-    assert [lam.hex() for lam in cc.find_eigenvalues(problem, 3)] == expected
+    expected = [lam.hex() for lam in cc.find_eigenvalues(problem, 3, tol=1e-7)]
+    step = grushin.SCAN_STEP
+    moved_roots(monkeypatch, lambda m, r: step * (np.floor(r / step) + (side == "above")))
+    count_shoot_calls(monkeypatch, budget=150)
+    assert [lam.hex() for lam in cc.find_eigenvalues(problem, 3, tol=1e-7)] == expected
 
 
-def test_scan_without_sign_changes_is_an_error(monkeypatch):
-    monkeypatch.setattr(grushin, "_scan", lambda problem, lams: np.ones(lams.size))
-    with pytest.raises(RuntimeError, match="has 0 eigenvalues below its min-max bound"):
+@pytest.mark.parametrize("n, bc", [(0, "neumann"), (1, "neumann"), (3, "dirichlet")])
+def test_collocation_root_outside_its_min_max_interval_is_an_error(monkeypatch, n, bc):
+    # lambda_{n,m} lies in [((m+s) pi)^2, ((m+s) pi)^2 + n^2]; the bracket
+    # may reach one grid cell past it, so a root 0.2 above it is refused
+    # before any integration
+    moved_roots(monkeypatch, lambda m, r: r + n ** 2 + 0.2)
+    count_shoot_calls(monkeypatch, budget=0)
+    with pytest.raises(RuntimeError, match=f"mode n={n} .*root m=0 within 0.05 of its min-max"):
+        cc.find_eigenvalues(cc.ModeProblem(n=n, bc=bc), 3)
+
+
+def test_a_mismatch_without_sign_change_is_an_error(monkeypatch):
+    # The bracket of root m = 0 widens to the padded min-max interval
+    # [0, 1] of n = 1 and stops there: 9 brackets, 2 integrations each.
+    calls = []
+
+    def constant(problem, lam):
+        calls.append(lam)
+        assert len(calls) <= 18, "the bracket widened past the interval"
+        return 1.0
+
+    monkeypatch.setattr(grushin, "shoot", constant)
+    with pytest.raises(RuntimeError, match=r"^mode n=1 \(neumann\): .* root m=0 .*\[0, 1\]$"):
         cc.find_eigenvalues(cc.ModeProblem(n=1), 2)
+    assert (min(calls), max(calls)) == (-0.05, 1.05)
 
 
-def test_bisect_returns_an_exact_zero_and_needs_a_sign_change(monkeypatch):
+def test_bisect_returns_an_exact_zero_without_integrating(monkeypatch):
     count_shoot_calls(monkeypatch, budget=0)
     problem = cc.ModeProblem(n=1)
     assert grushin._bisect(problem, 1.0, 0.0, 2.0, 3.0, 1e-8) == 1.0
     assert grushin._bisect(problem, 1.0, -3.0, 2.0, 0.0, 1e-8) == 2.0
-    with pytest.raises(RuntimeError, match="lost its sign change"):
-        grushin._bisect(problem, 1.0, 2.0, 2.0, 3.0, 1e-8)
 
 
 def test_mode_problem_validation():
@@ -241,8 +281,8 @@ def test_import_does_not_load_scipy_integrate():
 
 # Every row of build_table, as float.hex, for tables inside the lambda range
 # [0, 120] that earlier versions searched, keyed by (max_n, max_m, bc, tol);
-# the scan only picks the grid cells the bisection starts from, so these
-# digits pin the whole root finder.
+# collocation only places the roots and shoot decides every sign of the
+# bisection, so these digits pin the whole root finder.
 TABLE_DIGITS = {
     (2, 2, "neumann", 1e-08): [
         "0x0.0p+0", "0x1.3bd3cc9b33334p+3", "0x1.3bd3cc9b9999ap+5",
@@ -298,8 +338,8 @@ def test_shoot_and_crossings_are_pinned():
 
 
 def test_table_keeps_no_step_history():
-    # the scan integrates every lambda at once; keeping the solver's steps
-    # (as solve_ivp does) would hold megabytes
+    # shoot steps RK45 itself; keeping the solver's steps (as solve_ivp does)
+    # would hold megabytes
     tracemalloc.start()
     try:
         cc.build_table(2, 2, "dirichlet")

@@ -1,8 +1,10 @@
 """Cluster bounds and label gray levels from numpy primitives, cell points
 and certificate boundary values from the grid's edge table, the one-pass
-unit-ball volume table, and the narrowed bisection of the mode roots,
+unit-ball volume table, and the replayed bisection of the mode roots,
 against the code they replaced (``primitive_oracle``): equal on every
 input."""
+
+import math
 
 import numpy as np
 import pytest
@@ -103,13 +105,16 @@ def test_unit_ball_volume_table_matches_the_loop():
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-def test_narrowed_bisection_gives_the_plain_bisection_digits(bc, monkeypatch):
-    cases = [(n, tol) for n in (0, 1, 3) for tol in (1e-7, 1e-11)]
-
-    def roots():
-        return [[lam.hex() for lam in grushin.find_eigenvalues(
-            cc.ModeProblem(n=n, bc=bc), 3, tol=tol)] for n, tol in cases]
-
-    got = roots()
-    monkeypatch.setattr(grushin, "_bisect", oracle._bisect)
-    assert got == roots()
+def test_roots_are_the_plain_bisection_of_their_cell(bc):
+    # each root is the oracle's plain bisection, with shoot at every
+    # midpoint, of the SCAN_STEP grid cell that holds it
+    step = grushin.SCAN_STEP
+    for n in (0, 1, 3):
+        problem = cc.ModeProblem(n=n, bc=bc)
+        for tol in (1e-7, 1e-11):
+            for lam in grushin.find_eigenvalues(problem, 3, tol=tol):
+                k = math.floor(lam / step)
+                k -= step * k > lam  # the quotient may round up across a grid point
+                a, b = step * k, step * (k + 1)
+                want = oracle._bisect(problem, a, cc.shoot(problem, a), b, cc.shoot(problem, b), tol)
+                assert lam.hex() == want.hex(), (n, tol)
