@@ -522,6 +522,8 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
     t = config.table
     try:
         table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
+    except np.linalg.LinAlgError:  # a ValueError, but numerical, not the config's
+        raise
     except ValueError as exc:  # more roots per mode than grushin solves for
         raise ConfigError(f"table.max_m = {_count(t.max_m)} is too large: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)

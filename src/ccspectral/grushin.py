@@ -101,33 +101,41 @@ def _collocation_roots(problem: ModeProblem, count: int) -> np.ndarray:
     return np.sort(np.linalg.eigvals(K).real)[:count]
 
 
+def _cell(lam: float) -> int:
+    """The k with SCAN_STEP * k <= lam < SCAN_STEP * (k + 1)."""
+    k = math.floor(lam / SCAN_STEP)  # the quotient may round across a grid point
+    return k - (SCAN_STEP * k > lam) + (SCAN_STEP * (k + 1) <= lam)
+
+
 def _bisect(problem: ModeProblem, lo: float, flo: float, hi: float, fhi: float,
             tol: float) -> float:
     """Plain bisection, to width tol, of the SCAN_STEP grid cell [a, b] that
     holds the sign-change bracket [lo, hi] of ``shoot``.
 
-    While a grid point b lies inside the bracket, one integration there
-    picks the side that keeps the sign change.  The bisection of [a, b] is
-    then replayed, but only midpoints inside (lo, hi) call ``shoot``; the
-    others take the sign at lo or hi.  The digits are those of plain
+    While grid points lie inside the bracket, an integration at the middle
+    one picks the side that keeps the sign change.  The bisection of [a, b]
+    is then replayed, but only midpoints inside (lo, hi) call ``shoot``;
+    the others take the sign at lo or hi.  The digits are those of plain
     bisection whenever the mismatch keeps the sign at lo on [a, lo] and
     that at hi on [hi, b], as it does with one simple root in the cell and
     tol above the integration noise near it (at ODE_TOL a tol of 1e-14 can
     move the last bits).  A point where the mismatch is 0.0 is returned.
     """
-    while True:
-        if flo * fhi == 0.0:
-            return lo if flo == 0.0 else hi
-        k = math.floor(lo / SCAN_STEP)
-        k -= SCAN_STEP * k > lo  # the quotient may round up across a grid point
-        a, b = SCAN_STEP * k, SCAN_STEP * (k + 1)
-        if hi <= b:
-            break
-        fb = shoot(problem, b)
-        if flo * fb < 0.0:
-            hi, fhi = b, fb
+    if flo * fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    i, j = _cell(lo), _cell(hi)
+    j -= SCAN_STEP * j == hi  # hi on a grid point closes the cell below it
+    while i < j:  # the grid points k * SCAN_STEP, i < k <= j, lie inside (lo, hi)
+        k = (i + j + 1) // 2
+        mid = SCAN_STEP * k
+        fm = shoot(problem, mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            i, lo, flo = k, mid, fm
         else:
-            lo, flo = b, fb
+            j, hi, fhi = k - 1, mid, fm
+    a, b = SCAN_STEP * i, SCAN_STEP * (i + 1)
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:  # a and b are adjacent doubles: tol is below their spacing
@@ -147,12 +155,12 @@ def _confirm(problem: ModeProblem, m: int, r: float,
     """(lo, shoot at lo, hi, shoot at hi) for a sign-change bracket of root
     m: [r - h, r + h] around its collocation value r, clipped to the
     root's padded min-max interval (module docstring), with
-    h = max(tol / 4, 4 ulps of r) widened 16-fold until the mismatch
-    changes sign.  A root that no bracket inside that interval confirms is
-    an error."""
+    h = min(max(tol / 4, 4 ulps of r), SCAN_STEP / 4) widened 16-fold
+    until the mismatch changes sign.  A root that no bracket inside that
+    interval confirms is an error."""
     least = ((m + (0 if problem.bc == "neumann" else 1)) * math.pi) ** 2
     low, high = least - SCAN_STEP, least + problem.n ** 2 + SCAN_STEP
-    h = max(0.25 * tol, 4.0 * math.ulp(r))
+    h = min(max(0.25 * tol, 4.0 * math.ulp(r)), 0.25 * SCAN_STEP)
     lo = hi = None
     while (lo, hi) != (low, high):
         lo, hi = max(r - h, low), min(r + h, high)
@@ -174,7 +182,7 @@ def find_eigenvalues(problem: ModeProblem, count: int, tol: float = 1e-8) -> np.
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if count > _MAX_COUNT:  # the count itself is not echoed: it may be huge
-        raise ValueError(f"at most {_MAX_COUNT} eigenvalues per mode")
+        raise ValueError(f"at most {_MAX_COUNT} eigenvalues per mode, m < {_MAX_COUNT}")
     return np.array([_bisect(problem, *_confirm(problem, m, r, tol), tol)
                      for m, r in enumerate(_collocation_roots(problem, count).tolist())])
 

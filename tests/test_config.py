@@ -197,7 +197,11 @@ OUT_OF_RANGE = [
     # build without that guard (3 GiB for the 10**4 collocation matrix, 8 GB
     # for a 10**9 grid) meets the address-space limit, not a full machine.
     ("grushin-table", {"table": {"max_m": 10 ** 4}},
-     ["table.max_m = 10000 is too large: at most 1000 eigenvalues per mode"], True),
+     ["table.max_m = 10000 is too large: at most 1000 eigenvalues per mode, m < 1000"],
+     True),
+    ("grushin-table", {"table": {"max_m": 1000}},
+     ["table.max_m = 1000 is too large: at most 1000 eigenvalues per mode, m < 1000"],
+     True),
     ("grushin-table", {"table": {"max_m": 10 ** 6}}, ["table.max_m = 1000000 is too large"],
      True),
     ("grushin-table", {"table": {"max_m": 10 ** 9}}, ["table.max_m = 1000000000 is too large"],

@@ -11,6 +11,7 @@ import pytest
 
 import ccspectral as cc
 from ccspectral import grushin
+import primitive_oracle as oracle
 from primitive_oracle import mode_zero_crossings
 
 # reference low Neumann eigenvalues lambda_{n,m} with matching tolerances
@@ -164,10 +165,10 @@ def moved_roots(monkeypatch, move):
                                    (2, "dirichlet")])
 def test_collocation_root_on_a_grid_point_keeps_the_digits(monkeypatch, n, bc, side):
     # Collocation only places each root: moved onto the grid point just
-    # below or above it, the bracket widens to the root, and a grid point
-    # inside it picks the cell by one integration there.  These cases take
-    # 70-118 integrations; the budget stops a bracket that outgrows its
-    # min-max interval.
+    # below or above it, the bracket widens to the root, and integrations
+    # at the grid points inside it, bisected by index, pick the cell.
+    # These cases take 70-106 integrations; the budget stops a bracket
+    # that outgrows its min-max interval.
     problem = cc.ModeProblem(n=n, bc=bc)
     expected = [lam.hex() for lam in cc.find_eigenvalues(problem, 3, tol=1e-7)]
     step = grushin.SCAN_STEP
@@ -208,6 +209,53 @@ def test_bisect_returns_an_exact_zero_without_integrating(monkeypatch):
     problem = cc.ModeProblem(n=1)
     assert grushin._bisect(problem, 1.0, 0.0, 2.0, 3.0, 1e-8) == 1.0
     assert grushin._bisect(problem, 1.0, -3.0, 2.0, 0.0, 1e-8) == 2.0
+
+
+def test_cell_of_every_grid_point_and_its_neighbours():
+    grid = grushin.SCAN_STEP * np.arange(400)
+    for lam in np.concatenate([grid[1:-1], np.nextafter(grid[1:-1], 0.0),
+                               np.nextafter(grid[1:-1], np.inf)]):
+        assert grushin._cell(float(lam)) == np.searchsorted(grid, lam, side="right") - 1
+
+
+# (lo, hi, root, most integrations at grid points): 0.05 * 43 is the double
+# nearest 2.15, but 2.15 / 0.05 rounds below 43, as at 4.05, 4.3, ..., 9.35
+@pytest.mark.parametrize("lo, hi, root, at_grid", [
+    (2.12, 2.2, 2.16, 1), (2.12, 2.2, 2.13, 1), (0.05 * 43, 0.05 * 44, 2.16, 0),
+    (2.12, 2.46, 2.44, 3), (9.3, 9.66, 9.64, 3), (4.2, 4.4, 4.29, 2)])
+def test_bisect_finds_the_cell_of_a_bracket_across_grid_points(monkeypatch, lo, hi, root,
+                                                               at_grid):
+    # the grid points inside the bracket are bisected by index, one
+    # integration each; a bracket inside one cell integrates at none
+    grid = grushin.SCAN_STEP * np.arange(200)
+    k = np.searchsorted(grid, root, side="right") - 1
+    a, b = float(grid[k]), float(grid[k + 1])
+    linear = lambda problem, lam: lam - root  # noqa: E731
+    monkeypatch.setattr(oracle, "shoot", linear)
+    want = oracle._bisect(None, a, a - root, b, b - root, 1e-8)
+    monkeypatch.setattr(grushin, "shoot", linear)
+    calls = count_shoot_calls(monkeypatch, budget=40)
+    got = grushin._bisect(cc.ModeProblem(n=1), lo, lo - root, hi, hi - root, 1e-8)
+    assert got.hex() == want.hex()
+    assert len([lam for lam in calls if lam in grid]) <= at_grid
+
+
+def test_a_tolerance_past_the_grid_step_gives_the_midpoint_of_the_cell(monkeypatch):
+    # tol > SCAN_STEP leaves no bisection step: each root is the middle of
+    # its grid cell, which the bracket, at most SCAN_STEP / 2 wide, finds
+    # at two or three integrations per root, whatever the tol.  The lowest
+    # root of n = 3, 2.39, lies 0.24 above 0.05 * 43, the grid point that
+    # the test above finds the cell of.
+    grid = grushin.SCAN_STEP * np.arange(2000)
+    for n in (1, 3):
+        problem = cc.ModeProblem(n=n)
+        k = np.searchsorted(grid, cc.find_eigenvalues(problem, 3), side="right") - 1
+        want = [(0.5 * (grid[i] + grid[i + 1])).hex() for i in k]
+        for tol in (0.1, 1.0, 40.0):
+            calls = count_shoot_calls(monkeypatch, budget=9)
+            assert [lam.hex() for lam in cc.find_eigenvalues(problem, 3, tol=tol)] == want
+            monkeypatch.undo()
+            assert calls
 
 
 def test_mode_problem_validation():
