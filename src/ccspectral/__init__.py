@@ -4,8 +4,8 @@ The package computes low eigenvalues of geometric sub-Laplacians on
 rectangular (optionally periodic) charts, estimates Cheeger constants from
 above via candidate cuts and from below via divergence certificates, checks
 the lambda >= h^2/4 inequality and Courant's nodal bound, reproduces the
-Grushin-cylinder mode table (roots placed by Chebyshev collocation, digits
-from shooting), and evaluates homogeneous-group constants for the
+Grushin-cylinder mode table (digits from Chebyshev collocation, each root
+confirmed by shooting), and evaluates homogeneous-group constants for the
 Heisenberg groups.
 
 ``import ccspectral`` loads no submodule: each public name, and each

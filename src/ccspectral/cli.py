@@ -5,24 +5,25 @@ Four subcommands drive the library end to end from a JSON configuration:
   spectrum       lowest eigenvalues, eigenfunction/nodal images, Courant report
   cheeger        candidate cuts, level-set sweeps, flow certificates and the
                  lambda >= h^2/4 report
-  grushin-table  separated 1D mode table: collocation places each root and
-                 shooting gives its digits; optional 2D cross-check
+  grushin-table  separated 1D mode table: collocation gives the digits,
+                 and shooting confirms each root; optional 2D cross-check
   carnot         homogeneous-group constants for the Heisenberg groups
 
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 ``--quiet``.  Exit codes: 0 on success, 2 on a configuration error (also a
 config file that is unreadable, not UTF-8, nested too deeply to decode or
 holding an integer too long for int(), a grid or ``cheeger.levels`` too
-large to size or allocate, and a ``table.max_m`` past the roots per mode
-that ``grushin`` solves for), 3 when the eigensolver fails to converge, a
-certified lower Cheeger bound contradicts the upper bound from cuts, or
-``cheeger.upper_bound`` finds no admissible cut on the grid: a Dirichlet
-grid too coarse for any level set to enclose a region, a mixed or Neumann
-grid too coarse for any level set to cut it in two, or a cut whose
-perimeter quadrature does not converge (an integrable density singularity
-on it).  Artifacts are written only here, images through
-``pgm.write_pgm`` and every CSV file through ``_write_csv`` (shortest
-round-trip floats, so identical runs give byte-identical files).
+large to size or allocate, a ``table.max_m`` past the roots per mode
+that ``grushin`` solves for, or a ``table.max_n`` above 1000), 3 when
+the eigensolver fails to converge, a certified lower Cheeger bound
+contradicts the upper bound from cuts, or ``cheeger.upper_bound`` finds
+no admissible cut on the grid: a Dirichlet grid too coarse for any level
+set to enclose a region, a mixed or Neumann grid too coarse for any level
+set to cut it in two, or a cut whose perimeter quadrature does not
+converge (an integrable density singularity on it).  Artifacts are
+written only here, images through ``pgm.write_pgm`` and every CSV file
+through ``_write_csv`` (shortest round-trip floats, so identical runs
+give byte-identical files).
 
 Loading a config needs numpy only.  Each command imports the layers it
 uses when it runs, so ``carnot`` loads no scipy, and ``cheeger`` and
@@ -235,11 +236,14 @@ class CheegerConfig:
 
 @dataclass(frozen=True)
 class TableConfig:
-    max_n: int = _spec(2, min=0)
+    # the shooting mismatch grows like e^{n/2}: |shoot| at lambda = n is
+    # 1.5e206 at n = 1000, and RK45 fails by n = 1600.  complete_below also
+    # solves mode max_n + 1
+    max_n: int = _spec(2, min=0, max=1000)
     max_m: int = _spec(2, min=1)
     bc: str = _spec("neumann", choices=("neumann", "dirichlet"))
-    # each root is bisected until its bracket is narrower than tol; shooting
-    # decides every sign, so the digits are those of plain bisection
+    # collocation gives each root's digits, the plain bisection of its
+    # SCAN_STEP cell to width tol; shooting confirms each root
     tol: float = _spec(1e-8, gt=0.0)
 
 

@@ -5,11 +5,11 @@ to the ODE v'' + (lambda - n^2 x^2) v = 0 on (0, 1), with the same
 condition at both ends: v'(0) = v'(1) = 0 (neumann; the x = 0 side
 carries no boundary term) or v(0) = v(1) = 0 (dirichlet).  Chebyshev
 collocation (Trefethen, Spectral Methods in MATLAB, 2000) places the
-lowest roots of a mode in one dense eigensolve.  The shooting mismatch
-``shoot`` confirms each root by a sign change and decides every sign of
-the plain bisection that gives its digits.  Every n >= 1 eigenvalue of
-the cylinder is a doublet (e^{+-iny}); n = 0 modes are simple.  The table
-is computed here and written by ``cli``.
+lowest roots of a mode in one dense eigensolve and gives their digits:
+the plain bisection of the grid cell that holds each root.  The shooting
+mismatch ``shoot`` confirms each root by a sign change close to it.
+Every n >= 1 eigenvalue of the cylinder is a doublet (e^{+-iny}); n = 0
+modes are simple.  The table is computed here and written by ``cli``.
 
 On (0, 1) the potential satisfies 0 <= n^2 x^2 <= n^2, so by the min-max
 principle (Courant-Hilbert, Methods of Mathematical Physics I, ch. VI)
@@ -31,10 +31,11 @@ _BCS = ("neumann", "dirichlet")
 ODE_TOL = 1e-10  # relative local tolerance of every integration; atol is 1e-2 of it
 SCAN_STEP = 0.05  # width of the lambda grid cells whose plain bisection gives each root
 
-# The most roots of one mode.  Its collocation matrices have 2 * count + 47
-# rows: 1000 roots take 0.9 s and 166 MB of peak RSS on a 2-vCPU VM.  A
-# larger count is refused before anything of its size is allocated.
+# The most roots of one mode.  Its collocation matrices have 2047 rows at
+# 1000 roots: 0.9 s and 166 MB of peak RSS on a 2-vCPU VM.  A larger count
+# is refused before anything of its size is allocated.
 _MAX_COUNT = 1000
+_LOW_COUNT = 64  # past this many roots, the lowest come from a grid sized for them alone
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,12 @@ def _collocation_roots(problem: ModeProblem, count: int) -> np.ndarray:
     Chebyshev points of [0, 1] (``cheb.m`` mapped by x = (1 + t) / 2),
     ascending.  Dirichlet deletes the end rows and columns; neumann
     eliminates the end values through the rows v'(0) = v'(1) = 0."""
-    N = 2 * count + 46  # about the lowest N / 2 roots are accurate
+    # About the lowest N / 2 roots are accurate.  Below lambda = n^2 the
+    # modes crowd towards x = 0, and the points that the first `count` of
+    # them need to 1e-9 relative grow like 3 sqrt(n) + (n count^3)^(1/4)
+    # (measured for n <= 1001, count <= 200; the factor 1.3 is the margin)
+    N = max(2 * count + 46,
+            3 * math.ceil(math.sqrt(problem.n)) + math.ceil(1.3 * (problem.n * count ** 3) ** 0.25))
     t = np.cos(np.pi * np.arange(N + 1) / N)
     c = np.where(np.arange(N + 1) % 2, -1.0, 1.0)
     c[[0, N]] *= 2.0
@@ -98,7 +104,10 @@ def _collocation_roots(problem: ModeProblem, count: int) -> np.ndarray:
     K = A[inner, inner]
     if problem.bc == "neumann":
         K = K - A[inner, ends] @ np.linalg.solve(D[np.ix_(ends, ends)], D[ends, inner])
-    return np.sort(np.linalg.eigvals(K).real)[:count]
+    roots = np.sort(np.linalg.eigvals(K).real)[:count]
+    if count > _LOW_COUNT:  # rounding grows like N^3: 3e-8 on the low roots at N = 2046
+        roots[:_LOW_COUNT] = _collocation_roots(problem, _LOW_COUNT)
+    return roots
 
 
 def _cell(lam: float) -> int:
@@ -107,84 +116,64 @@ def _cell(lam: float) -> int:
     return k - (SCAN_STEP * k > lam) + (SCAN_STEP * (k + 1) <= lam)
 
 
-def _bisect(problem: ModeProblem, lo: float, flo: float, hi: float, fhi: float,
-            tol: float) -> float:
-    """Plain bisection, to width tol, of the SCAN_STEP grid cell [a, b] that
-    holds the sign-change bracket [lo, hi] of ``shoot``.
-
-    While grid points lie inside the bracket, an integration at the middle
-    one picks the side that keeps the sign change.  The bisection of [a, b]
-    is then replayed, but only midpoints inside (lo, hi) call ``shoot``;
-    the others take the sign at lo or hi.  The digits are those of plain
-    bisection whenever the mismatch keeps the sign at lo on [a, lo] and
-    that at hi on [hi, b], as it does with one simple root in the cell and
-    tol above the integration noise near it (at ODE_TOL a tol of 1e-14 can
-    move the last bits).  A point where the mismatch is 0.0 is returned.
-    """
-    if flo * fhi == 0.0:
-        return lo if flo == 0.0 else hi
-    i, j = _cell(lo), _cell(hi)
-    j -= SCAN_STEP * j == hi  # hi on a grid point closes the cell below it
-    while i < j:  # the grid points k * SCAN_STEP, i < k <= j, lie inside (lo, hi)
-        k = (i + j + 1) // 2
-        mid = SCAN_STEP * k
-        fm = shoot(problem, mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            i, lo, flo = k, mid, fm
-        else:
-            j, hi, fhi = k - 1, mid, fm
-    a, b = SCAN_STEP * i, SCAN_STEP * (i + 1)
+def _quantize(problem: ModeProblem, r: float, tol: float) -> float:
+    """The digits of root r: plain bisection, to width tol, of the SCAN_STEP
+    grid cell that holds r, each side decided by where r lies.  The n = 0
+    neumann ground state is the constant mode, whose eigenvalue is 0.0."""
+    if problem == ModeProblem(n=0) and r < SCAN_STEP:
+        return 0.0
+    k = _cell(r)
+    a, b = SCAN_STEP * k, SCAN_STEP * (k + 1)
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:  # a and b are adjacent doubles: tol is below their spacing
             break
-        fm = flo if mid <= lo else fhi if mid >= hi else shoot(problem, mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
+        if mid < r:
             a = mid
         else:
             b = mid
     return 0.5 * (a + b)
 
 
-def _confirm(problem: ModeProblem, m: int, r: float,
-             tol: float) -> tuple[float, float, float, float]:
-    """(lo, shoot at lo, hi, shoot at hi) for a sign-change bracket of root
-    m: [r - h, r + h] around its collocation value r, clipped to the
-    root's padded min-max interval (module docstring), with
-    h = min(max(tol / 4, 4 ulps of r), SCAN_STEP / 4) widened 16-fold
-    until the mismatch changes sign.  A root that no bracket inside that
-    interval confirms is an error."""
+def _confirm(problem: ModeProblem, m: int, r: float, tol: float) -> None:
+    """Check that a root of the mismatch lies close to the collocation
+    value r of root m: ``shoot`` changes sign on [r - h, r + h], clipped to
+    the root's padded min-max interval (module docstring), with
+    h = min(max(tol / 4, 4 ulps of r), SCAN_STEP / 4) widened 16-fold up
+    to the cap max(tol, 1e-8 max(1, |r|)), the shooting's accuracy, which
+    it tries last.  A root that no such bracket confirms is an error."""
     least = ((m + (0 if problem.bc == "neumann" else 1)) * math.pi) ** 2
     low, high = least - SCAN_STEP, least + problem.n ** 2 + SCAN_STEP
     h = min(max(0.25 * tol, 4.0 * math.ulp(r)), 0.25 * SCAN_STEP)
-    lo = hi = None
-    while (lo, hi) != (low, high):
+    cap = max(tol, 1e-8 * max(1.0, abs(r)))  # h starts at or below it
+    while True:
         lo, hi = max(r - h, low), min(r + h, high)
         if not lo < hi:  # r lies outside [low, high]
             break
-        flo, fhi = shoot(problem, lo), shoot(problem, hi)
-        if flo * fhi <= 0.0:
-            return lo, flo, hi, fhi
-        h *= 16.0
+        if shoot(problem, lo) * shoot(problem, hi) <= 0.0:
+            return
+        if h == cap:
+            break
+        h = min(16.0 * h, cap)
     raise RuntimeError(f"mode n={problem.n} ({problem.bc}): no sign change of the mismatch "
-                       f"confirms root m={m} within {SCAN_STEP} of its min-max interval "
-                       f"[{least:.9g}, {least + problem.n ** 2:.9g}]")
+                       f"within {cap:.3g} of {r!r} confirms root m={m} within {SCAN_STEP} "
+                       f"of its min-max interval [{least:.9g}, {least + problem.n ** 2:.9g}]")
 
 
 def find_eigenvalues(problem: ModeProblem, count: int, tol: float = 1e-8) -> np.ndarray:
     """The first ``count`` eigenvalues of the mode, ascending, each to
-    |dlambda| <= tol: collocation places each root, ``_confirm`` brackets
-    it inside its min-max interval, and ``_bisect`` gives the digits."""
+    |dlambda| <= tol above the collocation error (under 1e-10 max(1, lambda)
+    for n <= 1001, count <= _MAX_COUNT): collocation places each root and
+    gives its digits (``_quantize``), once ``_confirm`` has checked every
+    root by shooting."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if count > _MAX_COUNT:  # the count itself is not echoed: it may be huge
         raise ValueError(f"at most {_MAX_COUNT} eigenvalues per mode, m < {_MAX_COUNT}")
-    return np.array([_bisect(problem, *_confirm(problem, m, r, tol), tol)
-                     for m, r in enumerate(_collocation_roots(problem, count).tolist())])
+    roots = _collocation_roots(problem, count).tolist()
+    for m, r in enumerate(roots):
+        _confirm(problem, m, r, tol)
+    return np.array([_quantize(problem, r, tol) for r in roots])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ primitives, the cell-point formulas that ``Grid2D.cell_meshes`` replaced,
 the per-axis boundary slicing of ``mfmc_certify`` that the grid's edge
 table replaced, the per-dimension loop of ``unit_ball_volume`` that
 the one-pass table ``unit_ball_volumes`` replaced, the plain
-bisection whose digits ``grushin._bisect`` replays around each confirmed
-root, and the boolean gathers over the strided 3x3 window that compressed the stencil
+bisection whose digits ``grushin._quantize`` takes from each collocation
+root (driven by ``tight_shoot``, it gives reference digits), and the
+boolean gathers over the strided 3x3 window that compressed the stencil
 to CSR before ``discretization._compress`` gathered from (n_active, 9) arrays.
 ``mode_zero_crossings`` is a reference implementation the library never
 had a caller for: it counts the Sturm oscillations of a shooting mode.
@@ -87,7 +88,7 @@ def unit_ball_volume(a: int) -> float:
 
 
 def _bisect(problem: ModeProblem, a: float, fa: float, b: float, fb: float,
-            tol: float) -> float:
+            tol: float, mismatch=shoot) -> float:
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -98,7 +99,7 @@ def _bisect(problem: ModeProblem, a: float, fa: float, b: float, fb: float,
         mid = 0.5 * (a + b)
         if not a < mid < b:  # a and b are adjacent doubles: tol is below their spacing
             break
-        fm = shoot(problem, mid)
+        fm = mismatch(problem, mid)
         if fm == 0.0:
             return mid
         if fa * fm < 0.0:
@@ -108,18 +109,32 @@ def _bisect(problem: ModeProblem, a: float, fa: float, b: float, fb: float,
     return 0.5 * (a + b)
 
 
+def _rhs(problem: ModeProblem, lam: float):
+    """(v, v')' of v'' + (lambda - n^2 x^2) v = 0, as ``shoot`` integrates it."""
+    n2 = float(problem.n) ** 2
+    lam = float(lam)
+    return lambda x, y: (y[1], (n2 * x * x - lam) * y[0])
+
+
+def tight_shoot(problem: ModeProblem, lam: float) -> float:
+    """``shoot`` by scipy's DOP853 pair at rtol 1e-13: its root lies far
+    closer to the eigenvalue than the RK45 run at ODE_TOL puts its own."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(_rhs(problem, lam), (0.0, 1.0), _INITIAL_STATE[problem.bc], method="DOP853",
+                    rtol=1e-13, atol=1e-15)
+    if not sol.success:
+        raise RuntimeError(f"mode integration failed: {sol.message}")
+    v, dv = sol.y[:, -1]
+    return float(dv if problem.bc == "neumann" else v)
+
+
 def mode_zero_crossings(problem: ModeProblem, lam: float, n_points: int = 2001) -> int:
     """Number of interior sign changes of v on (0, 1) at the given lambda,
     sampled from the dense output of the RK45 run that ``shoot`` steps."""
     from scipy.integrate import solve_ivp
 
-    n2 = float(problem.n) ** 2
-    lam = float(lam)
-
-    def rhs(x, y):
-        return (y[1], (n2 * x * x - lam) * y[0])
-
-    sol = solve_ivp(rhs, (0.0, 1.0), _INITIAL_STATE[problem.bc],
+    sol = solve_ivp(_rhs(problem, lam), (0.0, 1.0), _INITIAL_STATE[problem.bc],
                     t_eval=np.linspace(0.0, 1.0, n_points), rtol=ODE_TOL, atol=ODE_TOL * 1e-2)
     if not sol.success:
         raise RuntimeError(f"mode integration failed: {sol.message}")

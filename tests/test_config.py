@@ -185,6 +185,9 @@ OUT_OF_RANGE = [
     ("carnot", {"carnot": {"n": 100_001}}, ["carnot.n must be <= 100000", "100001"], False),
     ("carnot", {"carnot": {"n": 10 ** 30}}, ["carnot.n must be <= 100000, got <31 digits>"],
      False),
+    # one past the highest mode shooting integrates; complete_below solves
+    # mode max_n + 1.  Isolated, so a build without the bound meets the timeout
+    ("grushin-table", {"table": {"max_n": 1001}}, ["table.max_n must be <= 1000", "1001"], True),
     ("spectrum", {"solver": {"seed": -1}}, ["solver.seed must be >= 0", "-1"], False),
     ("spectrum", {"solver": {"seed": -10 ** 30}}, ["solver.seed must be >= 0, got -<31 digits>"],
      False),
@@ -330,7 +333,8 @@ VALID_DOCS = optional(
                    gap_rel_tol=st.floats(min_value=0.0, allow_infinity=False)),
     cheeger=optional(levels=st.integers(min_value=1),
                      certificate=st.one_of(st.none(), CERTIFICATE)),
-    table=optional(max_n=st.integers(min_value=0), max_m=st.integers(min_value=1),
+    table=optional(max_n=st.integers(min_value=0, max_value=1000),
+                   max_m=st.integers(min_value=1),
                    bc=st.sampled_from(["neumann", "dirichlet"]), tol=POSITIVE),
     carnot=optional(n=st.integers(min_value=1, max_value=100_000)))
 # what json.loads can return, NaN and infinities included

@@ -1,5 +1,6 @@
 """Separated angular modes of the Grushin cylinder: shooting and tables."""
 
+import math
 import os
 import subprocess
 import sys
@@ -116,12 +117,14 @@ def test_tolerance_below_the_double_spacing_terminates(monkeypatch):
     for a, b in zip(tight.entries, default.entries):
         assert a.lam == pytest.approx(b.lam, abs=1e-8)
     # Dirichlet doublets, with a call budget: plain bisection of the cells
-    # integrates 92 times here, and the scan with Illinois narrowing that
-    # collocation replaced 61 times.  A confirmation bracket of tol / 4 is
-    # below one double's spacing here; it starts at 4 of them instead.
+    # integrates 92 times here, the scan with Illinois narrowing that
+    # collocation replaced 61 times, and a bisection replayed with shoot
+    # deciding its signs 47 times.  A confirmation bracket of tol / 4 is
+    # below one double's spacing here; it starts at 4 of them instead and
+    # widens 16-fold to the integration noise: 16 integrations.
     problem = cc.ModeProblem(n=2, bc="dirichlet")
     default = cc.find_eigenvalues(problem, 2)
-    calls = count_shoot_calls(monkeypatch, budget=61)
+    calls = count_shoot_calls(monkeypatch, budget=16)
     tight = cc.find_eigenvalues(problem, 2, tol=1e-17)
     assert calls
     assert np.allclose(tight, default, rtol=0.0, atol=1e-8)
@@ -129,17 +132,18 @@ def test_tolerance_below_the_double_spacing_terminates(monkeypatch):
 
 def test_dirichlet_table_shoot_budget(monkeypatch):
     # The benchmark's Dirichlet table job: plain bisection integrates 250
-    # times, the scan with Illinois narrowing 64 times, and a bracket around
-    # each collocation root 28 times.
-    calls = count_shoot_calls(monkeypatch, budget=30)
+    # times, the scan with Illinois narrowing 64 times, a bracket around
+    # each collocation root with shoot deciding the replayed bisection 28
+    # times, and the bracket alone 20 times, 2 for each of the 10 roots.
+    calls = count_shoot_calls(monkeypatch, budget=20)
     cc.complete_below(cc.build_table(2, 2, "dirichlet"))
-    assert len(calls) <= 30
+    assert len(calls) == 20
 
 
 def test_one_root_of_a_high_frequency_costs_no_more_than_its_own_bracket(monkeypatch):
     # The scan that collocation replaced integrated every grid lambda up to
     # the min-max bound n^2 at once: n = 80 took 8.6 s at 117 MB.
-    count_shoot_calls(monkeypatch, budget=4)
+    count_shoot_calls(monkeypatch, budget=2)
     tracemalloc.start()
     try:
         (lam,) = cc.find_eigenvalues(cc.ModeProblem(n=80), 1)
@@ -148,6 +152,50 @@ def test_one_root_of_a_high_frequency_costs_no_more_than_its_own_bracket(monkeyp
         tracemalloc.stop()
     assert peak <= 2_000_000
     assert lam == pytest.approx(80.0, rel=1e-3)  # the half-line oscillator's n
+
+
+def test_three_roots_at_n_800_take_at_most_10_integrations(monkeypatch):
+    # Collocation on 3 ceil(sqrt(800)) + ceil(1.3 (800 * 27)^(1/4)) = 103
+    # points, not the 2 * 3 + 46 = 52 that three roots get at low n,
+    # resolves the mode's e^{-n x^2 / 2} decay: its roots lie within 1e-9
+    # relative of those on over twice the points (64 roots take 244).  On
+    # 52 points they were 5e-5 off, and a bisection replayed with shoot
+    # deciding its signs made 86 integrations; now the confirming brackets
+    # alone make at most 10.
+    problem = cc.ModeProblem(n=800)
+    calls = count_shoot_calls(monkeypatch, budget=10)
+    lams = cc.find_eigenvalues(problem, 3)
+    assert len(calls) <= 10
+    fine = grushin._collocation_roots(problem, 64)[:3]
+    assert np.all(np.abs(lams - fine) <= 1e-9 * fine)
+    assert lams == pytest.approx([800.0, 4000.0, 7200.0], rel=1e-9)  # n (4m + 1)
+
+
+@pytest.mark.parametrize("n", [400, 1001])
+@pytest.mark.parametrize("bc, s", [("neumann", 0), ("dirichlet", 1)])
+def test_high_frequency_roots_are_the_half_line_oscillator(n, bc, s):
+    # Below lambda = n^2 / 2 a mode is a Hermite function, negligible at
+    # x = 1, so lambda_{n,m} = n (4m + 1 + 2s) to rounding.  On 3 ceil(sqrt(n))
+    # or 2 count + 46 points, whichever is more, root 59 of n = 1000 was 3%
+    # off; mode 1001 is the one that complete_below solves past max_n = 1000.
+    count = n // 10
+    roots = grushin._collocation_roots(cc.ModeProblem(n=n, bc=bc), count)
+    assert roots == pytest.approx(n * (4 * np.arange(count) + 1 + 2 * s), rel=1e-10)
+
+
+@pytest.mark.parametrize("bc, s", [("neumann", 0), ("dirichlet", 1)])
+def test_the_most_roots_of_a_mode_are_placed_to_their_exact_values(bc, s):
+    # The n = 0 roots are ((m + s) pi)^2.  The rounding of the 2047-row grid
+    # that _MAX_COUNT roots take, about eps N^3, put the lowest up to 3e-8
+    # off, past the 1e-8 cap that confirms the neumann ground state; the
+    # lowest _LOW_COUNT roots come from a grid sized for them alone.
+    problem = cc.ModeProblem(n=0, bc=bc)
+    roots = grushin._collocation_roots(problem, grushin._MAX_COUNT)
+    exact = ((np.arange(grushin._MAX_COUNT) + s) * np.pi) ** 2
+    assert np.all(np.abs(roots - exact) <= 1e-10 * np.maximum(1.0, exact))
+    for m in range(3):
+        for tol in (1e-8, 1e-12):
+            grushin._confirm(problem, m, float(roots[m]), tol)
 
 
 def moved_roots(monkeypatch, move):
@@ -163,18 +211,23 @@ def moved_roots(monkeypatch, move):
 @pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("n, bc", [(0, "neumann"), (1, "neumann"), (0, "dirichlet"),
                                    (2, "dirichlet")])
-def test_collocation_root_on_a_grid_point_keeps_the_digits(monkeypatch, n, bc, side):
-    # Collocation only places each root: moved onto the grid point just
-    # below or above it, the bracket widens to the root, and integrations
-    # at the grid points inside it, bisected by index, pick the cell.
-    # These cases take 70-106 integrations; the budget stops a bracket
-    # that outgrows its min-max interval.
+def test_collocation_root_moved_onto_a_grid_point_is_an_error(monkeypatch, n, bc, side):
+    # Collocation gives the digits, so a root moved onto the grid point just
+    # below or above it, 0.01-0.05 off, must not become one: at tol 1e-7 a
+    # bracket of half-width 2.5e-8 is tried, then one at the cap
+    # max(tol, 1e-8 max(1, |r|)) <= 4e-7.  Each root confirmed before the
+    # first moved one (only 0 of n = 0 neumann, a grid point itself) costs
+    # 2 integrations.
     problem = cc.ModeProblem(n=n, bc=bc)
-    expected = [lam.hex() for lam in cc.find_eigenvalues(problem, 3, tol=1e-7)]
     step = grushin.SCAN_STEP
-    moved_roots(monkeypatch, lambda m, r: step * (np.floor(r / step) + (side == "above")))
-    count_shoot_calls(monkeypatch, budget=150)
-    assert [lam.hex() for lam in cc.find_eigenvalues(problem, 3, tol=1e-7)] == expected
+    roots = grushin._collocation_roots(problem, 3)
+    moved = step * (np.floor(roots / step) + (side == "above"))
+    m = int(np.flatnonzero(np.abs(moved - roots) > 1e-7)[0])
+    moved_roots(monkeypatch, lambda k, r: step * (np.floor(r / step) + (side == "above")))
+    calls = count_shoot_calls(monkeypatch, budget=2 * m + 4)
+    with pytest.raises(RuntimeError, match=rf"^mode n={n} \({bc}\): .* root m={m} "):
+        cc.find_eigenvalues(problem, 3, tol=1e-7)
+    assert len(calls) == 2 * m + 4
 
 
 @pytest.mark.parametrize("n, bc", [(0, "neumann"), (1, "neumann"), (3, "dirichlet")])
@@ -188,27 +241,39 @@ def test_collocation_root_outside_its_min_max_interval_is_an_error(monkeypatch, 
         cc.find_eigenvalues(cc.ModeProblem(n=n, bc=bc), 3)
 
 
-def test_a_mismatch_without_sign_change_is_an_error(monkeypatch):
-    # The bracket of root m = 0 widens to the padded min-max interval
-    # [0, 1] of n = 1 and stops there: 9 brackets, 2 integrations each.
+@pytest.mark.parametrize("n, bc, m", [(0, "neumann", 0), (1, "neumann", 0),
+                                      (2, "dirichlet", 1), (12, "neumann", 1)])
+def test_a_collocation_root_off_by_1e_6_is_an_error(monkeypatch, n, bc, m):
+    # Root m, moved 1e-6 up, lies farther from the mismatch's root than the
+    # confirmation may widen: max(tol, 1e-8 max(1, |r|)) is below 1e-6 for
+    # every root here.  Each root below it is confirmed by one bracket of
+    # half-width tol / 4; around root m brackets of 2.5e-9, 4e-8 and the
+    # cap are tried, fewer where the cap comes first, 2 integrations each,
+    # and no digits are returned.
+    moved_roots(monkeypatch, lambda k, r: r + 1e-6 * (k == m))
+    calls = count_shoot_calls(monkeypatch, budget=2 * m + 6)
+    with pytest.raises(RuntimeError, match=rf"^mode n={n} \({bc}\): .* root m={m} "):
+        cc.find_eigenvalues(cc.ModeProblem(n=n, bc=bc), m + 2)
+    assert len(calls) >= 2 * m + 2
+
+
+def test_a_mismatch_without_sign_change_stops_at_the_cap(monkeypatch):
+    # No bracket confirms root m = 0 of n = 1 (0.325): one of half-width
+    # tol / 4 = 2.5e-9 is tried, and the next, 4e-8, passes the cap
+    # max(tol, 1e-8 max(1, |r|)) = 1e-8, so the cap is tried in its place.
     calls = []
 
     def constant(problem, lam):
         calls.append(lam)
-        assert len(calls) <= 18, "the bracket widened past the interval"
         return 1.0
 
     monkeypatch.setattr(grushin, "shoot", constant)
-    with pytest.raises(RuntimeError, match=r"^mode n=1 \(neumann\): .* root m=0 .*\[0, 1\]$"):
+    with pytest.raises(RuntimeError, match=r"^mode n=1 \(neumann\): .* within 1e-08 of .* "
+                                           r"root m=0 .*\[0, 1\]$"):
         cc.find_eigenvalues(cc.ModeProblem(n=1), 2)
-    assert (min(calls), max(calls)) == (-0.05, 1.05)
-
-
-def test_bisect_returns_an_exact_zero_without_integrating(monkeypatch):
-    count_shoot_calls(monkeypatch, budget=0)
-    problem = cc.ModeProblem(n=1)
-    assert grushin._bisect(problem, 1.0, 0.0, 2.0, 3.0, 1e-8) == 1.0
-    assert grushin._bisect(problem, 1.0, -3.0, 2.0, 0.0, 1e-8) == 2.0
+    assert len(calls) == 4
+    r = grushin._collocation_roots(cc.ModeProblem(n=1), 2)[0]
+    assert max(abs(lam - r) for lam in calls) == pytest.approx(1e-8, rel=1e-6)
 
 
 def test_cell_of_every_grid_point_and_its_neighbours():
@@ -218,41 +283,61 @@ def test_cell_of_every_grid_point_and_its_neighbours():
         assert grushin._cell(float(lam)) == np.searchsorted(grid, lam, side="right") - 1
 
 
-# (lo, hi, root, most integrations at grid points): 0.05 * 43 is the double
-# nearest 2.15, but 2.15 / 0.05 rounds below 43, as at 4.05, 4.3, ..., 9.35
-@pytest.mark.parametrize("lo, hi, root, at_grid", [
-    (2.12, 2.2, 2.16, 1), (2.12, 2.2, 2.13, 1), (0.05 * 43, 0.05 * 44, 2.16, 0),
-    (2.12, 2.46, 2.44, 3), (9.3, 9.66, 9.64, 3), (4.2, 4.4, 4.29, 2)])
-def test_bisect_finds_the_cell_of_a_bracket_across_grid_points(monkeypatch, lo, hi, root,
-                                                               at_grid):
-    # the grid points inside the bracket are bisected by index, one
-    # integration each; a bracket inside one cell integrates at none
+def plain_bisection(r, tol):
+    """The oracle's plain bisection, to width tol, of the grid cell that
+    holds r, for a mismatch whose sign changes at r."""
     grid = grushin.SCAN_STEP * np.arange(200)
-    k = np.searchsorted(grid, root, side="right") - 1
-    a, b = float(grid[k]), float(grid[k + 1])
-    linear = lambda problem, lam: lam - root  # noqa: E731
-    monkeypatch.setattr(oracle, "shoot", linear)
-    want = oracle._bisect(None, a, a - root, b, b - root, 1e-8)
-    monkeypatch.setattr(grushin, "shoot", linear)
-    calls = count_shoot_calls(monkeypatch, budget=40)
-    got = grushin._bisect(cc.ModeProblem(n=1), lo, lo - root, hi, hi - root, 1e-8)
-    assert got.hex() == want.hex()
-    assert len([lam for lam in calls if lam in grid]) <= at_grid
+    k = np.searchsorted(grid, r, side="right") - 1
+    step = lambda problem, lam: -1.0 if lam < r else 1.0  # noqa: E731
+    return oracle._bisect(None, float(grid[k]), -1.0, float(grid[k + 1]), 1.0, tol,
+                          mismatch=step)
+
+
+def test_quantize_is_plain_bisection_of_the_cell_around_rounded_grid_points(monkeypatch):
+    # 0.05 * 43 is the double nearest 2.15, but 2.15 / 0.05 rounds below 43,
+    # as at 4.05, 4.3, 4.55 and 8.1, ..., 9.35: the digits of a root on,
+    # just below or just above such a point come from the cell that holds it
+    step = grushin.SCAN_STEP
+    rounded = [k for k in range(200) if math.floor(step * k / step) < k]
+    assert [round(step * k, 2) for k in rounded] == [
+        2.15, 4.05, 4.3, 4.55, 8.1, 8.35, 8.6, 8.85, 9.1, 9.35]
+    count_shoot_calls(monkeypatch, budget=0)
+    problem = cc.ModeProblem(n=1)
+    for k in rounded:
+        point = step * k
+        for r in (point, np.nextafter(point, 0.0), np.nextafter(point, np.inf),
+                  point - 1e-9, point + 1e-9, point + 0.02):
+            for tol in (1e-8, 1e-11, 0.1):
+                got = grushin._quantize(problem, float(r), tol)
+                assert got.hex() == plain_bisection(float(r), tol).hex(), (r, tol)
+    # tol past the grid step leaves no bisection step: the cell's midpoint
+    assert grushin._quantize(problem, step * 43, 0.1) == 0.5 * (step * 43 + step * 44)
+
+
+def test_quantize_gives_the_constant_mode_exactly_zero(monkeypatch):
+    # the n = 0 neumann ground state is the constant: its collocation value
+    # is about -1e-12, and its eigenvalue is 0.0, with no integration
+    count_shoot_calls(monkeypatch, budget=0)
+    for r in (-1.4e-12, 0.0, 1e-12):
+        assert grushin._quantize(cc.ModeProblem(n=0), r, 1e-8).hex() == "0x0.0p+0"
+    # any other mode takes the digits of its cell, whose lowest is [0, 0.05]
+    for problem in (cc.ModeProblem(n=1), cc.ModeProblem(n=0, bc="dirichlet")):
+        for r in (0.0, 1e-12):
+            assert grushin._quantize(problem, r, 1e-8) == plain_bisection(r, 1e-8) > 0.0
 
 
 def test_a_tolerance_past_the_grid_step_gives_the_midpoint_of_the_cell(monkeypatch):
     # tol > SCAN_STEP leaves no bisection step: each root is the middle of
-    # its grid cell, which the bracket, at most SCAN_STEP / 2 wide, finds
-    # at two or three integrations per root, whatever the tol.  The lowest
-    # root of n = 3, 2.39, lies 0.24 above 0.05 * 43, the grid point that
-    # the test above finds the cell of.
+    # its grid cell.  The bracket that confirms it is SCAN_STEP / 2 wide,
+    # two integrations per root, whatever the tol.  The lowest root of
+    # n = 3, 2.39, lies 0.24 above 0.05 * 43, whose quotient rounds down.
     grid = grushin.SCAN_STEP * np.arange(2000)
     for n in (1, 3):
         problem = cc.ModeProblem(n=n)
         k = np.searchsorted(grid, cc.find_eigenvalues(problem, 3), side="right") - 1
         want = [(0.5 * (grid[i] + grid[i + 1])).hex() for i in k]
         for tol in (0.1, 1.0, 40.0):
-            calls = count_shoot_calls(monkeypatch, budget=9)
+            calls = count_shoot_calls(monkeypatch, budget=6)
             assert [lam.hex() for lam in cc.find_eigenvalues(problem, 3, tol=tol)] == want
             monkeypatch.undo()
             assert calls
@@ -328,9 +413,9 @@ def test_import_does_not_load_scipy_integrate():
 
 
 # Every row of build_table, as float.hex, for tables inside the lambda range
-# [0, 120] that earlier versions searched, keyed by (max_n, max_m, bc, tol);
-# collocation only places the roots and shoot decides every sign of the
-# bisection, so these digits pin the whole root finder.
+# [0, 120] that earlier versions searched, keyed by (max_n, max_m, bc, tol).
+# Collocation gives the digits, and shooting confirms each root, so these
+# digits pin the collocation roots to within their bisection steps.
 TABLE_DIGITS = {
     (2, 2, "neumann", 1e-08): [
         "0x0.0p+0", "0x1.3bd3cc9b33334p+3", "0x1.3bd3cc9b9999ap+5",

@@ -102,16 +102,29 @@ def test_unit_ball_volume_table_matches_the_loop():
         assert cc.unit_ball_volume(a).hex() == want.hex()
 
 
-@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-def test_roots_are_the_plain_bisection_of_their_cell(bc):
-    # each root is the oracle's plain bisection, with shoot at every
-    # midpoint, of the SCAN_STEP grid cell that holds it
-    grid = grushin.SCAN_STEP * np.arange(4000)  # as the scan that collocation replaced
-    for n in (0, 1, 3):
+# The rows of build_table(12, 5) at tol 1e-8 that differ by one final
+# bisection step (5.96e-9) from a bisection with RK45 at ODE_TOL deciding
+# every sign, as (n, m) per bc
+MOVED_ROWS = {"neumann": [(1, 4), (4, 3), (4, 5), (10, 4), (11, 4)],
+              "dirichlet": [(3, 1), (4, 5), (5, 5)]}
+# with them, the lowest roots of low modes at another tolerance
+REFERENCE_ROWS = {bc: [(n, m, 1e-8) for n, m in rows]
+                  + [(n, m, 1e-7) for n in (0, 1, 3) for m in range(3)]
+                  for bc, rows in MOVED_ROWS.items()}
+
+
+@pytest.mark.parametrize("bc", list(REFERENCE_ROWS))
+def test_roots_are_the_plain_bisection_of_a_tight_reference_root(bc):
+    # each is the oracle's plain bisection of its grid cell with a DOP853
+    # mismatch at rtol 1e-13 deciding every sign; on the moved rows the
+    # RK45 sign put the last step on the wrong side of the root
+    grid = grushin.SCAN_STEP * np.arange(8000)
+    tight = oracle.tight_shoot
+    for n, m, tol in REFERENCE_ROWS[bc]:
         problem = cc.ModeProblem(n=n, bc=bc)
-        for tol in (1e-7, 1e-11):
-            for lam in grushin.find_eigenvalues(problem, 3, tol=tol):
-                k = np.searchsorted(grid, lam, side="right") - 1
-                a, b = float(grid[k]), float(grid[k + 1])
-                want = oracle._bisect(problem, a, cc.shoot(problem, a), b, cc.shoot(problem, b), tol)
-                assert lam.hex() == want.hex(), (n, tol)
+        lam = grushin.find_eigenvalues(problem, 6, tol=tol)[m]  # as build_table(12, 5) finds it
+        k = np.searchsorted(grid, lam, side="right") - 1
+        a, b = float(grid[k]), float(grid[k + 1])
+        want = oracle._bisect(problem, a, tight(problem, a), b, tight(problem, b), tol,
+                              mismatch=tight)
+        assert lam.hex() == want.hex(), (n, m, tol)
