@@ -15,15 +15,16 @@ config file that is unreadable, not UTF-8, nested too deeply to decode or
 holding an integer too long for int(), a grid or ``cheeger.levels`` too
 large to size or allocate, a ``table.max_m`` past the roots per mode
 that ``grushin`` solves for, or a ``table.max_n`` above 1000), 3 when
-the eigensolver fails to converge, a certified lower Cheeger bound
-contradicts the upper bound from cuts, or ``cheeger.upper_bound`` finds
-no admissible cut on the grid: a Dirichlet grid too coarse for any level
-set to enclose a region, a mixed or Neumann grid too coarse for any level
-set to cut it in two, or a cut whose perimeter quadrature does not
-converge (an integrable density singularity on it).  Artifacts are
-written only here, images through ``pgm.write_pgm`` and every CSV file
-through ``_write_csv`` (shortest round-trip floats, so identical runs
-give byte-identical files).
+the eigensolver fails to converge, ``grushin-table`` finds a mode root
+that shooting does not confirm (or a mode's integration fails), a
+certified lower Cheeger bound contradicts the upper bound from cuts, or
+``cheeger.upper_bound`` finds no admissible cut on the grid: a Dirichlet
+grid too coarse for any level set to enclose a region, a mixed or Neumann
+grid too coarse for any level set to cut it in two, or a cut whose
+perimeter quadrature does not converge (an integrable density singularity
+on it).  Artifacts are written only here, images through
+``pgm.write_pgm`` and every CSV file through ``_write_csv`` (shortest
+round-trip floats, so identical runs give byte-identical files).
 
 Loading a config needs numpy only.  Each command imports the layers it
 uses when it runs, so ``carnot`` loads no scipy, and ``cheeger`` and
@@ -390,10 +391,14 @@ def _say(quiet: bool, message: str) -> None:
 
 def _solve_line(structure: CCStructure, forms: AssembledForms, pairs: "Eigenpairs") -> str:
     """The progress line that names the problem, the solver path, the
-    inverse and why; stdout only, never an artifact."""
+    inverse, why and what it cost (the LU fill, the Lanczos basis size and
+    the count of inverse applies); stdout only, never an artifact."""
     info = pairs.info
-    inverse = (f", inverse {info['inverse']} ({info['inverse_reason']}), ncv {info['ncv']}"
-               if "inverse" in info else "")
+    inverse = ""
+    if "inverse" in info:
+        fill = f", factor nnz {info['factor_nnz']}" if "factor_nnz" in info else ""
+        inverse = (f", inverse {info['inverse']} ({info['inverse_reason']}){fill}, "
+                   f"ncv {info['ncv']}, {info['opinv_applies']} inverse applies")
     return (f"structure {structure.name}, grid {forms.grid.nx}x{forms.grid.ny}, "
             f"bc {forms.flavor}, k={pairs.k}, solver {info['path']} ({info['reason']}){inverse}")
 
@@ -526,17 +531,20 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
     t = config.table
     try:
         table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
+        threshold = complete_below(table, t.tol) if do_cross_validate else None
     except np.linalg.LinAlgError:  # a ValueError, but numerical, not the config's
         raise
     except ValueError as exc:  # more roots per mode than grushin solves for
         raise ConfigError(f"table.max_m = {_count(t.max_m)} is too large: {exc}") from exc
+    except RuntimeError as exc:  # a root that shooting does not confirm, or a failed integration
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     out.mkdir(parents=True, exist_ok=True)
     path = out / "grushin_table.csv"
 
     worst = None  # (n, m) -> relative error of the 2D cross-check
     if do_cross_validate:
         _, forms = build_problem(replace(config, structure=StructureConfig(), bc=t.bc))
-        threshold = complete_below(table, t.tol)
         covered = [e for e in table.expanded()
                    if e.lam < threshold - 1e-9 * max(1.0, threshold)]
         k = min(len(covered), forms.n_active)

@@ -12,19 +12,25 @@ When K is invariant under y-translation (a y-periodic chart whose mass and
 nearest-neighbour stencil do not vary along y, such as the Grushin
 cylinder), an FFT along y turns K into one Hermitian tridiagonal system per
 frequency, which is factorized directly (the fast direct solver of Hockney
-1965 and Buzbee-Golub-Nielson 1970); any other K gets a sparse LU.  The
-assembly decides which and keeps the one stencil block the FFT path needs
-(forms.y_stencil, forms.y_reason), so this module never reads the grid.  The
-shift eps reads the trace from forms.diagonal(), and Lanczos is handed A's
-shape alone, so on the FFT path forms.A is first read, and so compressed,
-after Lanczos returns.  The shift eps M moves eigenvalues, not eigenvectors,
-so both paths finish with one Rayleigh-Ritz projection against the
-unshifted pencil, which takes the regularization out of the results.
-Residuals and M-orthonormality are checked once, on either path.  The Ritz,
-residual, Gram and sign steps work one column at a time and hold no n-sized
-block besides the vectors they return.  Runs are deterministic: the
-iterative start vector is drawn from a seeded generator, and signs do not
-depend on it (see solve_smallest).
+1965 and Buzbee-Golub-Nielson 1970); any other K gets a sparse LU.  That
+K is a copy of A's values with eps M added on the diagonal, on A's own index
+arrays, dropped once SuperLU has factored it.  SuperLU's supernode-panel
+factorization (Demmel, Eisenstat, Gilbert, Li and Liu, 1999) keeps a panel
+of dense columns of length n, and index arrays of that shape, as workspace
+beside the growing factor.  At scipy's default width of 20 that workspace
+sets the peak of the solve, so a narrow panel (PANEL_SIZE) lowers it; the
+fill does not change.  The assembly decides which inverse K gets and keeps
+the one stencil block the FFT path needs (forms.y_stencil, forms.y_reason),
+so this module never reads the grid.  The shift eps reads the trace from
+forms.diagonal(), and Lanczos is handed A's shape alone, so on the FFT path
+forms.A is first read, and so compressed, after Lanczos returns.  The
+shift eps M moves eigenvalues, not eigenvectors, so both paths finish with
+one Rayleigh-Ritz projection against the unshifted pencil, which takes the
+regularization out of the results.  Residuals and M-orthonormality are
+checked once, on either path.  The Ritz, residual, Gram and sign steps work
+one column at a time and hold no n-sized block besides the vectors they
+return.  Runs are deterministic: the iterative start vector is drawn from a
+seeded generator, and signs do not depend on it (see solve_smallest).
 """
 
 from __future__ import annotations
@@ -42,6 +48,15 @@ from .discretization import AssembledForms
 
 # Lanczos iteration budget per requested mode.
 MAXITER_PER_MODE = 50
+
+# SuperLU's panel width.  The factorization keeps PANEL_SIZE dense columns
+# of length n, and index arrays of that shape, as workspace beside the
+# factor; the width changes that workspace, not the fill.  Peak RSS of
+# cheeger runs on a y-dependent custom structure (2-vCPU VM), 128x256 and
+# 256x512: 107.9 and 264 MB at scipy's default 20, 100.9 and 236 MB at 8,
+# 101.3 and 233 MB at 4, within 0.2 MB of widths 2 to 5 on both grids.  The
+# 256x512 factor takes 0.65 s at 4 and 0.72 s at 20.
+PANEL_SIZE = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -125,6 +140,19 @@ def _fft_y_inverse(stencil: np.ndarray, mass_row: np.ndarray, eps: float,
     return solve
 
 
+def _shifted_matrix(A: sp.csr_matrix, mass: np.ndarray, eps: float) -> sp.csc_matrix:
+    """K = A + eps M in CSC form, on A's own index arrays: A is bitwise
+    symmetric, so its CSR arrays read as CSC are A.  Only the values are
+    copied, where scipy's sum allocates nnz + n entries and then a pruned
+    copy.  Every active node stores its own diagonal entry, so K is bitwise
+    that sum wherever A stores no zero (a stored zero stays stored here).
+    K shares A's indices: nothing may sort or prune it in place."""
+    rows = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+    data = A.data.copy()
+    data[A.indices == rows] += eps * mass
+    return sp.csc_matrix((data, A.indices, A.indptr), shape=A.shape)
+
+
 def _shifted_inverse(forms: AssembledForms,
                      eps: float) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
     """A solver for K = A + eps M and how it was built: FFT in y where the
@@ -134,11 +162,12 @@ def _shifted_inverse(forms: AssembledForms,
         mass_rows = forms.mass.reshape(stencil.shape[0], -1)
         solve = _fft_y_inverse(stencil, mass_rows[:, 0], eps, mass_rows.shape[1])
         return solve, {"inverse": "fft-y", "inverse_reason": reason}
-    # K is symmetric, so order on A + A^T and let SuperLU prefer diagonal pivots.
-    # It is bitwise symmetric too, so the transpose of its CSR form is K in
-    # CSC form, holding the same arrays, without a copy.
-    K = forms.A + sp.diags(eps * forms.mass)
-    lu = spla.splu(K.T, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    # K is symmetric, so order on A + A^T and let SuperLU prefer diagonal
+    # pivots.  K is sorted and has no duplicates, so splu leaves it as it is,
+    # and it is freed on return: the factor keeps no reference to it.
+    K = _shifted_matrix(forms.A, forms.mass, eps)
+    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE,
+                   options={"SymmetricMode": True})
     return lu.solve, {"inverse": "splu", "inverse_reason": reason, "factor_nnz": int(lu.nnz)}
 
 

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -95,10 +96,25 @@ def test_spectrum_names_the_inverse_on_stdout_only(tmp_path, capsys, command, do
     assert run([command, "--config", cfg, "--out", out]) == 0
     stdout = capsys.readouterr().out
     assert ("structure grushin-cylinder, grid 24x48, bc neumann, "
-            f"k={k}, solver shift-invert (k = {k} < n_active - 1 = 1151), inverse fft-y") in stdout
-    assert "), ncv 20\n" in stdout
+            f"k={k}, solver shift-invert (k = {k} < n_active - 1 = 1151), inverse fft-y "
+            "(A + eps M is invariant under y-translation), ncv 20, ") in stdout
+    assert re.search(r"\), ncv 20, [1-9][0-9]* inverse applies\n", stdout)
+    assert "factor nnz" not in stdout  # the FFT inverse factors no sparse matrix
     for path in out.iterdir():
-        assert b"fft-y" not in path.read_bytes() and b"ncv" not in path.read_bytes(), path.name
+        data = path.read_bytes()
+        assert b"fft-y" not in data and b"ncv" not in data and b"applies" not in data, path.name
+
+
+def test_cheeger_names_the_factor_fill_on_stdout_only(tmp_path, capsys):
+    doc = {"structure": {"kind": "euclidean"}, "grid": {"nx": 8, "ny": 8}, "bc": "dirichlet"}
+    out = tmp_path / "run"
+    assert run(["cheeger", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    line = re.search(r"inverse splu \(chart not periodic in y\), factor nnz ([0-9]+), "
+                     r"ncv 20, ([0-9]+) inverse applies\n", stdout)
+    assert line and int(line[1]) >= 6 * 6 and int(line[2]) > 0
+    for path in out.iterdir():
+        assert b"factor nnz" not in path.read_bytes(), path.name
 
 
 def test_spectrum_labels_each_eigenfunction_once(tmp_path, monkeypatch):
@@ -547,6 +563,29 @@ def test_table_tolerance_below_the_double_spacing(tmp_path):
                 "--out", out, "--quiet"]) == 0
     rows = (out / "grushin_table.csv").read_text().splitlines()[1:]
     assert float(rows[1].split(",")[2]) == pytest.approx(np.pi**2, abs=1e-8)
+
+
+# mode 2 is only solved for by --cross-validate, for complete_below
+@pytest.mark.parametrize("moved_n, extra", [(0, []), (1, []), (2, ["--cross-validate"])])
+def test_table_unconfirmed_root_exits_3(tmp_path, capsys, monkeypatch, moved_n, extra):
+    import ccspectral.grushin as grushin
+
+    collocation = grushin._collocation_roots
+
+    def moved(problem, count):  # the top root of one mode, 1e-6 relative off
+        roots = collocation(problem, count)
+        if problem.n == moved_n:
+            roots[-1] *= 1.0 + 1e-6
+        return roots
+
+    monkeypatch.setattr(grushin, "_collocation_roots", moved)
+    doc = {"grid": {"nx": 8, "ny": 16}, "table": {"max_n": 1, "max_m": 1}}
+    out = tmp_path / "run"
+    assert run(["grushin-table", "--config", write_config(tmp_path, doc),
+                "--out", out, "--quiet", *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver error: mode n={moved_n} (neumann): ") and err.count("\n") == 1
+    assert not (out / "grushin_table.csv").exists()
 
 
 def test_table_lambda_window_is_an_unknown_key(tmp_path, capsys):

@@ -213,6 +213,48 @@ def test_shift_invert_factorizes_once(count_gstrf, arpack_ncv):
     assert 0.0 <= info["gram_defect"] <= 1e-8
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "mixed", "partial x_min"])
+def test_shifted_matrix_is_bitwise_the_sum(bc):
+    # K reuses A's index arrays and adds eps M to a copy of A's values; it is
+    # the matrix scipy's sparse addition gives, bit for bit.
+    structure = _y_dependent_structure()
+    partial = cc.BoundarySpec((cc.BCSegment("x_min", "dirichlet", lo=1.0, hi=3.0),))
+    bc = {"dirichlet": cc.BoundarySpec.all_dirichlet(structure.chart), "mixed": MIXED_X_MAX,
+          "partial x_min": partial}[bc]
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, 32, 64), bc)
+    assert forms.y_stencil is None
+    reference, eps = _shifted(forms)
+    K = eigensolver._shifted_matrix(forms.A, forms.mass, eps)
+    assert K.format == "csc"
+    for name in ("indices", "indptr"):
+        assert np.shares_memory(getattr(K, name), getattr(forms.A, name)), name
+    for name in ("data", "indices", "indptr"):
+        assert getattr(K, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+def test_splu_leaves_A_unchanged():
+    # K shares A's index arrays, so any edit of K in place would corrupt A
+    structure = _y_dependent_structure()
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, 32, 64), MIXED_X_MAX)
+    before = {name: getattr(forms.A, name).tobytes() for name in ("data", "indices", "indptr")}
+    pairs = cc.solve_smallest(forms, k=3)
+    assert pairs.info["inverse"] == "splu"
+    for name, data in before.items():
+        assert getattr(forms.A, name).tobytes() == data, name
+
+
+def test_panel_width_leaves_the_fill(count_gstrf):
+    # The narrow panel changes SuperLU's workspace, not the factor.
+    structure = _y_dependent_structure()
+    forms = cc.assemble(structure, cc.build_grid(structure.chart, 32, 64),
+                        cc.BoundarySpec.all_dirichlet(structure.chart))
+    pairs = cc.solve_smallest(forms, k=1)
+    K, _ = _shifted(forms)
+    spla.splu(K.T, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    assert eigensolver.PANEL_SIZE < 20  # scipy's default width
+    assert count_gstrf == [pairs.info["factor_nnz"]] * 2
+
+
 def test_shift_invert_working_set(grushin):
     # At its peak the solve allocates ARPACK's basis twice (the Lanczos
     # vectors and the n x ncv array its Ritz vectors are extracted into) and
