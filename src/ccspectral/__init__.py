@@ -27,8 +27,7 @@ _EXPORTS = {
     "cheeger": ("CoareaReport", "Cut", "FlowCertificate", "InequalityReport",
                 "candidate_cuts_grushin", "coarea_check", "cut_from_level_set",
                 "dirichlet_cheeger_upper", "horizontal_perimeter", "mfmc_certify",
-                "region_volume", "superlevel_cuts", "sweep_level_sets", "upper_bound",
-                "verify_inequality"),
+                "region_volume", "upper_bound", "verify_inequality"),
     "cli": ("RunConfig", "main"),
     "discretization": ("AssembledForms", "BCSegment", "BoundarySpec", "Grid2D",
                        "assemble", "build_grid"),

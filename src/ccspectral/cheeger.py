@@ -50,26 +50,6 @@ class Cut:
         return self.sigma / smaller if smaller > 0.0 else float("inf")
 
 
-def _segments_array(segments) -> np.ndarray:
-    segs = np.asarray(segments, dtype=float)
-    if segs.size == 0:
-        return np.zeros((0, 2, 2))
-    if segs.ndim != 3 or segs.shape[1:] != (2, 2):
-        raise ValueError(f"segments must have shape (S, 2, 2), got {segs.shape}")
-    return segs
-
-
-def _validate_in_chart(structure: CCStructure, segs: np.ndarray) -> None:
-    chart = structure.chart
-    if segs.size == 0:
-        return
-    for axis, (lo, hi), length in ((0, chart.x_range, chart.x_length),
-                                   (1, chart.y_range, chart.y_length)):
-        values, tol = segs[..., axis], 1e-9 * length
-        if values.min() < lo - tol or values.max() > hi + tol:
-            raise ValueError(f"segment endpoint outside the chart in {'xy'[axis]}")
-
-
 def horizontal_perimeter(structure: CCStructure, segments) -> float:
     """Horizontal perimeter of a polyline: adaptive midpoint quadrature of
     rho * ||(<X_i, nu>)_i||_2, refined until successive composite rules agree
@@ -77,8 +57,17 @@ def horizontal_perimeter(structure: CCStructure, segments) -> float:
     halvings (an integrable singularity on the cut slows the rule down).
     Zero-length segments contribute nothing.
     """
-    segs = _segments_array(segments)
-    _validate_in_chart(structure, segs)
+    segs = np.asarray(segments, dtype=float)
+    if segs.size == 0:
+        return 0.0
+    if segs.ndim != 3 or segs.shape[1:] != (2, 2):
+        raise ValueError(f"segments must have shape (S, 2, 2), got {segs.shape}")
+    chart = structure.chart
+    for axis, (lo, hi), length in ((0, chart.x_range, chart.x_length),
+                                   (1, chart.y_range, chart.y_length)):
+        values, tol = segs[..., axis], 1e-9 * length
+        if values.min() < lo - tol or values.max() > hi + tol:
+            raise ValueError(f"segment endpoint outside the chart in {'xy'[axis]}")
     p0 = segs[:, 0, :]
     p1 = segs[:, 1, :]
     d = p1 - p0
@@ -228,31 +217,6 @@ def cut_from_level_set(structure: CCStructure, grid: Grid2D, u, t: float,
     return Cut(kind="level_set", segments=segments, sigma=sigma, vol1=vol1, vol2=vol2)
 
 
-def _level_cuts(structure: CCStructure, grid: Grid2D, values2d: np.ndarray,
-                levels: np.ndarray) -> list[Cut]:
-    """Cuts along {u = t} for each distinct t of ``levels`` inside the open
-    range of u, in ascending t, all marched on one _LevelSweep."""
-    umin, umax = values2d.min(), values2d.max()
-    sweep = _LevelSweep(structure, grid, values2d)
-    return [cut_from_level_set(structure, grid, values2d, float(t), sweep)
-            for t in np.unique(levels) if umin < t < umax]
-
-
-def sweep_level_sets(structure: CCStructure, grid: Grid2D, u, n_levels: int = 40) -> Cut:
-    """Best (smallest-ratio) level-set cut over n_levels quantiles of u."""
-    if n_levels < 1:
-        raise ValueError(f"n_levels must be positive, got {n_levels}")
-    values2d = _node_values(grid, u)
-    if values2d.max() - values2d.min() <= 1e-300:
-        raise ValueError("cannot sweep level sets of a constant function")
-    qs = (np.arange(n_levels) + 1.0) / (n_levels + 1.0)
-    cuts = [c for c in _level_cuts(structure, grid, values2d, np.quantile(values2d, qs))
-            if np.isfinite(c.ratio)]
-    if not cuts:
-        raise ValueError("no level produced a two-sided cut")
-    return min(cuts, key=lambda c: c.ratio)
-
-
 def candidate_cuts_grushin(structure: CCStructure, grid: Grid2D,
                            n_circles: int = 31, n_line_pairs: int = 16) -> list[Cut]:
     """Closed-form cut families for the Grushin cylinder.
@@ -283,23 +247,6 @@ def candidate_cuts_grushin(structure: CCStructure, grid: Grid2D,
     return cuts
 
 
-def superlevel_cuts(structure: CCStructure, grid: Grid2D, u, n_levels: int = 40) -> list[Cut]:
-    """Cuts along {u = t} at the (i + 1/2) / n_levels quantiles t of the
-    positive values of u (negated first if its largest magnitude is
-    negative) inside its open range; vol1 is the volume of {u > t}.
-    One-sided cuts are kept: dirichlet_cheeger_upper reads vol1 alone."""
-    if n_levels < 1:
-        raise ValueError(f"n_levels must be positive, got {n_levels}")
-    values2d = _node_values(grid, u)
-    if -values2d.min() > values2d.max():
-        values2d = -values2d
-    positives = values2d[values2d > 0.0]
-    if positives.size == 0:
-        raise ValueError("u has no positive part to sweep")
-    qs = (np.arange(n_levels) + 0.5) / n_levels
-    return _level_cuts(structure, grid, values2d, np.quantile(positives, qs))
-
-
 def _dirichlet_ratio(cut: Cut) -> float:
     """sigma / vol1, the ratio a superlevel cut bounds h_dirichlet by;
     infinite without a level set or a region."""
@@ -313,8 +260,8 @@ def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u, cuts) -> fl
     eigenfunction expanded to the full grid); its super-level sets then
     stay away from the boundary and sigma(boundary of {u > t}) / vol({u > t})
     bounds the constant from above for every admissible t.  The bound is
-    the least such ratio over ``cuts``, the superlevel_cuts of u, that
-    have a non-empty level set and region.
+    the least such ratio over ``cuts``, the level cuts upper_bound takes
+    of u, that have a non-empty level set and region.
     """
     values2d = _node_values(grid, u)
     vmax = np.abs(values2d).max()
@@ -334,27 +281,44 @@ def upper_bound(structure: CCStructure, grid: Grid2D, flavor: str, u,
     and that bound.
 
     u is lambda_2's eigenfunction for neumann, else lambda_1's, on the full
-    grid.  Neumann: the Grushin cylinder's closed-form families (for that
-    structure) and the best quantile level cut of u.  Dirichlet and mixed:
-    the two-sided superlevel_cuts of u.  The bound is the least Cut.ratio,
-    except for dirichlet: dirichlet_cheeger_upper reads every superlevel
-    cut, one-sided ones included, by sigma / vol1.  Raises ValueError when
-    the grid is too coarse for any admissible cut.
+    grid.  One sweep cuts {u = t} at each distinct quantile t of u inside
+    its open range, in ascending t (vol1 is the volume of {u > t}): of all
+    node values at (i + 1) / (n_levels + 1) for neumann, else of the
+    positive values at (i + 1/2) / n_levels, u negated first if its largest
+    magnitude is negative.  Neumann lists the best two-sided level cut after
+    the Grushin cylinder's closed-form families (for that structure), the
+    others every two-sided level cut.  The bound is the least Cut.ratio,
+    except for dirichlet: dirichlet_cheeger_upper reads every level cut,
+    one-sided ones included, by sigma / vol1.  Raises ValueError when the
+    grid is too coarse for any admissible cut.
     """
     if flavor not in _KINDS:
         raise ValueError(f"flavor must be one of {_KINDS}, got {flavor!r}")
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be positive, got {n_levels}")
+    values2d = _node_values(grid, u)
+    if values2d.max() - values2d.min() <= 1e-300:
+        raise ValueError("cannot sweep level sets of a constant function")
     if flavor == "neumann":
-        cuts = (candidate_cuts_grushin(structure, grid)
-                if structure.name == "grushin-cylinder" else [])
-        cuts.append(sweep_level_sets(structure, grid, u, n_levels=n_levels))
+        levels = np.quantile(values2d, (np.arange(n_levels) + 1.0) / (n_levels + 1.0))
     else:
-        level_cuts = superlevel_cuts(structure, grid, u, n_levels=n_levels)
-        cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
-        if flavor == "dirichlet":
-            h_upper = dirichlet_cheeger_upper(structure, grid, u, level_cuts)
-            return cuts, min(level_cuts, key=_dirichlet_ratio), h_upper
-        if not cuts:
-            raise ValueError("no level produced a two-sided cut")
+        if -values2d.min() > values2d.max():
+            values2d = -values2d
+        levels = np.quantile(values2d[values2d > 0.0], (np.arange(n_levels) + 0.5) / n_levels)
+    umin, umax = values2d.min(), values2d.max()
+    sweep = _LevelSweep(structure, grid, values2d)
+    level_cuts = [cut_from_level_set(structure, grid, values2d, float(t), sweep)
+                  for t in np.unique(levels) if umin < t < umax]
+    cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
+    if flavor == "dirichlet":
+        h_upper = dirichlet_cheeger_upper(structure, grid, u, level_cuts)
+        return cuts, min(level_cuts, key=_dirichlet_ratio), h_upper
+    if not cuts:
+        raise ValueError("no level produced a two-sided cut")
+    if flavor == "neumann":
+        families = (candidate_cuts_grushin(structure, grid)
+                    if structure.name == "grushin-cylinder" else [])
+        cuts = families + [min(cuts, key=lambda c: c.ratio)]
     best = min(cuts, key=lambda c: c.ratio)
     return cuts, best, best.ratio
 

@@ -14,17 +14,18 @@ Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
 config file that is unreadable, not UTF-8, nested too deeply to decode or
 holding an integer too long for int(), a grid or ``cheeger.levels`` too
 large to size or allocate, a ``table.max_m`` past the roots per mode
-that ``grushin`` solves for, or a ``table.max_n`` above 1000), 3 when
-the eigensolver fails to converge, ``grushin-table`` finds a mode root
-that shooting does not confirm (or a mode's integration fails), a
-certified lower Cheeger bound contradicts the upper bound from cuts, or
-``cheeger.upper_bound`` finds no admissible cut on the grid: a Dirichlet
-grid too coarse for any level set to enclose a region, a mixed or Neumann
-grid too coarse for any level set to cut it in two, or a cut whose
-perimeter quadrature does not converge (an integrable density singularity
-on it).  Artifacts are written only here, images through
-``pgm.write_pgm`` and every CSV file through ``_write_csv`` (shortest
-round-trip floats, so identical runs give byte-identical files).
+that ``grushin`` solves for, a ``table.max_n`` above 1000, or an ``--out``
+that is or lies under an existing file, refused before any solve, or that
+cannot be made a directory), 3 when the eigensolver fails to converge,
+``grushin-table`` finds a mode root that shooting does not confirm (or a
+mode's integration fails), a certified lower Cheeger bound contradicts the
+upper bound from cuts, or ``cheeger.upper_bound`` finds no admissible cut
+on the grid: a Dirichlet grid too coarse for any level set to enclose a
+region, a mixed or Neumann grid too coarse for any level set to cut it in
+two, or a cut whose perimeter quadrature does not converge (an integrable
+density singularity on it).  Artifacts are written only here, images
+through ``pgm.write_pgm`` and every CSV file through ``_write_csv``
+(shortest round-trip floats, so identical runs give byte-identical files).
 
 Loading a config needs numpy only.  Each command imports the layers it
 uses when it runs, so ``carnot`` loads no scipy, and ``cheeger`` and
@@ -35,6 +36,7 @@ import argparse
 import json
 import math
 import operator
+import os
 import sys
 import types
 import typing
@@ -384,6 +386,14 @@ def _write_json(obj: dict, path: Path) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+def _make_out(out: Path) -> None:
+    """Make the --out directory; a path that cannot be one is a config error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}") from exc
+
+
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
         print(message)
@@ -415,7 +425,7 @@ def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
     grid = forms.grid
     pairs = _solve(config, forms, config.solver.k)
 
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     _write_csv(out / "eigenvalues.csv", "index,lambda,residual",
                zip(range(1, pairs.k + 1), pairs.lambdas, pairs.residuals))
     _say(quiet, _solve_line(structure, forms, pairs))
@@ -471,7 +481,7 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
         raise ConfigError(f"cheeger.levels = {_count(levels)} is too large: {exc}") from exc
     index = 1 if flavor == "neumann" else 0
     pairs = _solve(config, forms, index + 1)  # lambda_2 for neumann, else lambda_1 alone
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     _say(quiet, _solve_line(structure, forms, pairs))
 
     lam = float(pairs.lambdas[index])
@@ -539,7 +549,7 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
     except RuntimeError as exc:  # a root that shooting does not confirm, or a failed integration
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     path = out / "grushin_table.csv"
 
     worst = None  # (n, m) -> relative error of the 2D cross-check
@@ -579,7 +589,7 @@ def cmd_carnot(config: RunConfig, out: Path, quiet: bool = False) -> int:
     alpha = hausdorff_constant_heisenberg(n)
     doc = {"n": n, "topological_dimension": 2 * n + 1, "Q": q,
            "omega": {str(a): omegas[a] for a in range(1, q)}, "alpha": alpha}
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     _write_json(doc, out / "carnot.json")
     _say(quiet, f"Heisenberg group of dimension {2 * n + 1}")
     _say(quiet, f"  homogeneous dimension Q = {q}")
@@ -620,6 +630,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
     try:
+        # an --out at or under an existing non-directory is refused before any solve
+        nearest = next((p for p in (out, *out.parents) if os.path.lexists(p)), out)
+        if not os.path.isdir(nearest):
+            raise ConfigError(f"--out {out}: {nearest} exists and is not a directory")
         config = load_config(args.config) if args.config else RunConfig()
         if args.command == "spectrum":
             return cmd_spectrum(config, out, quiet=args.quiet)

@@ -172,17 +172,21 @@ def test_level_cut_t_outside_range(grushin_grid, grushin):
 
 def test_sweep_finds_line_pair_ratio(grushin, grushin_grid):
     _, Y = grushin_grid.meshes()
-    best = cc.sweep_level_sets(grushin, grushin_grid, np.sin(Y).ravel(), n_levels=40)
+    cuts, _, _ = cc.upper_bound(grushin, grushin_grid, "neumann", np.sin(Y).ravel(), 40)
+    best = cuts[-1]  # the best level cut comes after the closed-form families
+    assert best.kind == "level_set"
     # the optimal level is t -> 0 where the ratio tends to 1/pi
     assert 0.31 <= best.ratio <= 0.35
 
 
-def test_sweep_rejects_constants(grushin, grushin_grid):
-    with pytest.raises(ValueError):
-        cc.sweep_level_sets(grushin, grushin_grid, np.ones(grushin_grid.n_nodes))
-    with pytest.raises(ValueError):
-        cc.sweep_level_sets(grushin, grushin_grid,
-                            np.arange(grushin_grid.n_nodes, dtype=float), n_levels=0)
+@pytest.mark.parametrize("flavor", ["neumann", "dirichlet", "mixed"])
+def test_sweep_rejects_constants(grushin, grushin_grid, flavor):
+    for u in (np.ones(grushin_grid.n_nodes), np.zeros(grushin_grid.n_nodes)):
+        with pytest.raises(ValueError, match="constant function"):
+            cc.upper_bound(grushin, grushin_grid, flavor, u, 40)
+    with pytest.raises(ValueError, match="n_levels must be positive"):
+        cc.upper_bound(grushin, grushin_grid, flavor,
+                       np.arange(grushin_grid.n_nodes, dtype=float), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +291,7 @@ def test_certificate_sound_against_superlevel_sets(grushin, grushin_grid):
         np.sin(np.pi * X) ** 2,
     ]
     for u in trials:
-        cuts = cc.superlevel_cuts(grushin, grushin_grid, u.ravel())
-        upper = cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(), cuts)
+        _, _, upper = cc.upper_bound(grushin, grushin_grid, "dirichlet", u.ravel(), 40)
         assert upper >= cert.h_certified - 1e-9
 
 
@@ -298,9 +301,8 @@ def test_certificate_sound_against_superlevel_sets(grushin, grushin_grid):
 
 def test_dirichlet_upper_bound_brackets_constant(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
-    u = np.sin(np.pi * X).ravel()
-    upper = cc.dirichlet_cheeger_upper(grushin, grushin_grid, u,
-                                       cc.superlevel_cuts(grushin, grushin_grid, u))
+    _, _, upper = cc.upper_bound(grushin, grushin_grid, "dirichlet",
+                                 np.sin(np.pi * X).ravel(), 40)
     # super-level bands (a, 1-a) x S^1 give sigma = 4 pi, vol = (1-2a) 2 pi,
     # so the bound tends to 2 from above
     assert 2.0 - 1e-9 <= upper <= 2.4
@@ -312,18 +314,27 @@ def test_dirichlet_upper_bound_brackets_constant(grushin, grushin_grid):
 
 def test_dirichlet_upper_requires_vanishing_trace(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
-    cuts = cc.superlevel_cuts(grushin, grushin_grid, X.ravel())
     with pytest.raises(ValueError, match="does not vanish"):
-        cc.dirichlet_cheeger_upper(grushin, grushin_grid, X.ravel(), cuts)
+        cc.upper_bound(grushin, grushin_grid, "dirichlet", X.ravel(), 40)
     with pytest.raises(ValueError, match="identically zero"):
         cc.dirichlet_cheeger_upper(grushin, grushin_grid,
                                    np.zeros(grushin_grid.n_nodes), [])
 
 
+def superlevel_oracle(structure, grid, u, n_levels):
+    """Cuts at the (i + 1/2) / n_levels quantiles of u's positive values
+    inside its open range, each cut on its own (no shared sweep)."""
+    values = u if -u.min() <= u.max() else -u
+    qs = (np.arange(n_levels) + 0.5) / n_levels
+    return [cc.cut_from_level_set(structure, grid, values, float(t))
+            for t in np.unique(np.quantile(values[values > 0.0], qs))
+            if values.min() < t < values.max()]
+
+
 def test_upper_bound_follows_the_flavor(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
     u = np.sin(np.pi * X).ravel()
-    level_cuts = cc.superlevel_cuts(grushin, grushin_grid, u, n_levels=12)
+    level_cuts = superlevel_oracle(grushin, grushin_grid, u, 12)
     two_sided = [c.ratio for c in level_cuts if np.isfinite(c.ratio)]
     cuts, best, h = cc.upper_bound(grushin, grushin_grid, "dirichlet", u, 12)
     assert [c.ratio for c in cuts] == two_sided

@@ -229,7 +229,28 @@ def test_cheeger_prints_the_cut_that_sets_h_upper(tmp_path, capsys, bc):
     assert best[0].endswith(f" ratio = {report['h_upper']:.9g}")
 
 
-def test_cheeger_dirichlet_builds_each_level_once(tmp_path, monkeypatch):
+MIXED_X_MAX = [{"edge": "x_max", "condition": "dirichlet"}]
+
+
+@pytest.mark.parametrize("doc", [
+    GRUSHIN_CHEEGER,
+    dict(GRUSHIN_CHEEGER, bc=MIXED_X_MAX),
+    {"structure": {"kind": "euclidean"}, "grid": {"nx": 20, "ny": 20}, "bc": "dirichlet",
+     "cheeger": {"certificate": {"phi": ["x", "0"]}}},
+], ids=["neumann-grushin", "mixed-grushin", "dirichlet-euclidean"])
+def test_cheeger_deterministic(tmp_path, doc):
+    cfg = write_config(tmp_path, doc)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(["cheeger", "--config", cfg, "--out", out1, "--quiet"]) == 0
+    assert run(["cheeger", "--config", cfg, "--out", out2, "--quiet"]) == 0
+    assert sorted(p.name for p in out1.iterdir()) == sorted(p.name for p in out2.iterdir())
+    for p1 in sorted(out1.iterdir()):
+        assert p1.read_bytes() == (out2 / p1.name).read_bytes(), p1.name
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", MIXED_X_MAX, "neumann"],
+                         ids=["dirichlet", "mixed", "neumann"])
+def test_cheeger_builds_each_level_once(tmp_path, monkeypatch, bc):
     import ccspectral.cheeger as cheeger
 
     calls = []
@@ -240,16 +261,23 @@ def test_cheeger_dirichlet_builds_each_level_once(tmp_path, monkeypatch):
         return original(grid, values2d, t, *args, **kwargs)
 
     monkeypatch.setattr(cheeger, "_level_segments", counting)
-    doc = dict(GRUSHIN_CHEEGER, bc="dirichlet")
+    doc = dict(GRUSHIN_CHEEGER, bc=bc)
     out = tmp_path / "run"
     assert run(["cheeger", "--config", write_config(tmp_path, doc),
                 "--out", out, "--quiet"]) == 0
-    assert calls and len(set(calls)) == len(calls)
-    # h_upper is min sigma/vol1 over the very level sets listed in cuts.csv
+    assert len(calls) > 10 and len(set(calls)) == len(calls)
     rows = [line.split(",") for line in (out / "cuts.csv").read_text().splitlines()[1:]]
-    assert len(rows) == len(calls)
+    level_rows = [r for r in rows if r[0] == "level_set"]
     report = json.loads((out / "inequality_report.json").read_text())
-    assert report["h_upper"] == min(float(r[1]) / float(r[2]) for r in rows)
+    if bc == "neumann":  # the best level cut, beside the closed-form families
+        assert len(level_rows) == 1 and len(rows) == 31 + 16 + 1
+        assert report["h_upper"] == min(float(r[4]) for r in rows)
+    elif bc == "dirichlet":  # min sigma/vol1 over the very level sets listed in cuts.csv
+        assert rows == level_rows and len(rows) == len(calls)
+        assert report["h_upper"] == min(float(r[1]) / float(r[2]) for r in rows)
+    else:  # the two-sided level cuts alone
+        assert rows == level_rows and len(rows) <= len(calls)
+        assert report["h_upper"] == min(float(r[4]) for r in rows)
 
 
 @pytest.mark.parametrize("excess, code", [(1e-6, 3), (1e-10, 0)])
@@ -586,6 +614,39 @@ def test_table_unconfirmed_root_exits_3(tmp_path, capsys, monkeypatch, moved_n, 
     err = capsys.readouterr().err
     assert err.startswith(f"solver error: mode n={moved_n} (neumann): ") and err.count("\n") == 1
     assert not (out / "grushin_table.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "cheeger", "grushin-table", "carnot"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                          command, under):
+    import ccspectral.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("--out is refused before any solve")
+
+    monkeypatch.setattr(cli, "build_problem", no_solve)
+    monkeypatch.setattr(cli, "heisenberg_spec", no_solve)
+    monkeypatch.setattr(cli, "_make_out", no_solve)
+    path = tmp_path / "taken"
+    path.write_text("keep")
+    out = path / "sub" if under else path
+    assert run([command, "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --out {out}: {path} exists and is not a directory\n"
+    assert path.read_text() == "keep"
+
+
+def test_out_that_mkdir_refuses_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    out = tmp_path / "run"
+    assert run(["carnot", "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {out}: ") and err.count("\n") == 1
+    assert "Permission denied" in err and not out.exists()
 
 
 def test_table_lambda_window_is_an_unknown_key(tmp_path, capsys):

@@ -152,7 +152,16 @@ def test_cut_matches_oracle_volumes(grushin, grushin_grid):
         assert cut.vol2 == cc.region_volume(grushin, grushin_grid, ~(center > t))
 
 
-def test_dirichlet_upper_is_min_over_level_cuts(grushin, grushin_grid):
+def test_dirichlet_upper_is_min_over_level_cuts(grushin, grushin_grid, monkeypatch):
+    # the cuts upper_bound hands to dirichlet_cheeger_upper, one-sided ones included
+    handed = []
+    original = cheeger.dirichlet_cheeger_upper
+
+    def recording(structure, grid, u, cuts):
+        handed.append(cuts)
+        return original(structure, grid, u, cuts)
+
+    monkeypatch.setattr(cheeger, "dirichlet_cheeger_upper", recording)
     X, Y = grushin_grid.meshes()
     trials = [np.sin(np.pi * X), -np.sin(np.pi * X) * (2.0 + np.cos(Y)) / 3.0,
               4.0 * X * (1.0 - X)]
@@ -166,32 +175,24 @@ def test_dirichlet_upper_is_min_over_level_cuts(grushin, grushin_grid):
                 cut = cc.cut_from_level_set(grushin, grushin_grid, values, float(t))
                 if len(cut.segments) and cut.vol1 > 0.0:
                     ratios.append(cut.sigma / cut.vol1)
-        cuts = cc.superlevel_cuts(grushin, grushin_grid, u.ravel(), n_levels=25)
-        upper = cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(), cuts)
+        _, _, upper = cc.upper_bound(grushin, grushin_grid, "dirichlet", u.ravel(), 25)
+        cuts = handed.pop()
         assert upper == min(ratios)
         assert len(cuts) == len(ratios)
-        assert cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(), cuts[::-1]) == upper
-
-
-def test_superlevel_cuts_validate(grushin, grushin_grid):
-    with pytest.raises(ValueError):
-        cc.superlevel_cuts(grushin, grushin_grid, np.zeros(grushin_grid.n_nodes))
-    X, _ = grushin_grid.meshes()
-    with pytest.raises(ValueError):
-        cc.superlevel_cuts(grushin, grushin_grid, np.sin(np.pi * X).ravel(), n_levels=0)
+        assert original(grushin, grushin_grid, u.ravel(), cuts[::-1]) == upper
 
 
 # Values of the full-grid implementation on the suite's fixtures, printed
 # with repr; the sweep must reproduce them exactly.
 def test_results_pinned_on_fixtures(grushin, grushin_grid):
     X, Y = grushin_grid.meshes()
-    best = cc.sweep_level_sets(grushin, grushin_grid, np.sin(Y).ravel(), n_levels=40)
+    cuts, _, _ = cc.upper_bound(grushin, grushin_grid, "neumann", np.sin(Y).ravel(), 40)
+    best = cuts[-1]  # the best level cut comes after the closed-form families
     assert (best.sigma, best.vol1, best.vol2, len(best.segments)) == (
         1.0000000000000007, 3.2724923474893677, 3.010692959690218, 94)
     trials = [np.sin(np.pi * X), np.sin(np.pi * X) * (2.0 + np.cos(Y)) / 3.0,
               4.0 * X * (1.0 - X), np.sin(np.pi * X) ** 2]
-    uppers = [cc.dirichlet_cheeger_upper(grushin, grushin_grid, u.ravel(),
-                                         cc.superlevel_cuts(grushin, grushin_grid, u.ravel()))
+    uppers = [cc.upper_bound(grushin, grushin_grid, "dirichlet", u.ravel(), 40)[2]
               for u in trials]
     assert uppers == [2.000000000000003, 1.5914062500000021, 2.088888888888892,
                       2.000000000000003]
@@ -211,18 +212,26 @@ def test_results_pinned_on_fixtures(grushin, grushin_grid):
     assert (report.lhs, report.rhs) == (8.46379399929183, 8.463735838487786)
 
 
-def test_sweep_evaluates_density_once(grushin, grushin_grid, monkeypatch):
+@pytest.mark.parametrize("flavor", ["neumann", "dirichlet", "mixed"])
+def test_sweep_evaluates_density_once(grushin, grushin_grid, monkeypatch, flavor):
     X, Y = grushin_grid.meshes()
-    calls = []
+    u = np.cos(np.pi * X) if flavor == "neumann" else np.sin(np.pi * X)
+    calls, levels = [], []
     original = cc.CCStructure.density_at
+    original_cut = cheeger.cut_from_level_set
 
     def counting(self, x, y):
         calls.append(np.size(x))
         return original(self, x, y)
 
+    def counting_cut(*args, **kwargs):
+        levels.append(args[3])
+        return original_cut(*args, **kwargs)
+
     monkeypatch.setattr(cc.CCStructure, "density_at", counting)
-    cuts = cc.superlevel_cuts(grushin, grushin_grid, np.sin(np.pi * X).ravel(), n_levels=20)
+    monkeypatch.setattr(cheeger, "cut_from_level_set", counting_cut)
+    cc.upper_bound(grushin, grushin_grid, flavor, u.ravel(), 20)
     n_cells = grushin_grid.n_cells_x * grushin_grid.n_cells_y
     # one cell-centre evaluation for all levels; the rest is perimeter quadrature
     assert calls.count(n_cells) == 1
-    assert len(cuts) > 10
+    assert len(levels) > 10
