@@ -34,9 +34,9 @@ _EXPORTS = {
     "eigensolver": ("ConvergenceError", "Eigenpairs", "MinMaxReport", "check_minmax",
                     "solve_smallest"),
     "expressions": ("Expression", "ExpressionError", "compile_expression"),
-    "geometry": ("CCStructure", "Chart2D", "HorizontalField", "SampleError",
-                 "builtin_euclidean", "builtin_grushin_cylinder", "constant_coefficient",
-                 "divergence"),
+    "geometry": ("CCStructure", "Chart2D", "SampleError", "builtin_euclidean",
+                 "builtin_grushin_cylinder", "constant_coefficient", "divergence",
+                 "field_components"),
     "grushin": ("ModeEntry", "ModeProblem", "ModeTable", "build_table",
                 "complete_below", "cross_validate", "find_eigenvalues", "shoot"),
     "nodal": ("CourantEntry", "CourantReport", "NodalDecomposition", "check_courant",

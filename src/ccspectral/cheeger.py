@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .discretization import Grid2D
-from .geometry import CCStructure, HorizontalField, divergence
+from .geometry import CCStructure, divergence, field_components
 
 _KINDS = ("dirichlet", "neumann", "mixed")
 
@@ -365,9 +365,10 @@ class FlowCertificate:
         return {**asdict(self), "supplies_h_lower": self.supplies_h_lower, "sampling": "nodes"}
 
 
-def mfmc_certify(structure: CCStructure, grid: Grid2D, V: HorizontalField,
-                 mode: str, tol: float = 1e-9) -> FlowCertificate:
-    """Evaluate a candidate flow field as a Cheeger lower-bound certificate.
+def mfmc_certify(structure: CCStructure, grid: Grid2D, phi, mode: str,
+                 tol: float = 1e-9) -> FlowCertificate:
+    """Evaluate the field V = sum_i phi_i X_i, phi an (m, n_nodes) array of
+    node values, as a Cheeger lower-bound certificate.
 
     For any cut, the perimeter dominates the flux of a unit-coefficient
     field through it, and the flux equals the divergence integral over the
@@ -377,15 +378,12 @@ def mfmc_certify(structure: CCStructure, grid: Grid2D, V: HorizontalField,
     """
     if mode not in ("dirichlet", "neumann"):
         raise ValueError(f"mode must be 'dirichlet' or 'neumann', got {mode!r}")
-    if V.grid != grid:
-        raise ValueError("field and grid do not match")
-    div2d = divergence(structure, V)
-    interior = div2d[~grid.boundary_mask()]
+    components = field_components(structure, grid, phi)
+    interior = divergence(structure, grid, *components)[~grid.boundary_mask()]
     if interior.size == 0:
         raise ValueError("grid has no interior nodes")
     min_div = float(interior.min())
-    max_norm = float(np.sqrt(V.squared_length().max()))
-    components = V.chart_components(structure)
+    max_norm = float(np.sqrt(np.sum(np.asarray(phi, dtype=float)**2, axis=0).max()))
     # inward on an edge is the component along its axis, negated on layer -1
     inward = [np.take(components[axis], layer, axis=axis) * (1.0 if layer == 0 else -1.0)
               for axis, layer in grid.edges()]

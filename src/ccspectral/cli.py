@@ -15,17 +15,18 @@ config file that is unreadable, not UTF-8, nested too deeply to decode or
 holding an integer too long for int(), a grid or ``cheeger.levels`` too
 large to size or allocate, a ``table.max_m`` past the roots per mode
 that ``grushin`` solves for, a ``table.max_n`` above 1000, or an ``--out``
-that is or lies under an existing file, refused before any solve, or that
-cannot be made a directory), 3 when the eigensolver fails to converge,
-``grushin-table`` finds a mode root that shooting does not confirm (or a
-mode's integration fails), a certified lower Cheeger bound contradicts the
-upper bound from cuts, or ``cheeger.upper_bound`` finds no admissible cut
-on the grid: a Dirichlet grid too coarse for any level set to enclose a
-region, a mixed or Neumann grid too coarse for any level set to cut it in
-two, or a cut whose perimeter quadrature does not converge (an integrable
-density singularity on it).  Artifacts are written only here, images
-through ``pgm.write_pgm`` and every CSV file through ``_write_csv``
-(shortest round-trip floats, so identical runs give byte-identical files).
+at or under an existing file or in an unwritable directory, refused
+before any solve, or that cannot be made or take an artifact), 3 when the
+eigensolver fails to converge, ``grushin-table`` finds a mode root that
+shooting does not confirm (or a mode's integration fails), a certified
+lower Cheeger bound contradicts the upper bound from cuts, or
+``cheeger.upper_bound`` finds no admissible cut on the grid: a Dirichlet
+grid too coarse for any level set to enclose a region, a mixed or Neumann
+grid too coarse for any level set to cut it in two, or a cut whose
+perimeter quadrature does not converge (an integrable density singularity
+on it).  Artifacts are written only here, images through ``pgm.write_pgm``
+and every CSV file through ``_write_csv`` (shortest round-trip floats, so
+identical runs give byte-identical files).
 
 Loading a config needs numpy only.  Each command imports the layers it
 uses when it runs, so ``carnot`` loads no scipy, and ``cheeger`` and
@@ -51,8 +52,8 @@ from .carnot import hausdorff_constant_heisenberg, heisenberg_spec, \
 from .discretization import _CONDITIONS, _EDGES, AssembledForms, BCSegment, \
     BoundarySpec, Grid2D, assemble, build_grid
 from .expressions import ExpressionError, compile_expression
-from .geometry import CCStructure, Chart2D, HorizontalField, SampleError, _sample, \
-    builtin_euclidean, builtin_grushin_cylinder
+from .geometry import CCStructure, Chart2D, SampleError, _sample, builtin_euclidean, \
+    builtin_grushin_cylinder
 
 if typing.TYPE_CHECKING:  # imported inside the commands that use them
     from .eigensolver import Eigenpairs
@@ -387,11 +388,8 @@ def _write_json(obj: dict, path: Path) -> None:
 
 
 def _make_out(out: Path) -> None:
-    """Make the --out directory; a path that cannot be one is a config error."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {out}: {exc}") from exc
+    """Make the --out directory; main maps an OSError to a config error."""
+    out.mkdir(parents=True, exist_ok=True)
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -453,7 +451,8 @@ def cmd_spectrum(config: RunConfig, out: Path, quiet: bool = False) -> int:
 
 
 def _certificate_field(cert: CertificateConfig, structure: CCStructure,
-                       grid: Grid2D) -> HorizontalField:
+                       grid: Grid2D) -> np.ndarray:
+    """The certificate's phi sampled on the grid nodes, shape (m, n_nodes)."""
     if len(cert.phi) != structure.m:
         raise ConfigError(f"certificate needs {structure.m} phi expressions "
                           f"(one per generating field), got {len(cert.phi)}")
@@ -462,9 +461,8 @@ def _certificate_field(cert: CertificateConfig, structure: CCStructure,
     except ExpressionError as exc:
         raise ConfigError(f"bad certificate expression:\n{exc}") from exc
     X, Y = (c.ravel() for c in grid.meshes())
-    phi = np.stack([_sample(f"cheeger.certificate.phi[{i}]", e, X, Y)
-                    for i, e in enumerate(exprs)])
-    return HorizontalField(grid=grid, phi=phi)
+    return np.stack([_sample(f"cheeger.certificate.phi[{i}]", e, X, Y)
+                     for i, e in enumerate(exprs)])
 
 
 def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
@@ -474,7 +472,7 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
     grid, flavor = forms.grid, forms.flavor
     cert, levels = config.cheeger.certificate, config.cheeger.levels
     # a bad certificate or level count is a config error, found before any solve
-    V = None if cert is None else _certificate_field(cert, structure, grid)
+    phi = None if cert is None else _certificate_field(cert, structure, grid)
     try:  # the sweep holds one float per level
         np.empty(levels)
     except (ValueError, MemoryError) as exc:  # past numpy's size limit or the address space
@@ -504,8 +502,8 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
     # Unless a certificate bounds h from below, presume the best upper bound
     # is sharp, so the report still exercises lambda >= h^2/4 with a concrete h.
     h_lower, h_source, certificate_valid = h_upper, "upper_bound_presumed", None
-    if V is not None:
-        certificate = mfmc_certify(structure, grid, V, cert.mode)
+    if phi is not None:
+        certificate = mfmc_certify(structure, grid, phi, cert.mode)
         _write_json(certificate.to_dict(), out / "certificate.json")
         certificate_valid = certificate.valid
         certified = certificate.h_lower_for(flavor)
@@ -630,10 +628,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
     try:
-        # an --out at or under an existing non-directory is refused before any solve
+        # --out at or under a non-directory, or in an unwritable one: refused before any solve
         nearest = next((p for p in (out, *out.parents) if os.path.lexists(p)), out)
         if not os.path.isdir(nearest):
             raise ConfigError(f"--out {out}: {nearest} exists and is not a directory")
+        if not os.access(nearest, os.W_OK | os.X_OK):
+            raise ConfigError(f"--out {out}: no write and search permission on {nearest}")
         config = load_config(args.config) if args.config else RunConfig()
         if args.command == "spectrum":
             return cmd_spectrum(config, out, quiet=args.quiet)
@@ -645,6 +645,11 @@ def main(argv=None) -> int:
         return cmd_carnot(config, out, quiet=args.quiet)
     except (ConfigError, ExpressionError, SampleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenPipeError:  # a closed stdout (``| head``), not the --out tree
+        raise
+    except OSError as exc:  # making --out or writing an artifact into it
+        print(f"config error: --out {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:
         # Only a loaded eigensolver can have raised its ConvergenceError, so

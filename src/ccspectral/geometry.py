@@ -3,7 +3,8 @@
 A structure is a generating family of horizontal vector fields
 X_i = a_i1(x,y) d/dx + a_i2(x,y) d/dy together with a positive density
 rho defining the volume form omega = rho dx dy.  The module also
-samples horizontal fields V = sum_i phi_i X_i on grid nodes and takes
+takes a horizontal field V = sum_i phi_i X_i, given by its (m, n_nodes)
+array phi of coefficients on the grid nodes, to its chart components and
 their omega-divergence, which the flow certificates of the cheeger module
 read.  Its derivatives are second-order centered differences, with
 one-sided second-order stencils on non-periodic edges and wrap-around on
@@ -166,38 +167,6 @@ def builtin_euclidean(x_range: tuple[float, float] = (0.0, 1.0),
                        density=constant_coefficient(1.0), name="euclidean")
 
 
-@dataclass(frozen=True)
-class HorizontalField:
-    """Coefficient functions phi_i of V = sum_i phi_i X_i, sampled on nodes."""
-
-    grid: "Grid2D"
-    phi: np.ndarray  # shape (m, n_nodes)
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.ndim != 2 or phi.shape[1] != self.grid.n_nodes:
-            raise ValueError(f"phi must have shape (m, {self.grid.n_nodes}), got {phi.shape}")
-        object.__setattr__(self, "phi", phi)
-
-    @property
-    def m(self) -> int:
-        return self.phi.shape[0]
-
-    def squared_length(self) -> np.ndarray:
-        """Pointwise |V|^2 = sum_i phi_i^2 on nodes."""
-        return np.sum(self.phi**2, axis=0)
-
-    def chart_components(self, structure: CCStructure) -> tuple[np.ndarray, np.ndarray]:
-        """Components of V in the chart frame (d/dx, d/dy), on nodes."""
-        _check_compatible(structure, self.grid)
-        X, Y = self.grid.meshes()
-        coeffs = structure.coefficients_at(X, Y)  # (m, 2, nx, ny)
-        phi2 = self.phi.reshape(self.m, self.grid.nx, self.grid.ny)
-        vx = np.einsum("ixy,ixy->xy", phi2, coeffs[:, 0])
-        vy = np.einsum("ixy,ixy->xy", phi2, coeffs[:, 1])
-        return vx, vy
-
-
 def _check_compatible(structure: CCStructure, grid: "Grid2D") -> None:
     if grid.chart != structure.chart:
         raise ValueError("grid and structure live on different charts")
@@ -210,19 +179,29 @@ def _d_axis(values2d: np.ndarray, h: float, periodic: bool, axis: int) -> np.nda
     return np.gradient(values2d, h, axis=axis, edge_order=2)
 
 
-def divergence(structure: CCStructure, V: HorizontalField) -> np.ndarray:
-    """Divergence of V with respect to omega = rho dx dy, on the (nx, ny) nodes.
-
-    Computed as (d(rho Vx)/dx + d(rho Vy)/dy) / rho, where (Vx, Vy) are
-    the chart components of V; this is the unique function with
-    L_V omega = (div V) omega.
-    """
-    grid = V.grid
+def field_components(structure: CCStructure, grid: "Grid2D",
+                     phi) -> tuple[np.ndarray, np.ndarray]:
+    """Chart components (Vx, Vy) of V = sum_i phi_i X_i on the (nx, ny)
+    nodes, from one coefficients_at call; phi has shape (m, n_nodes)."""
     _check_compatible(structure, grid)
-    X, Y = grid.meshes()
-    rho = structure.density_at(X, Y)
-    vx, vy = V.chart_components(structure)
-    fx = rho * vx
-    fy = rho * vy
-    return (_d_axis(fx, grid.hx, grid.chart.periodic_x, axis=0)
-            + _d_axis(fy, grid.hy, grid.chart.periodic_y, axis=1)) / rho
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (structure.m, grid.n_nodes):
+        raise ValueError(f"phi must have shape {(structure.m, grid.n_nodes)}, got {phi.shape}")
+    coeffs = structure.coefficients_at(*grid.meshes())  # (m, 2, nx, ny)
+    phi2 = phi.reshape(structure.m, grid.nx, grid.ny)
+    return (np.einsum("ixy,ixy->xy", phi2, coeffs[:, 0]),
+            np.einsum("ixy,ixy->xy", phi2, coeffs[:, 1]))
+
+
+def divergence(structure: CCStructure, grid: "Grid2D", vx: np.ndarray,
+               vy: np.ndarray) -> np.ndarray:
+    """Divergence with respect to omega = rho dx dy, on the (nx, ny) nodes,
+    of the field with chart components (vx, vy) there (field_components).
+
+    Computed as (d(rho Vx)/dx + d(rho Vy)/dy) / rho; this is the unique
+    function with L_V omega = (div V) omega.
+    """
+    _check_compatible(structure, grid)
+    rho = structure.density_at(*grid.meshes())
+    return (_d_axis(rho * vx, grid.hx, grid.chart.periodic_x, axis=0)
+            + _d_axis(rho * vy, grid.hy, grid.chart.periodic_y, axis=1)) / rho

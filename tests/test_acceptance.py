@@ -138,9 +138,8 @@ def test_criterion_4_model_certificate(grushin_structure, capsys):
     grid = cc.build_grid(grushin_structure.chart, 64, 128)
     X, _ = grid.meshes()
     phi = np.stack([X.ravel(), np.zeros(grid.n_nodes)])
-    V = cc.HorizontalField(grid=grid, phi=phi)
-    cert_d = cc.mfmc_certify(grushin_structure, grid, V, mode="dirichlet")
-    cert_n = cc.mfmc_certify(grushin_structure, grid, V, mode="neumann")
+    cert_d = cc.mfmc_certify(grushin_structure, grid, phi, mode="dirichlet")
+    cert_n = cc.mfmc_certify(grushin_structure, grid, phi, mode="neumann")
     passed = cert_d.valid and abs(cert_d.h_certified - 1.0) <= 1e-9 and not cert_n.valid
     report(capsys, 4, passed,
            f"dirichlet certificate valid with h = {cert_d.h_certified:.12f} "

@@ -6,11 +6,10 @@ import pytest
 import ccspectral as cc
 
 
-def make_field(grid, phi1, phi2):
-    return cc.HorizontalField(grid=grid, phi=np.stack([
-        np.broadcast_to(phi1, (grid.n_nodes,)).astype(float),
-        np.broadcast_to(phi2, (grid.n_nodes,)).astype(float),
-    ]))
+def make_phi(grid, phi1, phi2):
+    """The (2, n_nodes) coefficient array of phi1 X_1 + phi2 X_2."""
+    return np.stack([np.broadcast_to(phi1, (grid.n_nodes,)).astype(float),
+                     np.broadcast_to(phi2, (grid.n_nodes,)).astype(float)])
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,8 @@ def test_candidate_families_need_grushin(euclidean):
 
 def test_certificate_grushin_dirichlet(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
-    V = make_field(grushin_grid, X.ravel(), 0.0)
-    cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="dirichlet")
+    phi = make_phi(grushin_grid, X.ravel(), 0.0)
+    cert = cc.mfmc_certify(grushin, grushin_grid, phi, mode="dirichlet")
     assert cert.valid
     assert abs(cert.h_certified - 1.0) <= 1e-9
     assert cert.max_coeff_norm == pytest.approx(1.0, abs=1e-12)
@@ -233,16 +232,16 @@ def test_certificate_grushin_dirichlet(grushin, grushin_grid):
 
 def test_certificate_grushin_neumann_rejected(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
-    V = make_field(grushin_grid, X.ravel(), 0.0)
-    cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="neumann")
+    phi = make_phi(grushin_grid, X.ravel(), 0.0)
+    cert = cc.mfmc_certify(grushin, grushin_grid, phi, mode="neumann")
     assert not cert.valid
     assert cert.boundary_inward_min == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_certificate_scales_linearly(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
-    V = make_field(grushin_grid, 0.5 * X.ravel(), 0.0)
-    cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="dirichlet")
+    phi = make_phi(grushin_grid, 0.5 * X.ravel(), 0.0)
+    cert = cc.mfmc_certify(grushin, grushin_grid, phi, mode="dirichlet")
     assert cert.valid
     assert cert.h_certified == pytest.approx(0.5, abs=1e-9)
 
@@ -251,39 +250,73 @@ def test_certificate_euclidean_radial(euclidean):
     grid = cc.build_grid(euclidean.chart, 41, 41)
     X, Y = grid.meshes()
     r2 = np.sqrt(2.0)
-    V = make_field(grid, (r2 * (X - 0.5)).ravel(), (r2 * (Y - 0.5)).ravel())
-    cert = cc.mfmc_certify(euclidean, grid, V, mode="dirichlet")
+    phi = make_phi(grid, (r2 * (X - 0.5)).ravel(), (r2 * (Y - 0.5)).ravel())
+    cert = cc.mfmc_certify(euclidean, grid, phi, mode="dirichlet")
     assert cert.valid
     assert cert.h_certified == pytest.approx(2.0 * r2, abs=1e-9)
     assert cert.max_coeff_norm == pytest.approx(1.0, abs=1e-12)
     # the same field points outward, so it cannot certify the neumann constant
-    assert not cc.mfmc_certify(euclidean, grid, V, mode="neumann").valid
+    assert not cc.mfmc_certify(euclidean, grid, phi, mode="neumann").valid
 
 
 def test_certificate_norm_violation_invalidates(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
-    V = make_field(grushin_grid, 1.5 * X.ravel(), 0.0)
-    cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="dirichlet")
+    phi = make_phi(grushin_grid, 1.5 * X.ravel(), 0.0)
+    cert = cc.mfmc_certify(grushin, grushin_grid, phi, mode="dirichlet")
     assert not cert.valid
     assert cert.max_coeff_norm == pytest.approx(1.5, abs=1e-12)
 
 
 def test_certificate_validation(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
-    V = make_field(grushin_grid, X.ravel(), 0.0)
+    phi = make_phi(grushin_grid, X.ravel(), 0.0)
     with pytest.raises(ValueError):
-        cc.mfmc_certify(grushin, grushin_grid, V, mode="mixed")
+        cc.mfmc_certify(grushin, grushin_grid, phi, mode="mixed")
     other = cc.build_grid(grushin.chart, 8, 8)
-    with pytest.raises(ValueError):
-        cc.mfmc_certify(grushin, other, V, mode="dirichlet")
+    with pytest.raises(ValueError, match="phi must have shape"):
+        cc.mfmc_certify(grushin, other, phi, mode="dirichlet")
+
+
+def test_certificate_samples_the_frame_once(grushin, grushin_grid, monkeypatch):
+    # the divergence and the inward-flux test share one sampling of the frame
+    calls = {"coefficients_at": 0, "density_at": 0}
+    for name in calls:
+        method = getattr(cc.CCStructure, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cc.CCStructure, name, counted)
+    X, _ = grushin_grid.meshes()
+    cc.mfmc_certify(grushin, grushin_grid, make_phi(grushin_grid, X.ravel(), 0.0),
+                    mode="neumann")
+    assert calls == {"coefficients_at": 1, "density_at": 1}
+
+
+def test_certificate_with_a_varying_density():
+    # the benchmark's custom structure: rho = 1 + 0.5 cos^2 y does not depend
+    # on x, so V = x X_1 has divergence (d/dx (rho x)) / rho = 1 exactly
+    e = cc.compile_expression
+    s = cc.CCStructure(cc.Chart2D((0.0, 1.0), (0.0, 2.0 * np.pi), periodic_y=True),
+                       ((e("1"), e("0")), (e("0"), e("x*(1+0.25*sin(y))"))),
+                       density=e("1+0.5*cos(y)^2"))
+    grid = cc.build_grid(s.chart, 64, 128)
+    X, _ = grid.meshes()
+    phi = make_phi(grid, X.ravel(), 0.0)
+    cert = cc.mfmc_certify(s, grid, phi, mode="dirichlet")
+    assert cert.valid and abs(cert.h_certified - 1.0) <= 1e-12
+    # V leaves through x_max at unit speed, so it is no neumann certificate
+    cert = cc.mfmc_certify(s, grid, phi, mode="neumann")
+    assert not cert.valid and cert.boundary_inward_min == -1.0
 
 
 def test_certificate_sound_against_superlevel_sets(grushin, grushin_grid):
     # the certified h must sit below every super-level upper bound coming
     # from boundary-vanishing trial functions
     X, Y = grushin_grid.meshes()
-    V = make_field(grushin_grid, X.ravel(), 0.0)
-    cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="dirichlet")
+    phi = make_phi(grushin_grid, X.ravel(), 0.0)
+    cert = cc.mfmc_certify(grushin, grushin_grid, phi, mode="dirichlet")
     trials = [
         np.sin(np.pi * X),
         np.sin(np.pi * X) * (2.0 + np.cos(Y)) / 3.0,
@@ -307,8 +340,8 @@ def test_dirichlet_upper_bound_brackets_constant(grushin, grushin_grid):
     # so the bound tends to 2 from above
     assert 2.0 - 1e-9 <= upper <= 2.4
     # and stays above any valid certificate (here h = 1)
-    V = make_field(grushin_grid, X.ravel(), 0.0)
-    cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="dirichlet")
+    phi = make_phi(grushin_grid, X.ravel(), 0.0)
+    cert = cc.mfmc_certify(grushin, grushin_grid, phi, mode="dirichlet")
     assert upper >= cert.h_certified - 1e-9
 
 
@@ -368,8 +401,8 @@ def test_certificate_h_lower_for_each_flavor(grushin, grushin_grid):
     import dataclasses
 
     X, _ = grushin_grid.meshes()
-    V = make_field(grushin_grid, X.ravel(), 0.0)
-    cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="dirichlet")
+    phi = make_phi(grushin_grid, X.ravel(), 0.0)
+    cert = cc.mfmc_certify(grushin, grushin_grid, phi, mode="dirichlet")
     assert cert.h_lower_for("dirichlet") == cert.h_certified
     assert cert.h_lower_for("neumann") is None and cert.h_lower_for("mixed") is None
     assert dataclasses.replace(cert, valid=False).h_lower_for("dirichlet") is None
@@ -393,8 +426,8 @@ def test_verify_inequality_basic():
 
 def test_verify_inequality_with_certificate(grushin, grushin_grid):
     X, _ = grushin_grid.meshes()
-    V = make_field(grushin_grid, X.ravel(), 0.0)
-    cert = cc.mfmc_certify(grushin, grushin_grid, V, mode="dirichlet")
+    phi = make_phi(grushin_grid, X.ravel(), 0.0)
+    cert = cc.mfmc_certify(grushin, grushin_grid, phi, mode="dirichlet")
     assert cert.valid and cert.supplies_h_lower
     report = cc.verify_inequality(np.pi**2, cert.h_certified, "dirichlet")
     assert report.satisfied

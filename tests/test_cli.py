@@ -649,6 +649,48 @@ def test_out_that_mkdir_refuses_is_a_config_error(tmp_path, capsys, monkeypatch)
     assert "Permission denied" in err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "cheeger", "grushin-table", "carnot"])
+@pytest.mark.parametrize("exists", [True, False], ids=["out", "under-out"])
+def test_out_in_an_unwritable_directory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                          command, exists):
+    import ccspectral.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("--out is refused before any solve")
+
+    monkeypatch.setattr(cli, "build_problem", no_solve)
+    monkeypatch.setattr(cli, "heisenberg_spec", no_solve)
+    monkeypatch.setattr(cli, "_make_out", no_solve)
+    # os.access stands in for chmod, which cannot lock out a root user
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != locked)
+    out = locked if exists else locked / "run"
+    assert run([command, "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --out {out}: no write and search permission on {locked}\n"
+    assert list(locked.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("spectrum", {"grid": {"nx": 8, "ny": 16}, "solver": {"k": 2}}),
+    ("cheeger", {"grid": {"nx": 16, "ny": 32}, "cheeger": {"levels": 8}}),
+    ("grushin-table", {"table": {"max_n": 1, "max_m": 1}}),
+    ("carnot", {})])
+def test_out_that_refuses_an_artifact_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                        command, doc):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    config = write_config(tmp_path, doc)
+    monkeypatch.setattr(Path, "write_text", refuse)
+    out = tmp_path / "run"
+    assert run([command, "--config", config, "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {out}: [Errno 13] Permission denied: ")
+    assert err.count("\n") == 1 and list(out.iterdir()) == []
+
+
 def test_table_lambda_window_is_an_unknown_key(tmp_path, capsys):
     cfg = write_config(tmp_path, {"table": {"lambda_window": [5, 120]}})
     assert run(["grushin-table", "--config", cfg, "--out", tmp_path / "run"]) == 2

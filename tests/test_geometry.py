@@ -100,27 +100,28 @@ def test_nonfinite_coefficients_rejected():
 
 def test_chart_mismatch_detected(grushin):
     other = cc.build_grid(cc.Chart2D((0.0, 2.0), (0.0, 1.0)), 8, 8)
-    V = cc.HorizontalField(grid=other, phi=np.zeros((2, other.n_nodes)))
+    zero = np.zeros((other.nx, other.ny))
     with pytest.raises(ValueError, match="different charts"):
-        cc.divergence(grushin, V)
+        cc.field_components(grushin, other, np.zeros((2, other.n_nodes)))
+    with pytest.raises(ValueError, match="different charts"):
+        cc.divergence(grushin, other, zero, zero)
 
 
 # ---------------------------------------------------------------------------
 # horizontal fields and their divergence
 # ---------------------------------------------------------------------------
 
-def test_squared_length_is_sum_of_squares(grushin_strip):
-    grid, X, Y = grid_and_meshes(grushin_strip, 9, 9)
-    phi = np.stack([np.sin(X).ravel(), (X * Y).ravel()])
-    V = cc.HorizontalField(grid=grid, phi=phi)
-    assert np.allclose(V.squared_length(), phi[0]**2 + phi[1]**2, **RIGID)
+def div_of(structure, grid, phi):
+    """The omega-divergence of V = sum_i phi_i X_i on the (nx, ny) nodes."""
+    return cc.divergence(structure, grid, *cc.field_components(structure, grid, phi))
 
 
-def test_horizontal_field_shape_checked(grushin_strip):
+def test_field_components_shape_checked(grushin_strip):
     grid = cc.build_grid(grushin_strip.chart, 6, 5)
-    for phi in (np.zeros(grid.n_nodes), np.zeros((2, grid.n_nodes - 1))):
+    for phi in (np.zeros(grid.n_nodes), np.zeros((2, grid.n_nodes - 1)),
+                np.zeros((3, grid.n_nodes))):
         with pytest.raises(ValueError, match="phi must have shape"):
-            cc.HorizontalField(grid=grid, phi=phi)
+            cc.field_components(grushin_strip, grid, phi)
 
 
 def test_divergence_linearity(grushin):
@@ -133,7 +134,7 @@ def test_divergence_linearity(grushin):
     phi, psi = rng.standard_normal((2, 2, grid.n_nodes))
 
     def div(p):
-        return cc.divergence(s, cc.HorizontalField(grid=grid, phi=p))
+        return div_of(s, grid, p)
 
     combined = div(2.0 * phi - 0.5 * psi)
     assert np.allclose(combined, 2.0 * div(phi) - 0.5 * div(psi), rtol=1e-12, atol=1e-11)
@@ -144,8 +145,8 @@ def test_divergence_exact_on_quadratic_flux(grushin_strip):
     # on quadratic fluxes: V = x^2 X_1 + y^2 X_2 has chart components
     # (x^2, x y^2), so div V = 2x + 2xy on every node, edges included.
     grid, X, Y = grid_and_meshes(grushin_strip, 9, 11)
-    V = cc.HorizontalField(grid=grid, phi=np.stack([(X**2).ravel(), (Y**2).ravel()]))
-    assert np.allclose(cc.divergence(grushin_strip, V), 2.0 * X + 2.0 * X * Y, **RIGID)
+    phi = np.stack([(X**2).ravel(), (Y**2).ravel()])
+    assert np.allclose(div_of(grushin_strip, grid, phi), 2.0 * X + 2.0 * X * Y, **RIGID)
 
 
 def test_divergence_periodic_seam(grushin):
@@ -153,17 +154,14 @@ def test_divergence_periodic_seam(grushin):
     # wrap-around centered difference gives x cos(y) sin(h)/h exactly, on
     # the seam rows y = 0 and y = 2 pi - h as in the interior.
     grid, X, Y = grid_and_meshes(grushin, 9, 24)
-    V = cc.HorizontalField(grid=grid,
-                           phi=np.stack([np.zeros(grid.n_nodes), np.sin(Y).ravel()]))
+    phi = np.stack([np.zeros(grid.n_nodes), np.sin(Y).ravel()])
     h = grid.hy
-    assert np.allclose(cc.divergence(grushin, V), X * np.cos(Y) * np.sin(h) / h, **RIGID)
+    assert np.allclose(div_of(grushin, grid, phi), X * np.cos(Y) * np.sin(h) / h, **RIGID)
 
 
 def test_divergence_of_radial_flow_is_constant(grushin_strip):
     grid, X, Y = grid_and_meshes(grushin_strip, 21, 21)
-    V = cc.HorizontalField(grid=grid,
-                           phi=np.stack([X.ravel(), np.zeros(grid.n_nodes)]))
-    div = cc.divergence(grushin_strip, V)
+    div = div_of(grushin_strip, grid, np.stack([X.ravel(), np.zeros(grid.n_nodes)]))
     assert div.shape == (grid.nx, grid.ny)
     assert np.allclose(div, 1.0, **RIGID)
 
@@ -181,8 +179,7 @@ def test_divergence_sees_the_density():
     for nx in (41, 81):
         grid = cc.build_grid(chart, nx, 9)
         X, Y = grid.meshes()
-        V = cc.HorizontalField(grid=grid, phi=X.ravel()[None, :])
-        div = cc.divergence(s, V)
+        div = div_of(s, grid, X.ravel()[None, :])
         errors.append(np.abs(div - 3.0).max())
     assert errors[0] <= 2e-3
     assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.5)
