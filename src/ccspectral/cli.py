@@ -24,9 +24,11 @@ lower Cheeger bound contradicts the upper bound from cuts, or
 grid too coarse for any level set to enclose a region, a mixed or Neumann
 grid too coarse for any level set to cut it in two, or a cut whose
 perimeter quadrature does not converge (an integrable density singularity
-on it).  Artifacts are written only here, images through ``pgm.write_pgm``
-and every CSV file through ``_write_csv`` (shortest round-trip floats, so
-identical runs give byte-identical files).
+on it).  A stdout closed early (``| head``) stops the progress lines, not
+the run: every artifact is still written and the exit code is the
+command's own.  Artifacts are written only here, images through
+``pgm.write_pgm`` and every CSV file through ``_write_csv`` (shortest
+round-trip floats, so identical runs give byte-identical files).
 
 Loading a config needs numpy only.  Each command imports the layers it
 uses when it runs, so ``carnot`` loads no scipy, and ``cheeger`` and
@@ -41,7 +43,7 @@ import os
 import sys
 import types
 import typing
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -392,9 +394,24 @@ def _make_out(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
 
+@contextmanager
+def _closable_stdout():
+    """Stop writing to a stdout whose reader has gone (``| head``): point it
+    at os.devnull, as the SIGPIPE note in Python's signal docs advises, so
+    that neither a later line nor the flush at exit meets the closed pipe."""
+    try:
+        yield
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _say(quiet: bool, message: str) -> None:
+    """A progress line; a closed stdout stops the lines, not the run."""
     if not quiet:
-        print(message)
+        with _closable_stdout():
+            print(message)
 
 
 def _solve_line(structure: CCStructure, forms: AssembledForms, pairs: "Eigenpairs") -> str:
@@ -646,8 +663,6 @@ def main(argv=None) -> int:
     except (ConfigError, ExpressionError, SampleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BrokenPipeError:  # a closed stdout (``| head``), not the --out tree
-        raise
     except OSError as exc:  # making --out or writing an artifact into it
         print(f"config error: --out {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -659,6 +674,9 @@ def main(argv=None) -> int:
             raise
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    finally:
+        with _closable_stdout():  # the lines still buffered, before the exit code
+            sys.stdout.flush()
 
 
 if __name__ == "__main__":

@@ -5,9 +5,13 @@ rho * sum_i (X_i u)(X_i v) is assembled from bilinear node interpolation
 on each grid cell, sampled at the 2x2 Gauss points (a single center
 sample would leave a spurious checkerboard zero-energy mode).  The mass
 form is the lumped diagonal rho(node) * hx * hy with half weights on
-non-periodic edges and quarter weights at corners.  Dirichlet conditions
-are imposed by eliminating boundary nodes; Neumann conditions are
-natural (no boundary term).
+non-periodic edges and quarter weights at corners.  A structure that does
+not read y (CCStructure.reads_y, known before any sampling) has the same
+cell matrices and node densities in every row along y, so assemble
+samples it on the first cell row and node row alone: 2,296 points on the
+256x512 Grushin grid, where sampling every cell and node took 1,175,552.
+Dirichlet conditions are imposed by eliminating boundary nodes; Neumann
+conditions are natural (no boundary term).
 
 Each chart edge is a node layer: ``_EDGES`` maps its name to (axis, layer),
 x_max to layer -1 along axis 0, and a periodic axis has none.  Every part
@@ -17,10 +21,18 @@ A couples each node only to its eight neighbours, so it is assembled as a
 nine-point stencil straight from the 4x4 cell matrices.  Assembly also
 decides, once, whether K = A + eps M is invariant under y-translation, and
 keeps only the one y-row block of the stencil that the eigensolver's FFT
-inverse reads; the full stencil is dropped before assemble returns.  One
-compressor turns stencil rows into CSR: assemble runs it on the full stencil
-when K is not y-invariant, and otherwise the first read of forms.A runs it
-on the kept block repeated along y, which gives the same matrix bit for bit.
+inverse reads; the full stencil is dropped before assemble returns.  For a
+structure that reads y, that takes a bitwise comparison of every stencil
+row.  One that does not is y-invariant by construction: on a y-periodic
+chart the stencil is built for one y-column, which every column equals,
+so the comparison reads that column alone; on any other chart its cell
+row is broadcast and the full stencil built, as its edge rows differ.
+Either way A, the mass and the kept block are bit for bit those of the
+full-grid sampling.
+One compressor turns stencil rows into CSR: assemble runs it on the full
+stencil when K is not y-invariant, and otherwise the first read of forms.A
+runs it on the kept block repeated along y, which gives the same matrix
+bit for bit.
 Shift-invert Lanczos on the FFT path never applies A, so it runs before A
 exists.
 
@@ -109,10 +121,13 @@ class Grid2D:
             np.moveaxis(mask, axis, 0)[layer] = True
         return mask
 
-    def cell_meshes(self, offset: float) -> tuple[np.ndarray, np.ndarray]:
-        """Cell points lo + h * (i + offset): offset 0.0 the origins, 0.5 the centres."""
+    def cell_meshes(self, offset: float,
+                    one_row: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Cell points lo + h * (i + offset): offset 0.0 the origins, 0.5 the
+        centres; one_row keeps the first cell row along y only."""
         xs = self.chart.x_range[0] + self.hx * (np.arange(self.n_cells_x) + offset)
-        ys = self.chart.y_range[0] + self.hy * (np.arange(self.n_cells_y) + offset)
+        ys = self.chart.y_range[0] + self.hy * (np.arange(1 if one_row else self.n_cells_y)
+                                                + offset)
         return np.meshgrid(xs, ys, indexing="ij")
 
 
@@ -273,14 +288,16 @@ _GAUSS_1D = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
 _GAUSS_2D = tuple((gx, gy) for gx in _GAUSS_1D for gy in _GAUSS_1D)
 
 
-def _local_cell_matrices(structure: CCStructure, grid: Grid2D) -> np.ndarray:
+def _local_cell_matrices(structure: CCStructure, grid: Grid2D,
+                         one_row: bool = False) -> np.ndarray:
     """Per-cell 4x4 energy contributions L[p, q], each of shape (cells_x,
-    cells_y); only the upper triangle p <= q is filled, the rest is zero.
+    cells_y), or (cells_x, 1) for the first cell row alone when one_row is
+    set; only the upper triangle p <= q is filled, the rest is zero.
 
     Corner p = px + 2 py of the cell with origin node (i, j) is node
     (i + px, j + py).
     """
-    X0, Y0 = grid.cell_meshes(0.0)
+    X0, Y0 = grid.cell_meshes(0.0, one_row)
     x0 = X0.ravel()
     y0 = Y0.ravel()
     L = np.zeros((4, 4, x0.size))
@@ -305,6 +322,10 @@ def _local_cell_matrices(structure: CCStructure, grid: Grid2D) -> np.ndarray:
 
 def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
     """The nine-point stencil of A on the full grid; shape (nx, ny, 3, 3).
+    L of one cell row (a structure that does not read y) stands for every
+    row: on a y-periodic chart it gives one y-column, shape (nx, 1, 3, 3),
+    which every column equals, and on any other chart it is repeated along
+    y, as the edge rows of the stencil differ.
 
     A forward entry (a, b, 1 + dx, 1 + dy), (dx, dy) one of (0, 0), (0, 1),
     (1, 0), (1, 1), (-1, 1), sums L[p, q] over the cells in which node (a, b)
@@ -316,6 +337,10 @@ def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
     a wrapped value; _compress drops them.
     """
     nx, ny = grid.nx, grid.ny
+    if grid.chart.periodic_y:
+        ny = L.shape[3]  # one node per cell along y
+    else:
+        L = np.broadcast_to(L, L.shape[:3] + (grid.n_cells_y,))
     S = np.empty((nx, ny, 3, 3))
     padded = np.full((nx, ny), -0.0)
     for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1), (-1, 1)):
@@ -323,7 +348,7 @@ def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
         for p in range(4):
             px, py = p % 2, p // 2
             if 0 <= px + dx <= 1 and 0 <= py + dy <= 1:
-                padded[:grid.n_cells_x, :grid.n_cells_y] = L[p, p + dx + 2 * dy]
+                padded[:grid.n_cells_x, :L.shape[3]] = L[p, p + dx + 2 * dy]
                 # value of the cell (a - px, b - py) at node (a, b)
                 total += np.roll(padded, (px, py), axis=(0, 1))
         S[:, :, 1 + dx, 1 + dy] = total
@@ -367,8 +392,9 @@ def _compress(values: np.ndarray, grid: Grid2D, active_nodes: np.ndarray) -> sp.
 def _y_stencil(S: np.ndarray, grid: Grid2D, active_nodes: np.ndarray,
                mass: np.ndarray) -> tuple[np.ndarray | None, str]:
     """A copy of the y-independent stencil block of the active x-rows, or None
-    and why A + eps M is not y-invariant; S is the full-grid stencil, and the
-    block is AssembledForms.y_stencil.
+    and why A + eps M is not y-invariant; S is the full-grid stencil or, for
+    a structure that does not read y on a y-periodic chart, its one y-column
+    (_stencil), and the block is AssembledForms.y_stencil.
 
     The O(1) and O(n) tests run first, so a partial boundary segment or a
     y-dependent density is rejected before any stencil row is compared.
@@ -395,8 +421,11 @@ def _y_stencil(S: np.ndarray, grid: Grid2D, active_nodes: np.ndarray,
     return block, "A + eps M is invariant under y-translation"
 
 
-def _lumped_mass(structure: CCStructure, grid: Grid2D) -> np.ndarray:
-    rho = structure.density_at(*grid.meshes())
+def _lumped_mass(structure: CCStructure, grid: Grid2D, one_row: bool = False) -> np.ndarray:
+    """The lumped mass of every node; one_row samples rho on the first node
+    row only, for a density that does not read y."""
+    rho = structure.density_at(*((grid.xs[:, None], grid.ys[:1]) if one_row
+                                 else grid.meshes()))
     wx = np.ones(grid.nx)
     wy = np.ones(grid.ny)
     for axis, layer in grid.edges():
@@ -410,9 +439,10 @@ def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> Assemble
     and decide whether K = A + eps M is invariant under y-translation; A is
     compressed here unless the y-invariant stencil block describes it."""
     _check_compatible(structure, grid)
+    one_row = not structure.reads_y  # every cell row equals the first
     with np.errstate(over="ignore", invalid="ignore"):  # solve_smallest rejects a non-finite A
-        S = _stencil(_local_cell_matrices(structure, grid), grid)
-    mass_full = _lumped_mass(structure, grid)
+        S = _stencil(_local_cell_matrices(structure, grid, one_row), grid)
+    mass_full = _lumped_mass(structure, grid, one_row)
     dirichlet = bc.dirichlet_mask(grid)
     active = ~dirichlet
     if not active.any():
@@ -426,7 +456,8 @@ def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> Assemble
     mass = mass_full[active.ravel()]
     active_nodes = np.flatnonzero(active)
     y_stencil, y_reason = _y_stencil(S, grid, active_nodes, mass)
-    csr = None if y_stencil is not None else _compress(S.reshape(grid.n_nodes, 9), grid,
-                                                        active_nodes)
+    # S may be one y-column, which every column equals
+    values = np.broadcast_to(S.reshape(grid.nx, -1, 9), (grid.nx, grid.ny, 9))
+    csr = None if y_stencil is not None else _compress(values, grid, active_nodes)
     return AssembledForms(mass=mass, active_nodes=active_nodes, grid=grid, flavor=flavor,
                           y_stencil=y_stencil, y_reason=y_reason, csr=csr)

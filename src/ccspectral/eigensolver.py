@@ -19,18 +19,27 @@ factorization (Demmel, Eisenstat, Gilbert, Li and Liu, 1999) keeps a panel
 of dense columns of length n, and index arrays of that shape, as workspace
 beside the growing factor.  At scipy's default width of 20 that workspace
 sets the peak of the solve, so a narrow panel (PANEL_SIZE) lowers it; the
-fill does not change.  The assembly decides which inverse K gets and keeps
-the one stencil block the FFT path needs (forms.y_stencil, forms.y_reason),
-so this module never reads the grid.  The shift eps reads the trace from
-forms.diagonal(), and Lanczos is handed A's shape alone, so on the FFT path
-forms.A is first read, and so compressed, after Lanczos returns.  The
-shift eps M moves eigenvalues, not eigenvectors, so both paths finish with
-one Rayleigh-Ritz projection against the unshifted pencil, which takes the
-regularization out of the results.  Residuals and M-orthonormality are
-checked once, on either path.  The Ritz, residual, Gram and sign steps work
-one column at a time and hold no n-sized block besides the vectors they
-return.  Runs are deterministic: the iterative start vector is drawn from a
-seeded generator, and signs do not depend on it (see solve_smallest).
+fill does not change.  The FFT inverse keeps its spectral work array, and
+Lanczos its output array, across applies.  Fresh temporaries would be
+about 1 MB each per apply on the 256x512 grid, and glibc maps an
+allocation that size afresh, faulting in every page, unless an earlier
+large free has raised its dynamic mmap threshold.  A full-grid assembly's
+transient raises it by accident, a one-row assembly does not, so without
+the kept arrays the solve's speed would hang on what ran before it (about
+60k minor page faults against 6.5k for a 256x512 Grushin solve after a
+one-row assembly; BENCH_30.json lists the runs).  The assembly decides
+which inverse K gets and keeps the one stencil block the FFT path needs
+(forms.y_stencil, forms.y_reason), so this module never reads the grid.
+The shift eps reads the trace from forms.diagonal(), and Lanczos is
+handed A's shape alone, so on the FFT path forms.A is first read, and so
+compressed, after Lanczos returns.  The shift eps M moves eigenvalues, not
+eigenvectors, so both paths finish with one Rayleigh-Ritz projection
+against the unshifted pencil, which takes the regularization out of the
+results.  Residuals and M-orthonormality are checked once, on either
+path.  The Ritz, residual, Gram and sign steps work one column at a time
+and hold no n-sized block besides the vectors they return.  Runs are
+deterministic: the iterative start vector is drawn from a seeded
+generator, and signs do not depend on it (see solve_smallest).
 """
 
 from __future__ import annotations
@@ -118,6 +127,11 @@ def _fft_y_inverse(stencil: np.ndarray, mass_row: np.ndarray, eps: float,
     frequency; the symbols are laid end to end as one tridiagonal matrix with
     zero couplings between blocks, LDL^H-factorized once (LAPACK pttrf) and
     solved for all frequencies and right-hand sides in one pttrs call.
+
+    solve(x, out) writes K^-1 x into out, or into a new array when out is
+    None.  The spectrum of x lives in one work array, kept across applies:
+    rfft writes it frequency-major, pttrs solves it in place and irfft reads
+    it into out, so an apply with out allocates nothing that grows with n.
     """
     rows = stencil.shape[0]
     phase = np.exp(2j * np.pi * np.arange(ny // 2 + 1) / ny)[:, None]
@@ -130,12 +144,24 @@ def _fft_y_inverse(stencil: np.ndarray, mass_row: np.ndarray, eps: float,
     if info != 0:
         raise np.linalg.LinAlgError(f"y-frequency symbol not positive definite (pttrf info {info})")
 
-    def solve(x: np.ndarray) -> np.ndarray:
-        X = np.fft.rfft(x.reshape(rows, ny, -1), axis=1)
-        B = X.transpose(1, 0, 2).reshape(d.size, -1)
-        Y, _ = lapack.zpttrs(d, e, B, lower=1)
-        Y = Y.reshape(phase.size, rows, -1).transpose(1, 0, 2)
-        return np.fft.irfft(Y, n=ny, axis=1).reshape(x.shape)
+    spectrum = np.empty((0, phase.size, rows), dtype=complex)  # (columns, frequencies, rows)
+
+    def solve(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        nonlocal spectrum
+        x3 = x.reshape(rows, ny, -1)
+        if spectrum.shape[0] != x3.shape[2]:
+            spectrum = np.empty((x3.shape[2], phase.size, rows), dtype=complex)
+        np.fft.rfft(x3, axis=1, out=spectrum.transpose(2, 1, 0))
+        # each column of B is one right-hand side, contiguous, so pttrs
+        # solves in place; irfft reads its result, which is B unless f2py
+        # had to copy it
+        B = spectrum.reshape(spectrum.shape[0], -1).T
+        solved, _ = lapack.zpttrs(d, e, B, lower=1, overwrite_b=1)
+        if out is None:
+            out = np.empty(x.shape)
+        np.fft.irfft(solved.T.reshape(spectrum.shape).transpose(2, 1, 0), n=ny, axis=1,
+                     out=out.reshape(x3.shape))
+        return out
 
     return solve
 
@@ -184,11 +210,14 @@ def _solve_iterative(forms: AssembledForms, k: int,
     eps = 1e-8 * float(forms.diagonal().sum()) / float(mass.sum())
     solve, stats = _shifted_inverse(forms, eps)
     applies = 0
+    # eigsh copies each result into its own workspace, so one output array
+    # serves every apply of the FFT inverse (see _fft_y_inverse)
+    out = np.empty(n) if stats["inverse"] == "fft-y" else None
 
     def apply_inverse(x):
         nonlocal applies
         applies += 1
-        return solve(x)
+        return solve(x) if out is None else solve(x, out)
 
     OPinv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
     M = spla.LinearOperator((n, n), matvec=lambda x: mass * x, dtype=float)

@@ -205,6 +205,11 @@ def _evaluate(node: _Node, x, y, explain: bool = False) -> tuple[np.ndarray | fl
         node, [repr(float(arg)) for arg, _ in children], float(value))
 
 
+def _names_y(node: _Node) -> bool:
+    return node == ("var", "y") or any(isinstance(child, tuple) and _names_y(child)
+                                       for child in node[1:])
+
+
 def _describe(node: _Node, shown: list[str], value: float) -> str:
     """The operation at ``node``, with operands ``shown``, and its value."""
     if not shown:
@@ -233,6 +238,12 @@ class Expression:
         shape = np.broadcast_shapes(xa.shape, ya.shape)
         out, _ = _evaluate(self.ast, xa, ya)
         return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+
+    @property
+    def reads_y(self) -> bool:
+        """Whether the syntax tree names ``y``; one that does not takes the
+        same value at every y (``x+0*y`` names it)."""
+        return _names_y(self.ast)
 
     def first_non_finite(self, x: float, y: float) -> str | None:
         """The operation that first goes non-finite at the point (x, y).

@@ -67,7 +67,16 @@ def constant_coefficient(value: float) -> Coefficient:
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         return np.full(shape, float(value))
 
+    fn.reads_y = False
     return fn
+
+
+def _x_coordinate(x, y):
+    """The coefficient x."""
+    return np.asarray(x, dtype=float)
+
+
+_x_coordinate.reads_y = False
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,16 @@ class CCStructure:
     def m(self) -> int:
         """Number of generating fields."""
         return len(self.field_coeffs)
+
+    @property
+    def reads_y(self) -> bool:
+        """Whether any coefficient or the density may depend on y.  A callable
+        whose ``reads_y`` attribute is false does not: constant_coefficient's
+        functions, the Grushin cylinder's x, and compiled expressions whose
+        syntax tree does not name y (Expression.reads_y).  Any other
+        callable counts as reading y."""
+        return any(getattr(fn, "reads_y", True)
+                   for fn in (self.density, *(fn for pair in self.field_coeffs for fn in pair)))
 
     def coefficients_at(self, x, y) -> np.ndarray:
         """Evaluate the coefficient matrix; shape (m, 2) + broadcast(x, y)."""
@@ -147,10 +166,10 @@ def builtin_grushin_cylinder() -> CCStructure:
     chart = Chart2D((0.0, 1.0), (0.0, 2.0 * np.pi), periodic_x=False, periodic_y=True)
     fields = (
         (constant_coefficient(1.0), constant_coefficient(0.0)),
-        (constant_coefficient(0.0), lambda x, y: np.asarray(x, dtype=float)),
+        (constant_coefficient(0.0), _x_coordinate),
     )
-    return CCStructure(chart=chart, field_coeffs=fields,
-                       density=constant_coefficient(1.0), name="grushin-cylinder")
+    return CCStructure(chart=chart, field_coeffs=fields, density=constant_coefficient(1.0),
+                       name="grushin-cylinder")
 
 
 def builtin_euclidean(x_range: tuple[float, float] = (0.0, 1.0),
@@ -163,8 +182,8 @@ def builtin_euclidean(x_range: tuple[float, float] = (0.0, 1.0),
         (constant_coefficient(1.0), constant_coefficient(0.0)),
         (constant_coefficient(0.0), constant_coefficient(1.0)),
     )
-    return CCStructure(chart=chart, field_coeffs=fields,
-                       density=constant_coefficient(1.0), name="euclidean")
+    return CCStructure(chart=chart, field_coeffs=fields, density=constant_coefficient(1.0),
+                       name="euclidean")
 
 
 def _check_compatible(structure: CCStructure, grid: "Grid2D") -> None:

@@ -38,9 +38,12 @@ def field_to_gray(values2d: np.ndarray) -> np.ndarray:
 
 
 def labels_to_gray(labels2d: np.ndarray) -> np.ndarray:
-    """Map integer labels to distinct gray levels, ascending with the label;
-    label 0 stays black.  A presence table spans the labels' range, so they
-    should be dense, as nodal_domains numbers them."""
+    """Map integer labels to gray levels that never fall as the label rises;
+    label 0 stays black.  The levels are np.linspace(60, 255, count) cut to
+    uint8, which holds 196 distinct values, so up to 196 labels get distinct
+    levels and past that some neighbouring labels share one.  A presence
+    table spans the labels' range, so they should be dense, as
+    nodal_domains numbers them."""
     labels2d = np.asarray(labels2d).astype(np.intp, casting="safe", copy=False)
     zero = -labels2d.min(initial=0)  # table slot of label 0
     shifted = labels2d + zero

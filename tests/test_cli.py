@@ -804,6 +804,25 @@ def test_carnot_large_n(tmp_path, n):
     assert all(np.isfinite(w) and w >= 0.0 for w in doc["omega"].values())
 
 
+def test_carnot_survives_a_closed_stdout(tmp_path):
+    # the reader closes the pipe after one line (``| head -1``); the 6000
+    # lines left overflow the pipe buffer, so later writes meet the closed pipe
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccspectral", "carnot", "--out", str(out),
+         "--config", write_config(tmp_path, {"carnot": {"n": 3000}})],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"Heisenberg group of dimension 6001\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert stderr == b""
+    doc = json.loads((out / "carnot.json").read_text())
+    assert doc["n"] == 3000 and len(doc["omega"]) == 6001
+
+
 def test_carnot_json_bytes(tmp_path):
     out = tmp_path / "run"
     assert run(["carnot", "--out", out, "--quiet"]) == 0

@@ -306,6 +306,42 @@ def test_fft_inverse_backward_error(grushin, structure, nx, ny):
         assert np.abs(K @ y - x).max() <= 1e-14 * scale * np.abs(y).max()
 
 
+def test_fft_inverse_reuses_its_work_arrays(grushin):
+    # After one warm-up apply, an apply into a supplied output array
+    # allocates no array of n doubles or more; without out, every apply
+    # returns a new array, so a caller may keep its results.
+    forms = cc.assemble(grushin, cc.build_grid(grushin.chart, 64, 128),
+                        cc.BoundarySpec.all_neumann())
+    solve, _ = eigensolver._shifted_inverse(forms, 1e-3)
+    n = forms.n_active
+    x, out = np.random.default_rng(2).standard_normal(n), np.empty(n)
+    first, second = solve(x), solve(x)
+    assert first is not second and first.tobytes() == second.tobytes()
+    assert solve(x, out) is out
+    tracemalloc.start()
+    try:
+        solve(x, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8, peak / (n * 8)
+    assert out.tobytes() == first.tobytes()
+
+
+def test_fft_inverse_reads_the_array_pttrs_returns(grushin, monkeypatch):
+    # pttrs solves the work array in place when f2py can hand it over as
+    # is; where f2py copies it instead, the solve must read the copy
+    forms = cc.assemble(grushin, cc.build_grid(grushin.chart, 16, 32),
+                        cc.BoundarySpec.all_neumann())
+    x = np.random.default_rng(3).standard_normal((forms.n_active, 2))
+    want = eigensolver._shifted_inverse(forms, 1e-3)[0](x)
+    zpttrs = eigensolver.lapack.zpttrs
+    monkeypatch.setattr(eigensolver.lapack, "zpttrs",
+                        lambda d, e, b, **kw: zpttrs(d, e, np.array(b, order="C"), **kw))
+    got = eigensolver._shifted_inverse(forms, 1e-3)[0](x)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cross_term_symbol_is_complex():
     structure = _custom(CROSS_TERM)
     forms = cc.assemble(structure, cc.build_grid(structure.chart, 12, 16),

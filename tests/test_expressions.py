@@ -75,6 +75,13 @@ def test_domain_errors_yield_non_finite_values():
         assert math.isnan(ev("log(x)", x=-1.0))
 
 
+@pytest.mark.parametrize("source, reads_y", [
+    ("x", False), ("1+sin(x)^2*pi", False), ("-exp(x)/e", False),
+    ("y", True), ("x+0*y", True), ("sqrt(abs(cos(2*y)))", True), ("-(x*(1-y))^2", True)])
+def test_reads_y_iff_the_tree_names_y(source, reads_y):
+    assert compile_expression(source).reads_y is reads_y
+
+
 def test_nested_parentheses():
     assert ev("((2 + 3) * (4 - 1))") == 15.0
 

@@ -49,6 +49,15 @@ def test_labels_to_gray_distinct_levels():
     assert min(nonzero) >= 60
 
 
+@pytest.mark.parametrize("count, levels", [(196, 196), (197, 196), (300, 196)])
+def test_labels_to_gray_holds_196_levels(count, levels):
+    # 8 bits from 60 to 255: past 196 labels some neighbours share a level,
+    # and the levels never fall as the label rises
+    gray = cc.labels_to_gray(np.arange(count + 1).reshape(-1, 1)).ravel()
+    assert gray[0] == 0 and np.unique(gray[1:]).size == levels
+    assert np.all(np.diff(gray[1:].astype(int)) >= 0)
+
+
 def test_image_orientation():
     # node array indexed (x, y); the image places increasing y upward
     values = np.zeros((2, 3))

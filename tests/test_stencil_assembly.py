@@ -13,6 +13,8 @@ compressor must give bitwise the CSR that the strided-window gathers it
 replaced (``primitive_oracle._stencil_matrix``) gave.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -216,3 +218,100 @@ def test_stencil_holds_exactly_the_entries_of_A(kind, size, periodic):
         assert want.tobytes() == rows.tobytes(), name
         # every stored entry of A appears in the stencil rows
         assert np.count_nonzero(want) == np.count_nonzero(forms.A.data), name
+
+
+def _expression_structure(fields, density, periodic=(False, True)):
+    from ccspectral.cli import ChartConfig, StructureConfig, build_structure
+    chart = ChartConfig(x_range=(0.0, 1.0), y_range=(0.0, 2.0 * np.pi),
+                        periodic_x=periodic[0], periodic_y=periodic[1])
+    return build_structure(StructureConfig(kind="custom", chart=chart, fields=fields,
+                                           density=density))
+
+
+Y_FREE = (("1", "0"), ("0", "exp(x)*sin(3*x)")), "1+0.5*cos(x)^2"
+
+
+# The grids above whose structure does not read y, and y-free expressions.
+Y_FREE_GRIDS = ([g for g in GRIDS if g[0] in ("grushin", "euclidean")]
+                + [("expressions", (31, 64), periodic) for periodic in
+                   ((False, False), (True, False), (False, True), (True, True))])
+
+
+def _unmarked(fn):
+    """``fn`` behind a plain function, which counts as reading y."""
+    return lambda x, y: fn(x, y)
+
+
+@pytest.mark.parametrize("kind, size, periodic", Y_FREE_GRIDS,
+                         ids=[f"{k}-{s[0]}x{s[1]}-p{int(p[0])}{int(p[1])}"
+                              for k, s, p in Y_FREE_GRIDS])
+def test_one_row_assembly_is_bitwise_the_full_grid_one(kind, size, periodic):
+    # a structure that does not read y is sampled on one cell row; the same
+    # callables behind plain functions take the full-grid sampling and the
+    # full row comparison, and every form must come out bit for bit the same
+    structure = (_expression_structure(*Y_FREE, periodic) if kind == "expressions"
+                 else _structure(kind, periodic))
+    assert not structure.reads_y
+    full = dataclasses.replace(
+        structure, density=_unmarked(structure.density),
+        field_coeffs=tuple(tuple(map(_unmarked, pair)) for pair in structure.field_coeffs))
+    assert full.reads_y
+    grid = cc.build_grid(structure.chart, *size)
+    for name, bc in _boundary_specs(structure.chart).items():
+        got, want = cc.assemble(structure, grid, bc), cc.assemble(full, grid, bc)
+        assert (got.y_reason, got.flavor) == (want.y_reason, want.flavor), name
+        assert (got.y_stencil is None) == (want.y_stencil is None), name
+        pairs = [(got.mass, want.mass), (got.active_nodes, want.active_nodes)]
+        if got.y_stencil is not None:
+            pairs.append((got.y_stencil, want.y_stencil))
+        pairs += [(getattr(got.A, part), getattr(want.A, part))
+                  for part in ("data", "indices", "indptr")]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_the_callables_decide_reads_y():
+    assert not _expression_structure(*Y_FREE).reads_y
+    assert _expression_structure((("1", "0"), ("0", "x")), "1+0*y").reads_y
+    grushin = cc.builtin_grushin_cylinder()
+    assert not grushin.reads_y and not cc.builtin_euclidean().reads_y
+    one, x = cc.constant_coefficient(1.0), cc.compile_expression("x")
+    chart = cc.Chart2D((0, 1), (0, 1))
+    # a structure built in Python from expressions and constants
+    assert not cc.CCStructure(chart=chart, field_coeffs=((one, x),), density=one).reads_y
+    # any other callable may read y, and a replaced one is read afresh
+    assert cc.CCStructure(chart=chart, field_coeffs=((one, x),),
+                          density=lambda x, y: 1.0).reads_y
+    assert dataclasses.replace(grushin, density=cc.compile_expression("2+sin(y)")).reads_y
+
+
+def test_x_plus_zero_y_keeps_the_row_comparison_and_fft_y():
+    structure = _expression_structure((("1", "0"), ("0", "x+0*y")), "1")
+    assert structure.reads_y
+    grid = cc.build_grid(structure.chart, 16, 32)
+    forms = cc.assemble(structure, grid, cc.BoundarySpec.all_neumann())
+    assert forms.y_reason == "A + eps M is invariant under y-translation"
+    want = cc.assemble(cc.builtin_grushin_cylinder(), grid, cc.BoundarySpec.all_neumann())
+    assert forms.y_stencil.tobytes() == want.y_stencil.tobytes()
+
+
+def test_a_y_free_structure_is_sampled_on_one_row():
+    sampled = []
+
+    def recorded(fn):
+        def sample(x, y):
+            sampled.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return fn(x, y)
+        sample.reads_y = fn.reads_y
+        return sample
+
+    grushin = cc.builtin_grushin_cylinder()
+    structure = dataclasses.replace(
+        grushin, density=recorded(grushin.density),
+        field_coeffs=tuple(tuple(map(recorded, pair)) for pair in grushin.field_coeffs))
+    grid = cc.build_grid(structure.chart, 33, 64)
+    cc.assemble(structure, grid, cc.BoundarySpec.all_neumann())
+    cells, nodes = (grid.n_cells_x,), (grid.nx, 1)
+    # the four field components and the density at each of the 4 Gauss
+    # points, then the density on the first node row
+    assert sampled == [cells] * 20 + [nodes]
