@@ -5,11 +5,7 @@ rho * sum_i (X_i u)(X_i v) is assembled from bilinear node interpolation
 on each grid cell, sampled at the 2x2 Gauss points (a single center
 sample would leave a spurious checkerboard zero-energy mode).  The mass
 form is the lumped diagonal rho(node) * hx * hy with half weights on
-non-periodic edges and quarter weights at corners.  A structure that does
-not read y (CCStructure.reads_y, known before any sampling) has the same
-cell matrices and node densities in every row along y, so assemble
-samples it on the first cell row and node row alone: 2,296 points on the
-256x512 Grushin grid, where sampling every cell and node took 1,175,552.
+non-periodic edges and quarter weights at corners.
 Dirichlet conditions are imposed by eliminating boundary nodes; Neumann
 conditions are natural (no boundary term).
 
@@ -18,21 +14,19 @@ x_max to layer -1 along axis 0, and a periodic axis has none.  Every part
 that asks which nodes lie on an edge asks this table, via Grid2D.edges().
 
 A couples each node only to its eight neighbours, so it is assembled as a
-nine-point stencil straight from the 4x4 cell matrices.  Assembly also
-decides, once, whether K = A + eps M is invariant under y-translation, and
-keeps only the one y-row block of the stencil that the eigensolver's FFT
-inverse reads; the full stencil is dropped before assemble returns.  For a
-structure that reads y, that takes a bitwise comparison of every stencil
-row.  One that does not is y-invariant by construction: on a y-periodic
-chart the stencil is built for one y-column, which every column equals,
-so the comparison reads that column alone; on any other chart its cell
-row is broadcast and the full stencil built, as its edge rows differ.
-Either way A, the mass and the kept block are bit for bit those of the
-full-grid sampling.
-One compressor turns stencil rows into CSR: assemble runs it on the full
-stencil when K is not y-invariant, and otherwise the first read of forms.A
-runs it on the kept block repeated along y, which gives the same matrix
-bit for bit.
+nine-point stencil straight from the 4x4 cell matrices.  Before any
+sampling, assembly decides by one rule whether K = A + eps M is invariant
+under y-translation: the chart is periodic in y and not in x, the active
+nodes are whole y-rows, and the structure does not read y
+(CCStructure.reads_y).  Such a form is sampled on the one-row grid, whose
+stencil is the y-column that every column of the full grid equals: 2,296
+points on the 256x512 Grushin grid, where every cell and node take
+1,175,552.  The forms keep that column's block on the active x-rows,
+which is all the eigensolver's FFT inverse reads, and the first read of
+forms.A compresses it, repeated along y, to CSR.  Any other form is
+sampled on the full grid, and assemble compresses its full stencil, by
+the same _compress, and drops it.  The same form gives bit for bit the
+same A and mass either way.
 Shift-invert Lanczos on the FFT path never applies A, so it runs before A
 exists.
 
@@ -46,7 +40,7 @@ the same bits come out for the same grid on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -121,13 +115,11 @@ class Grid2D:
             np.moveaxis(mask, axis, 0)[layer] = True
         return mask
 
-    def cell_meshes(self, offset: float,
-                    one_row: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def cell_meshes(self, offset: float) -> tuple[np.ndarray, np.ndarray]:
         """Cell points lo + h * (i + offset): offset 0.0 the origins, 0.5 the
-        centres; one_row keeps the first cell row along y only."""
+        centres."""
         xs = self.chart.x_range[0] + self.hx * (np.arange(self.n_cells_x) + offset)
-        ys = self.chart.y_range[0] + self.hy * (np.arange(1 if one_row else self.n_cells_y)
-                                                + offset)
+        ys = self.chart.y_range[0] + self.hy * (np.arange(self.n_cells_y) + offset)
         return np.meshgrid(xs, ys, indexing="ij")
 
 
@@ -216,11 +208,11 @@ class AssembledForms:
     boundary node is, and "mixed" otherwise.
 
     y_stencil is the y-independent stencil of A when K is y-invariant (for
-    every eps > 0), else None; y_reason says which, in words.  It has shape
-    (rows, 3, 3) over the active x-rows: y_stencil[i, 1 + dx, 1 + dy] couples
-    node (i, j) of those rows to node (i + dx, j + dy mod ny), bitwise the
-    same for every j, and is 0.0 where A stores no entry.  It is a copy, so
-    the forms hold no full-grid stencil.
+    every eps > 0), else None; y_reason says which, in words, and is decided
+    before any sampling (assemble).  It has shape (rows, 3, 3) over the
+    active x-rows: y_stencil[i, 1 + dx, 1 + dy] couples node (i, j) of those
+    rows to node (i + dx, j + dy mod ny), the same for every j, and is 0.0
+    where A stores no entry.
 
     csr is A once compressed.  assemble compresses A for every form without
     a y_stencil; a y-invariant form is fully described by its y_stencil, so
@@ -288,16 +280,14 @@ _GAUSS_1D = ((1.0 - 1.0 / np.sqrt(3.0)) / 2.0, (1.0 + 1.0 / np.sqrt(3.0)) / 2.0)
 _GAUSS_2D = tuple((gx, gy) for gx in _GAUSS_1D for gy in _GAUSS_1D)
 
 
-def _local_cell_matrices(structure: CCStructure, grid: Grid2D,
-                         one_row: bool = False) -> np.ndarray:
+def _local_cell_matrices(structure: CCStructure, grid: Grid2D) -> np.ndarray:
     """Per-cell 4x4 energy contributions L[p, q], each of shape (cells_x,
-    cells_y), or (cells_x, 1) for the first cell row alone when one_row is
-    set; only the upper triangle p <= q is filled, the rest is zero.
+    cells_y); only the upper triangle p <= q is filled, the rest is zero.
 
     Corner p = px + 2 py of the cell with origin node (i, j) is node
     (i + px, j + py).
     """
-    X0, Y0 = grid.cell_meshes(0.0, one_row)
+    X0, Y0 = grid.cell_meshes(0.0)
     x0 = X0.ravel()
     y0 = Y0.ravel()
     L = np.zeros((4, 4, x0.size))
@@ -321,11 +311,9 @@ def _local_cell_matrices(structure: CCStructure, grid: Grid2D,
 
 
 def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """The nine-point stencil of A on the full grid; shape (nx, ny, 3, 3).
-    L of one cell row (a structure that does not read y) stands for every
-    row: on a y-periodic chart it gives one y-column, shape (nx, 1, 3, 3),
-    which every column equals, and on any other chart it is repeated along
-    y, as the edge rows of the stencil differ.
+    """The nine-point stencil of A on the grid of L; shape (nx, ny, 3, 3).
+    On the one-row grid that assemble samples a y-invariant form on, it is
+    the one y-column that every column of the full grid equals.
 
     A forward entry (a, b, 1 + dx, 1 + dy), (dx, dy) one of (0, 0), (0, 1),
     (1, 0), (1, 1), (-1, 1), sums L[p, q] over the cells in which node (a, b)
@@ -337,10 +325,6 @@ def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
     a wrapped value; _compress drops them.
     """
     nx, ny = grid.nx, grid.ny
-    if grid.chart.periodic_y:
-        ny = L.shape[3]  # one node per cell along y
-    else:
-        L = np.broadcast_to(L, L.shape[:3] + (grid.n_cells_y,))
     S = np.empty((nx, ny, 3, 3))
     padded = np.full((nx, ny), -0.0)
     for dx, dy in ((0, 0), (0, 1), (1, 0), (1, 1), (-1, 1)):
@@ -348,7 +332,7 @@ def _stencil(L: np.ndarray, grid: Grid2D) -> np.ndarray:
         for p in range(4):
             px, py = p % 2, p // 2
             if 0 <= px + dx <= 1 and 0 <= py + dy <= 1:
-                padded[:grid.n_cells_x, :L.shape[3]] = L[p, p + dx + 2 * dy]
+                padded[:grid.n_cells_x, :grid.n_cells_y] = L[p, p + dx + 2 * dy]
                 # value of the cell (a - px, b - py) at node (a, b)
                 total += np.roll(padded, (px, py), axis=(0, 1))
         S[:, :, 1 + dx, 1 + dy] = total
@@ -389,60 +373,42 @@ def _compress(values: np.ndarray, grid: Grid2D, active_nodes: np.ndarray) -> sp.
     return A
 
 
-def _y_stencil(S: np.ndarray, grid: Grid2D, active_nodes: np.ndarray,
-               mass: np.ndarray) -> tuple[np.ndarray | None, str]:
-    """A copy of the y-independent stencil block of the active x-rows, or None
-    and why A + eps M is not y-invariant; S is the full-grid stencil or, for
-    a structure that does not read y on a y-periodic chart, its one y-column
-    (_stencil), and the block is AssembledForms.y_stencil.
+_Y_INVARIANT = "A + eps M is invariant under y-translation"
 
-    The O(1) and O(n) tests run first, so a partial boundary segment or a
-    y-dependent density is rejected before any stencil row is compared.
-    """
-    ny = grid.ny
+
+def _y_reason(structure: CCStructure, grid: Grid2D, active_nodes: np.ndarray) -> str:
+    """Why K = A + eps M is invariant under y-translation, or why not; read
+    from the chart, the active nodes and CCStructure.reads_y, before any
+    sampling."""
     if not grid.chart.periodic_y:
-        return None, "chart not periodic in y"
+        return "chart not periodic in y"
     if grid.chart.periodic_x:
-        return None, "chart periodic in x"
-    n = active_nodes.size
+        return "chart periodic in x"
+    n, ny = active_nodes.size, grid.ny
     if n % ny or active_nodes[0] % ny or active_nodes[-1] - active_nodes[0] != n - 1:
-        return None, "active nodes are not full y-rows"
-    mass = mass.reshape(-1, ny)
-    if np.any(mass != mass[:, :1]):
-        return None, "mass varies along y"
-    rows = S[active_nodes[0] // ny:active_nodes[-1] // ny + 1]
-    if np.any(rows != rows[:, :1]):
-        return None, "A varies along y"
-    block = rows[:, 0].copy()  # a view would keep all of S alive with the forms
-    # A stores no coupling across the x-rows next to the block: they are
-    # eliminated or lie beyond an x-edge.  The row test above also compares
-    # those couplings, which can reject a form but never accept one.
-    block[0, 0] = block[-1, 2] = 0.0
-    return block, "A + eps M is invariant under y-translation"
+        return "active nodes are not full y-rows"
+    if structure.reads_y:
+        return "the structure reads y"
+    return _Y_INVARIANT
 
 
-def _lumped_mass(structure: CCStructure, grid: Grid2D, one_row: bool = False) -> np.ndarray:
-    """The lumped mass of every node; one_row samples rho on the first node
-    row only, for a density that does not read y."""
-    rho = structure.density_at(*((grid.xs[:, None], grid.ys[:1]) if one_row
-                                 else grid.meshes()))
+def _lumped_mass(structure: CCStructure, grid: Grid2D) -> np.ndarray:
+    """The lumped mass of every node, shape (nx, ny)."""
+    rho = structure.density_at(*grid.meshes())
     wx = np.ones(grid.nx)
     wy = np.ones(grid.ny)
     for axis, layer in grid.edges():
         (wx, wy)[axis][layer] = 0.5
-    mass = rho * (grid.hx * grid.hy) * wx[:, None] * wy[None, :]
-    return mass.ravel()
+    return rho * (grid.hx * grid.hy) * wx[:, None] * wy[None, :]
 
 
 def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> AssembledForms:
-    """Assemble the energy and mass forms, with Dirichlet nodes eliminated,
-    and decide whether K = A + eps M is invariant under y-translation; A is
-    compressed here unless the y-invariant stencil block describes it."""
+    """Assemble the energy and mass forms, with Dirichlet nodes eliminated.
+    Whether K = A + eps M is invariant under y-translation is decided first
+    (_y_reason): such a form is sampled on one node row and keeps the
+    stencil block of its active x-rows, from which A is compressed on first
+    read; any other form is sampled on the full grid and A compressed here."""
     _check_compatible(structure, grid)
-    one_row = not structure.reads_y  # every cell row equals the first
-    with np.errstate(over="ignore", invalid="ignore"):  # solve_smallest rejects a non-finite A
-        S = _stencil(_local_cell_matrices(structure, grid, one_row), grid)
-    mass_full = _lumped_mass(structure, grid, one_row)
     dirichlet = bc.dirichlet_mask(grid)
     active = ~dirichlet
     if not active.any():
@@ -453,11 +419,20 @@ def assemble(structure: CCStructure, grid: Grid2D, bc: BoundarySpec) -> Assemble
         flavor = "dirichlet"
     else:
         flavor = "mixed"
-    mass = mass_full[active.ravel()]
     active_nodes = np.flatnonzero(active)
-    y_stencil, y_reason = _y_stencil(S, grid, active_nodes, mass)
-    # S may be one y-column, which every column equals
-    values = np.broadcast_to(S.reshape(grid.nx, -1, 9), (grid.nx, grid.ny, 9))
-    csr = None if y_stencil is not None else _compress(values, grid, active_nodes)
-    return AssembledForms(mass=mass, active_nodes=active_nodes, grid=grid, flavor=flavor,
-                          y_stencil=y_stencil, y_reason=y_reason, csr=csr)
+    y_reason = _y_reason(structure, grid, active_nodes)
+    # on a y-periodic chart, every row of a y-invariant form is its first
+    sample = replace(grid, ny=1) if y_reason == _Y_INVARIANT else grid
+    with np.errstate(over="ignore", invalid="ignore"):  # solve_smallest rejects a non-finite A
+        S = _stencil(_local_cell_matrices(structure, sample), sample)
+    mass = np.broadcast_to(_lumped_mass(structure, sample), (grid.nx, grid.ny)).ravel()
+    if sample is grid:
+        y_stencil, csr = None, _compress(S.reshape(grid.n_nodes, 9), grid, active_nodes)
+    else:
+        first, last = active_nodes[[0, -1]] // grid.ny
+        y_stencil, csr = S[first:last + 1, 0].copy(), None
+        # A stores no coupling across the x-rows next to the block: they are
+        # eliminated or lie beyond an x-edge
+        y_stencil[0, 0] = y_stencil[-1, 2] = 0.0
+    return AssembledForms(mass=mass[active_nodes], active_nodes=active_nodes, grid=grid,
+                          flavor=flavor, y_stencil=y_stencil, y_reason=y_reason, csr=csr)

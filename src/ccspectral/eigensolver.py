@@ -8,8 +8,8 @@ on the regularized pencil (A + eps M, M), which is positive definite even
 when constants span the kernel of A.  The shifted matrix K = A + eps M is
 inverted once, and Lanczos works in ARPACK's own basis of
 max(2k + 1, 20) vectors.
-When K is invariant under y-translation (a y-periodic chart whose mass and
-nearest-neighbour stencil do not vary along y, such as the Grushin
+When K is invariant under y-translation (a chart periodic in y alone, whole
+active y-rows and a structure that does not read y, such as the Grushin
 cylinder), an FFT along y turns K into one Hermitian tridiagonal system per
 frequency, which is factorized directly (the fast direct solver of Hockney
 1965 and Buzbee-Golub-Nielson 1970); any other K gets a sparse LU.  That

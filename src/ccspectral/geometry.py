@@ -106,11 +106,11 @@ class CCStructure:
 
     @property
     def reads_y(self) -> bool:
-        """Whether any coefficient or the density may depend on y.  A callable
-        whose ``reads_y`` attribute is false does not: constant_coefficient's
-        functions, the Grushin cylinder's x, and compiled expressions whose
-        syntax tree does not name y (Expression.reads_y).  Any other
-        callable counts as reading y."""
+        """Whether any coefficient or the density may depend on y.  A false
+        ``reads_y`` on a callable is trusted, not checked: constant_coefficient's
+        functions, the Grushin cylinder's x, expressions that do not name y.
+        A callable so marked that reads y is sampled on its first row alone,
+        and the FFT inverse then solves the wrong operator.  Others read y."""
         return any(getattr(fn, "reads_y", True)
                    for fn in (self.density, *(fn for pair in self.field_coeffs for fn in pair)))
 

@@ -176,9 +176,8 @@ def test_assemble_rejects_everything_eliminated():
 def test_forms_keep_no_full_grid_stencil(grushin):
     # Past the mass, the active-node map and the one y-row block of the
     # stencil, a y-invariant form keeps nothing that grows with n: A is not
-    # built until it is read, the full (nx, ny, 3, 3) stencil, 9 n doubles,
-    # is dropped, and a view of it in place of the copied block would keep
-    # all of it.
+    # built until it is read, and the stencil, sampled on one row, is never
+    # the full (nx, ny, 3, 3) one of 9 n doubles.
     grid = cc.build_grid(grushin.chart, 128, 256)
     bc = cc.BoundarySpec.all_neumann()
     cc.assemble(grushin, grid, bc).A  # lazy imports and caches outside the measurement

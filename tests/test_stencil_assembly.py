@@ -246,9 +246,9 @@ def _unmarked(fn):
                          ids=[f"{k}-{s[0]}x{s[1]}-p{int(p[0])}{int(p[1])}"
                               for k, s, p in Y_FREE_GRIDS])
 def test_one_row_assembly_is_bitwise_the_full_grid_one(kind, size, periodic):
-    # a structure that does not read y is sampled on one cell row; the same
-    # callables behind plain functions take the full-grid sampling and the
-    # full row comparison, and every form must come out bit for bit the same
+    # a y-invariant form is sampled on one cell row; the same callables
+    # behind plain functions read y, so they take the full-grid sampling and
+    # the sparse LU, and A and the mass must come out bit for bit the same
     structure = (_expression_structure(*Y_FREE, periodic) if kind == "expressions"
                  else _structure(kind, periodic))
     assert not structure.reads_y
@@ -259,11 +259,10 @@ def test_one_row_assembly_is_bitwise_the_full_grid_one(kind, size, periodic):
     grid = cc.build_grid(structure.chart, *size)
     for name, bc in _boundary_specs(structure.chart).items():
         got, want = cc.assemble(structure, grid, bc), cc.assemble(full, grid, bc)
-        assert (got.y_reason, got.flavor) == (want.y_reason, want.flavor), name
-        assert (got.y_stencil is None) == (want.y_stencil is None), name
+        assert got.flavor == want.flavor and want.y_stencil is None, name
+        assert want.y_reason == (got.y_reason if got.y_stencil is None
+                                 else "the structure reads y"), name
         pairs = [(got.mass, want.mass), (got.active_nodes, want.active_nodes)]
-        if got.y_stencil is not None:
-            pairs.append((got.y_stencil, want.y_stencil))
         pairs += [(getattr(got.A, part), getattr(want.A, part))
                   for part in ("data", "indices", "indptr")]
         for a, b in pairs:
@@ -285,17 +284,39 @@ def test_the_callables_decide_reads_y():
     assert dataclasses.replace(grushin, density=cc.compile_expression("2+sin(y)")).reads_y
 
 
-def test_x_plus_zero_y_keeps_the_row_comparison_and_fft_y():
+def test_x_plus_zero_y_reads_y_and_takes_splu():
+    # x+0*y names y, so it takes the sparse LU, though its forms are the
+    # Grushin cylinder's bit for bit
     structure = _expression_structure((("1", "0"), ("0", "x+0*y")), "1")
     assert structure.reads_y
     grid = cc.build_grid(structure.chart, 16, 32)
     forms = cc.assemble(structure, grid, cc.BoundarySpec.all_neumann())
-    assert forms.y_reason == "A + eps M is invariant under y-translation"
     want = cc.assemble(cc.builtin_grushin_cylinder(), grid, cc.BoundarySpec.all_neumann())
-    assert forms.y_stencil.tobytes() == want.y_stencil.tobytes()
+    assert forms.y_stencil is None and want.y_stencil is not None
+    for a, b in [(forms.mass, want.mass)] + [(getattr(forms.A, part), getattr(want.A, part))
+                                             for part in ("data", "indices", "indptr")]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    got, fft = cc.solve_smallest(forms, k=4), cc.solve_smallest(want, k=4)
+    assert (got.info["inverse"], got.info["inverse_reason"]) == ("splu", "the structure reads y")
+    assert fft.info["inverse"] == "fft-y"
+    assert np.all(np.abs(got.lambdas - fft.lambdas)
+                  <= 1e-12 * np.maximum(1.0, np.abs(fft.lambdas)))
 
 
-def test_a_y_free_structure_is_sampled_on_one_row():
+def _bc(name, chart):
+    return {"neumann": cc.BoundarySpec.all_neumann(),
+            "dirichlet": cc.BoundarySpec.all_dirichlet(chart),
+            "x_max": cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet"),)),
+            "x_max on [1, 3]": cc.BoundarySpec((cc.BCSegment("x_max", "dirichlet", 1.0, 3.0),))
+            }[name]
+
+
+@pytest.mark.parametrize("kind, bc, one_row", [
+    ("grushin", "neumann", True), ("grushin", "dirichlet", True), ("grushin", "x_max", True),
+    ("grushin", "x_max on [1, 3]", False), ("euclidean", "neumann", False),
+    ("periodic x", "neumann", False)])
+def test_a_y_free_structure_is_sampled_on_one_row(kind, bc, one_row):
+    # exactly the forms that take the FFT inverse are sampled on one row
     sampled = []
 
     def recorded(fn):
@@ -305,13 +326,17 @@ def test_a_y_free_structure_is_sampled_on_one_row():
         sample.reads_y = fn.reads_y
         return sample
 
-    grushin = cc.builtin_grushin_cylinder()
+    base = {"grushin": cc.builtin_grushin_cylinder(), "euclidean": cc.builtin_euclidean(),
+            "periodic x": cc.builtin_euclidean(periodic_x=True, periodic_y=True)}[kind]
     structure = dataclasses.replace(
-        grushin, density=recorded(grushin.density),
-        field_coeffs=tuple(tuple(map(recorded, pair)) for pair in grushin.field_coeffs))
+        base, density=recorded(base.density),
+        field_coeffs=tuple(tuple(map(recorded, pair)) for pair in base.field_coeffs))
     grid = cc.build_grid(structure.chart, 33, 64)
-    cc.assemble(structure, grid, cc.BoundarySpec.all_neumann())
-    cells, nodes = (grid.n_cells_x,), (grid.nx, 1)
+    forms = cc.assemble(structure, grid, _bc(bc, structure.chart))
+    rows = dataclasses.replace(grid, ny=1) if one_row else grid
+    cells, nodes = (rows.n_cells_x * rows.n_cells_y,), (rows.nx, rows.ny)
     # the four field components and the density at each of the 4 Gauss
-    # points, then the density on the first node row
+    # points, then the density on the nodes
     assert sampled == [cells] * 20 + [nodes]
+    inverse = cc.solve_smallest(forms, k=3).info["inverse"]
+    assert inverse == ("fft-y" if one_row else "splu")
