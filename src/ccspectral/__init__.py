@@ -31,12 +31,11 @@ _EXPORTS = {
     "cli": ("RunConfig", "main"),
     "discretization": ("AssembledForms", "BCSegment", "BoundarySpec", "Grid2D",
                        "assemble", "build_grid"),
-    "eigensolver": ("ConvergenceError", "Eigenpairs", "MinMaxReport", "check_minmax",
-                    "solve_smallest"),
+    "eigensolver": ("Eigenpairs", "MinMaxReport", "check_minmax", "solve_smallest"),
     "expressions": ("Expression", "ExpressionError", "compile_expression"),
-    "geometry": ("CCStructure", "Chart2D", "SampleError", "builtin_euclidean",
-                 "builtin_grushin_cylinder", "constant_coefficient", "divergence",
-                 "field_components"),
+    "geometry": ("CCStructure", "Chart2D", "ConvergenceError", "SampleError",
+                 "builtin_euclidean", "builtin_grushin_cylinder", "constant_coefficient",
+                 "divergence", "field_components"),
     "grushin": ("ModeEntry", "ModeProblem", "ModeTable", "build_table",
                 "complete_below", "cross_validate", "find_eigenvalues", "shoot"),
     "nodal": ("CourantEntry", "CourantReport", "NodalDecomposition", "check_courant",

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .discretization import Grid2D
-from .geometry import CCStructure, divergence, field_components
+from .geometry import CCStructure, ConvergenceError, divergence, field_components
 
 _KINDS = ("dirichlet", "neumann", "mixed")
 
@@ -53,7 +53,7 @@ class Cut:
 def horizontal_perimeter(structure: CCStructure, segments) -> float:
     """Horizontal perimeter of a polyline: adaptive midpoint quadrature of
     rho * ||(<X_i, nu>)_i||_2, refined until successive composite rules agree
-    to PERIMETER_REL_TOL, else raises ValueError after PERIMETER_MAX_REFINE
+    to PERIMETER_REL_TOL, else raises ConvergenceError after PERIMETER_MAX_REFINE
     halvings (an integrable singularity on the cut slows the rule down).
     Zero-length segments contribute nothing.
     """
@@ -91,8 +91,8 @@ def horizontal_perimeter(structure: CCStructure, segments) -> float:
         if abs(total - total_prev) <= PERIMETER_REL_TOL * max(abs(total), 1e-300):
             return total
         total_prev = total
-    raise ValueError(f"perimeter quadrature did not reach rel_tol={PERIMETER_REL_TOL} "
-                     f"after {PERIMETER_MAX_REFINE} refinements")
+    raise ConvergenceError(f"perimeter quadrature did not reach rel_tol={PERIMETER_REL_TOL} "
+                           f"after {PERIMETER_MAX_REFINE} refinements")
 
 
 def region_volume(structure: CCStructure, grid: Grid2D, cell_mask: np.ndarray) -> float:
@@ -271,7 +271,7 @@ def dirichlet_cheeger_upper(structure: CCStructure, grid: Grid2D, u, cuts) -> fl
         raise ValueError("u does not vanish on the boundary")
     h = min(map(_dirichlet_ratio, cuts), default=float("inf"))
     if h == float("inf"):
-        raise ValueError("no positive level produced a non-empty region")
+        raise ConvergenceError("no positive level produced a non-empty region")
     return h
 
 
@@ -289,8 +289,9 @@ def upper_bound(structure: CCStructure, grid: Grid2D, flavor: str, u,
     the Grushin cylinder's closed-form families (for that structure), the
     others every two-sided level cut.  The bound is the least Cut.ratio,
     except for dirichlet: dirichlet_cheeger_upper reads every level cut,
-    one-sided ones included, by sigma / vol1.  Raises ValueError when the
-    grid is too coarse for any admissible cut.
+    one-sided ones included, by sigma / vol1.  Raises ConvergenceError,
+    naming the grid and n_levels, when the grid is too coarse for any
+    admissible cut.
     """
     if flavor not in _KINDS:
         raise ValueError(f"flavor must be one of {_KINDS}, got {flavor!r}")
@@ -307,18 +308,22 @@ def upper_bound(structure: CCStructure, grid: Grid2D, flavor: str, u,
         levels = np.quantile(values2d[values2d > 0.0], (np.arange(n_levels) + 0.5) / n_levels)
     umin, umax = values2d.min(), values2d.max()
     sweep = _LevelSweep(structure, grid, values2d)
-    level_cuts = [cut_from_level_set(structure, grid, values2d, float(t), sweep)
-                  for t in np.unique(levels) if umin < t < umax]
-    cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
-    if flavor == "dirichlet":
-        h_upper = dirichlet_cheeger_upper(structure, grid, u, level_cuts)
-        return cuts, min(level_cuts, key=_dirichlet_ratio), h_upper
-    if not cuts:
-        raise ValueError("no level produced a two-sided cut")
-    if flavor == "neumann":
-        families = (candidate_cuts_grushin(structure, grid)
-                    if structure.name == "grushin-cylinder" else [])
-        cuts = families + [min(cuts, key=lambda c: c.ratio)]
+    try:
+        level_cuts = [cut_from_level_set(structure, grid, values2d, float(t), sweep)
+                      for t in np.unique(levels) if umin < t < umax]
+        cuts = [c for c in level_cuts if np.isfinite(c.ratio)]
+        if flavor == "dirichlet":
+            h_upper = dirichlet_cheeger_upper(structure, grid, u, level_cuts)
+            return cuts, min(level_cuts, key=_dirichlet_ratio), h_upper
+        if not cuts:
+            raise ConvergenceError("no level produced a two-sided cut")
+        if flavor == "neumann":
+            families = (candidate_cuts_grushin(structure, grid)
+                        if structure.name == "grushin-cylinder" else [])
+            cuts = families + [min(cuts, key=lambda c: c.ratio)]
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{exc} on the {grid.nx}x{grid.ny} grid "
+                               f"with {n_levels} levels") from exc
     best = min(cuts, key=lambda c: c.ratio)
     return cuts, best, best.ratio
 

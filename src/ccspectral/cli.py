@@ -10,21 +10,17 @@ Four subcommands drive the library end to end from a JSON configuration:
   carnot         homogeneous-group constants for the Heisenberg groups
 
 Every subcommand accepts ``--config <path>``, ``--out <dir>`` and
-``--quiet``.  Exit codes: 0 on success, 2 on a configuration error (also a
-config file that is unreadable, not UTF-8, nested too deeply to decode or
-holding an integer too long for int(), a grid or ``cheeger.levels`` too
-large to size or allocate, a ``table.max_m`` past the roots per mode
-that ``grushin`` solves for, a ``table.max_n`` above 1000, or an ``--out``
-at or under an existing file or in an unwritable directory, refused
-before any solve, or that cannot be made or take an artifact), 3 when the
-eigensolver fails to converge, ``grushin-table`` finds a mode root that
-shooting does not confirm (or a mode's integration fails), a certified
-lower Cheeger bound contradicts the upper bound from cuts, or
-``cheeger.upper_bound`` finds no admissible cut on the grid: a Dirichlet
-grid too coarse for any level set to enclose a region, a mixed or Neumann
-grid too coarse for any level set to cut it in two, or a cut whose
-perimeter quadrature does not converge (an integrable density singularity
-on it).  A stdout closed early (``| head``) stops the progress lines, not
+``--quiet``.  Exit codes, which ``main`` alone maps: 0 on success, 2 on a
+configuration error (also a config file that is unreadable, not UTF-8,
+nested too deeply to decode or holding an integer too long for int(), a
+grid or ``cheeger.levels`` too large to size or allocate, a run that
+does not fit in memory, a ``table.max_m`` above 999 or a ``table.max_n``
+above 1000, or an ``--out`` at or under an existing file or in an
+unwritable directory, refused before any solve, or that cannot be made or
+take an artifact), and 3 exactly when a layer raises ``ConvergenceError``,
+whose docstring lists every such failure: the eigensolve, the cuts that
+bound h from above, the Grushin modes, and a certified lower bound on h
+above the upper one.  A stdout closed early (``| head``) stops the progress lines, not
 the run: every artifact is still written and the exit code is the
 command's own.  Artifacts are written only here, images through
 ``pgm.write_pgm`` and every CSV file through ``_write_csv`` (shortest
@@ -54,8 +50,8 @@ from .carnot import hausdorff_constant_heisenberg, heisenberg_spec, \
 from .discretization import _CONDITIONS, _EDGES, AssembledForms, BCSegment, \
     BoundarySpec, Grid2D, assemble, build_grid
 from .expressions import ExpressionError, compile_expression
-from .geometry import CCStructure, Chart2D, SampleError, _sample, builtin_euclidean, \
-    builtin_grushin_cylinder
+from .geometry import CCStructure, Chart2D, ConvergenceError, SampleError, _sample, \
+    builtin_euclidean, builtin_grushin_cylinder
 
 if typing.TYPE_CHECKING:  # imported inside the commands that use them
     from .eigensolver import Eigenpairs
@@ -246,7 +242,7 @@ class TableConfig:
     # 1.5e206 at n = 1000, and RK45 fails by n = 1600.  complete_below also
     # solves mode max_n + 1
     max_n: int = _spec(2, min=0, max=1000)
-    max_m: int = _spec(2, min=1)
+    max_m: int = _spec(2, min=1, max=999)  # grushin solves at most 1000 roots per mode
     bc: str = _spec("neumann", choices=("neumann", "dirichlet"))
     # collocation gives each root's digits, the plain bisection of its
     # SCAN_STEP cell to width tol; shooting confirms each root
@@ -490,7 +486,7 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
     cert, levels = config.cheeger.certificate, config.cheeger.levels
     # a bad certificate or level count is a config error, found before any solve
     phi = None if cert is None else _certificate_field(cert, structure, grid)
-    try:  # the sweep holds one float per level
+    try:  # one level-sized array, before any solve; main maps the sweep's MemoryError
         np.empty(levels)
     except (ValueError, MemoryError) as exc:  # past numpy's size limit or the address space
         raise ConfigError(f"cheeger.levels = {_count(levels)} is too large: {exc}") from exc
@@ -501,14 +497,7 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
 
     lam = float(pairs.lambdas[index])
     u = forms.expand(pairs.vectors[:, index])
-    try:
-        cuts, best, h_upper = upper_bound(structure, grid, flavor, u, levels)
-    except SampleError:  # a coefficient or density sample, not the grid, is at fault
-        raise
-    except ValueError as exc:  # too coarse a grid for any admissible cut
-        print(f"solver error: {exc} on the {grid.nx}x{grid.ny} grid with "
-              f"{_count(levels)} levels", file=sys.stderr)
-        return EXIT_SOLVER
+    cuts, best, h_upper = upper_bound(structure, grid, flavor, u, levels)
 
     _write_csv(out / "cuts.csv", "kind,sigma,vol1,vol2,ratio",
                ((c.kind, c.sigma, c.vol1, c.vol2, c.ratio) for c in cuts))
@@ -531,9 +520,8 @@ def cmd_cheeger(config: RunConfig, out: Path, quiet: bool = False) -> int:
             h_lower, h_source = certified, "certificate"
             _say(quiet, f"certificate valid: h >= {h_lower:.9g}")
             if h_lower > h_upper * (1.0 + 1e-9):
-                print(f"solver error: certified lower bound h >= {h_lower!r} exceeds "
-                      f"the upper bound h <= {h_upper!r}", file=sys.stderr)
-                return EXIT_SOLVER
+                raise ConvergenceError(f"certified lower bound h >= {h_lower!r} exceeds "
+                                       f"the upper bound h <= {h_upper!r}")
 
     report = verify_inequality(lam, h_lower, flavor)
     _write_json({**report.to_dict(), "h_upper": h_upper, "h_source": h_source,
@@ -554,16 +542,8 @@ def cmd_grushin_table(config: RunConfig, out: Path, quiet: bool = False,
     from .grushin import build_table, complete_below, cross_validate
 
     t = config.table
-    try:
-        table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
-        threshold = complete_below(table, t.tol) if do_cross_validate else None
-    except np.linalg.LinAlgError:  # a ValueError, but numerical, not the config's
-        raise
-    except ValueError as exc:  # more roots per mode than grushin solves for
-        raise ConfigError(f"table.max_m = {_count(t.max_m)} is too large: {exc}") from exc
-    except RuntimeError as exc:  # a root that shooting does not confirm, or a failed integration
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    table = build_table(t.max_n, t.max_m, bc=t.bc, tol=t.tol)
+    threshold = complete_below(table, t.tol) if do_cross_validate else None
     _make_out(out)
     path = out / "grushin_table.csv"
 
@@ -666,12 +646,11 @@ def main(argv=None) -> int:
     except OSError as exc:  # making --out or writing an artifact into it
         print(f"config error: --out {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:
-        # Only a loaded eigensolver can have raised its ConvergenceError, so
-        # looking it up in sys.modules keeps scipy out of commands without one.
-        eigensolver = sys.modules.get(f"{__package__}.eigensolver")
-        if eigensolver is None or not isinstance(exc, eigensolver.ConvergenceError):
-            raise
+    except MemoryError as exc:  # a solve or a level sweep sized past the memory there is
+        print(f"config error: out of memory ({str(exc) or 'MemoryError'}); lower grid.nx, "
+              f"grid.ny, solver.k or cheeger.levels", file=sys.stderr)
+        return EXIT_CONFIG
+    except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     finally:

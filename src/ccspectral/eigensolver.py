@@ -54,6 +54,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretization import AssembledForms
+from .geometry import ConvergenceError  # re-exported: ccspectral.eigensolver.ConvergenceError
 
 # Lanczos iteration budget per requested mode.
 MAXITER_PER_MODE = 50
@@ -66,10 +67,6 @@ MAXITER_PER_MODE = 50
 # 101.3 and 233 MB at 4, within 0.2 MB of widths 2 to 5 on both grids.  The
 # 256x512 factor takes 0.65 s at 4 and 0.72 s at 20.
 PANEL_SIZE = 4
-
-
-class ConvergenceError(RuntimeError):
-    """The iterative eigensolver missed the requested residual tolerance."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def _fft_y_inverse(stencil: np.ndarray, mass_row: np.ndarray, eps: float,
                    + phase.conj() * stencil[1:, 0, 0])
     d, e, info = lapack.zpttrf(diag.ravel(), sub.ravel()[:-1])
     if info != 0:
-        raise np.linalg.LinAlgError(f"y-frequency symbol not positive definite (pttrf info {info})")
+        raise ConvergenceError(f"y-frequency symbol not positive definite (pttrf info {info})")
 
     spectrum = np.empty((0, phase.size, rows), dtype=complex)  # (columns, frequencies, rows)
 

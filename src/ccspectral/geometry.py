@@ -147,6 +147,21 @@ class SampleError(ValueError):
                          f"sample {float(values[index])!r}" + (f"; {cause}" if cause else ""))
 
 
+class ConvergenceError(RuntimeError):
+    """A numerical stage that failed on the problem it was given, and the
+    one failure the command line reports with exit code 3: shift-invert
+    Lanczos that does not converge, residuals or an M-orthonormality defect
+    past their tolerance, or a y-frequency symbol of the FFT inverse that is
+    not positive definite (eigensolver); no level that cuts a mixed or
+    Neumann grid in two, no positive level that encloses a Dirichlet
+    region, or a perimeter quadrature that does not converge (cheeger); a
+    mode root that shooting does not confirm, a mode integration that
+    fails, or a mode's roots that do not increase (grushin); and a
+    certified lower bound on h above the upper bound from cuts (the
+    ``cheeger`` command).  It lives here, below every layer that raises
+    it, so that raising or catching it loads no scipy."""
+
+
 def _sample(name: str, fn: Coefficient, x, y, positive: bool = False) -> np.ndarray:
     """``fn`` at the points (x, y), broadcast to their shape; raises
     SampleError, under ``name``, at the first sample that is not finite or,

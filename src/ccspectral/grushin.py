@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import ConvergenceError
+
 _BCS = ("neumann", "dirichlet")
 
 ODE_TOL = 1e-10  # relative local tolerance of every integration; atol is 1e-2 of it
@@ -76,7 +78,7 @@ def shoot(problem: ModeProblem, lam: float) -> float:
     while solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
-            raise RuntimeError(f"mode integration failed: {message}")
+            raise ConvergenceError(f"mode integration failed: {message}")
     v, dv = solver.y
     return float(dv if problem.bc == "neumann" else v)
 
@@ -141,7 +143,7 @@ def _confirm(problem: ModeProblem, m: int, r: float, tol: float) -> None:
     the root's padded min-max interval (module docstring), with
     h = min(max(tol / 4, 4 ulps of r), SCAN_STEP / 4) widened 16-fold up
     to the cap max(tol, 1e-8 max(1, |r|)), the shooting's accuracy, which
-    it tries last.  A root that no such bracket confirms is an error."""
+    it tries last.  A root that no such bracket confirms is a ConvergenceError."""
     least = ((m + (0 if problem.bc == "neumann" else 1)) * math.pi) ** 2
     low, high = least - SCAN_STEP, least + problem.n ** 2 + SCAN_STEP
     h = min(max(0.25 * tol, 4.0 * math.ulp(r)), 0.25 * SCAN_STEP)
@@ -155,9 +157,9 @@ def _confirm(problem: ModeProblem, m: int, r: float, tol: float) -> None:
         if h == cap:
             break
         h = min(16.0 * h, cap)
-    raise RuntimeError(f"mode n={problem.n} ({problem.bc}): no sign change of the mismatch "
-                       f"within {cap:.3g} of {r!r} confirms root m={m} within {SCAN_STEP} "
-                       f"of its min-max interval [{least:.9g}, {least + problem.n ** 2:.9g}]")
+    raise ConvergenceError(f"mode n={problem.n} ({problem.bc}): no sign change of the mismatch "
+                           f"within {cap:.3g} of {r!r} confirms root m={m} within {SCAN_STEP} "
+                           f"of its min-max interval [{least:.9g}, {least + problem.n ** 2:.9g}]")
 
 
 def find_eigenvalues(problem: ModeProblem, count: int, tol: float = 1e-8) -> np.ndarray:
@@ -215,7 +217,7 @@ def build_table(max_n: int, max_m: int, bc: str = "neumann",
         problem = ModeProblem(n=n, bc=bc)
         roots = find_eigenvalues(problem, max_m + 1, tol=tol)
         if np.any(np.diff(roots) <= 0):
-            raise RuntimeError(f"mode n={n} produced non-increasing eigenvalues {roots}")
+            raise ConvergenceError(f"mode n={n} produced non-increasing eigenvalues {roots}")
         for m, lam in enumerate(roots):
             entries.append(ModeEntry(n=n, m=m, lam=float(lam),
                                      multiplicity=1 if n == 0 else 2))

@@ -387,14 +387,30 @@ def test_upper_bound_follows_the_flavor(grushin, grushin_grid):
         cc.upper_bound(grushin, grushin_grid, "robin", u, 12)
 
 
-def test_perimeter_quadrature_failure_is_a_value_error():
+def test_perimeter_quadrature_failure_is_a_convergence_error():
     # integrable, but the midpoint rule converges like h^(1/2) through x = 0.55
     e = cc.compile_expression
     singular = cc.CCStructure(cc.Chart2D((0.0, 1.0), (0.0, 1.0)),
                               ((e("1"), e("0")), (e("0"), e("1"))),
                               density=e("1/sqrt(abs(x-0.55))"))
-    with pytest.raises(ValueError, match="perimeter quadrature did not reach"):
+    with pytest.raises(cc.ConvergenceError, match="perimeter quadrature did not reach"):
         cc.horizontal_perimeter(singular, (((0.0, 0.5), (1.0, 0.5)),))
+
+
+@pytest.mark.parametrize("flavor, cause", [
+    ("dirichlet", "no positive level produced a non-empty region"),
+    ("mixed", "no level produced a two-sided cut"),
+    ("neumann", "no level produced a two-sided cut"),
+])
+def test_upper_bound_without_an_admissible_cut_is_a_convergence_error(euclidean, flavor,
+                                                                      cause):
+    # u is 1 at the one interior node of a 3x3 grid: no level set encloses
+    # a cell, and upper_bound names the grid and the level count
+    grid = cc.build_grid(euclidean.chart, 3, 3)
+    u = np.zeros(grid.n_nodes)
+    u[4] = 1.0
+    with pytest.raises(cc.ConvergenceError, match=f"^{cause} on the 3x3 grid with 4 levels$"):
+        cc.upper_bound(euclidean, grid, flavor, u, 4)
 
 
 def test_certificate_h_lower_for_each_flavor(grushin, grushin_grid):

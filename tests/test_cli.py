@@ -853,18 +853,37 @@ def test_carnot_is_linear_in_n(tmp_path):
 # error handling
 # ---------------------------------------------------------------------------
 
-def test_convergence_error_is_a_solver_error(tmp_path, monkeypatch, capsys):
-    import ccspectral.eigensolver as eigensolver
+# a layer function each command calls, and the module it is looked up in
+LAYERS = [("spectrum", "eigensolver", "solve_smallest"), ("cheeger", "cheeger", "upper_bound"),
+          ("grushin-table", "grushin", "build_table")]
 
+
+@pytest.mark.parametrize("command, module, name", LAYERS)
+def test_convergence_error_is_a_solver_error(tmp_path, monkeypatch, capsys, command, module,
+                                             name):
     def fail(*args, **kwargs):
-        raise eigensolver.ConvergenceError("residuals [1.0] exceed tol=1e-08")
+        raise cc.ConvergenceError("the stage did not converge")
 
-    monkeypatch.setattr(eigensolver, "solve_smallest", fail)
+    monkeypatch.setattr(getattr(cc, module), name, fail)
     out = tmp_path / "run"
-    assert run(["spectrum", "--config", write_config(tmp_path, GRUSHIN_SPECTRUM),
+    assert run([command, "--config", write_config(tmp_path, GRUSHIN_SPECTRUM),
                 "--out", out]) == 3
-    assert capsys.readouterr().err == "solver error: residuals [1.0] exceed tol=1e-08\n"
-    assert cc.ConvergenceError is eigensolver.ConvergenceError
+    assert capsys.readouterr().err == "solver error: the stage did not converge\n"
+    assert cc.ConvergenceError is cc.eigensolver.ConvergenceError
+
+
+@pytest.mark.parametrize("command, module, name", LAYERS)
+def test_other_runtime_errors_are_not_solver_errors(tmp_path, monkeypatch, capsys, command,
+                                                    module, name):
+    # only a ConvergenceError means exit 3; any other RuntimeError is a bug
+    def fail(*args, **kwargs):
+        raise RuntimeError("not a numerical failure")
+
+    monkeypatch.setattr(getattr(cc, module), name, fail)
+    with pytest.raises(RuntimeError, match="^not a numerical failure$"):
+        run([command, "--config", write_config(tmp_path, GRUSHIN_SPECTRUM),
+             "--out", tmp_path / "run"])
+    assert "solver error" not in capsys.readouterr().err
 
 
 # Dirichlet across a thin strip that is long in y: the lowest eigenvalues

@@ -28,6 +28,12 @@ def test_convergence_error_is_runtime_error():
     assert issubclass(cc.ConvergenceError, RuntimeError)
 
 
+def test_a_symbol_that_is_not_positive_definite_is_a_convergence_error():
+    # K = eps M with eps < 0: every y-frequency symbol is negative definite
+    with pytest.raises(cc.ConvergenceError, match="y-frequency symbol not positive definite"):
+        eigensolver._fft_y_inverse(np.zeros((3, 3, 3)), np.ones(3), -1.0, 8)
+
+
 def test_residuals_and_orthonormality(grushin_neumann_forms, grushin_neumann_pairs):
     pairs = grushin_neumann_pairs
     assert pairs.k == 8

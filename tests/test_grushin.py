@@ -225,7 +225,7 @@ def test_collocation_root_moved_onto_a_grid_point_is_an_error(monkeypatch, n, bc
     m = int(np.flatnonzero(np.abs(moved - roots) > 1e-7)[0])
     moved_roots(monkeypatch, lambda k, r: step * (np.floor(r / step) + (side == "above")))
     calls = count_shoot_calls(monkeypatch, budget=2 * m + 4)
-    with pytest.raises(RuntimeError, match=rf"^mode n={n} \({bc}\): .* root m={m} "):
+    with pytest.raises(cc.ConvergenceError, match=rf"^mode n={n} \({bc}\): .* root m={m} "):
         cc.find_eigenvalues(problem, 3, tol=1e-7)
     assert len(calls) == 2 * m + 4
 
@@ -237,7 +237,8 @@ def test_collocation_root_outside_its_min_max_interval_is_an_error(monkeypatch, 
     # before any integration
     moved_roots(monkeypatch, lambda m, r: r + n ** 2 + 0.2)
     count_shoot_calls(monkeypatch, budget=0)
-    with pytest.raises(RuntimeError, match=f"mode n={n} .*root m=0 within 0.05 of its min-max"):
+    with pytest.raises(cc.ConvergenceError,
+                       match=f"mode n={n} .*root m=0 within 0.05 of its min-max"):
         cc.find_eigenvalues(cc.ModeProblem(n=n, bc=bc), 3)
 
 
@@ -252,7 +253,7 @@ def test_a_collocation_root_off_by_1e_6_is_an_error(monkeypatch, n, bc, m):
     # and no digits are returned.
     moved_roots(monkeypatch, lambda k, r: r + 1e-6 * (k == m))
     calls = count_shoot_calls(monkeypatch, budget=2 * m + 6)
-    with pytest.raises(RuntimeError, match=rf"^mode n={n} \({bc}\): .* root m={m} "):
+    with pytest.raises(cc.ConvergenceError, match=rf"^mode n={n} \({bc}\): .* root m={m} "):
         cc.find_eigenvalues(cc.ModeProblem(n=n, bc=bc), m + 2)
     assert len(calls) >= 2 * m + 2
 
@@ -268,12 +269,30 @@ def test_a_mismatch_without_sign_change_stops_at_the_cap(monkeypatch):
         return 1.0
 
     monkeypatch.setattr(grushin, "shoot", constant)
-    with pytest.raises(RuntimeError, match=r"^mode n=1 \(neumann\): .* within 1e-08 of .* "
-                                           r"root m=0 .*\[0, 1\]$"):
+    with pytest.raises(cc.ConvergenceError,
+                       match=r"^mode n=1 \(neumann\): .* within 1e-08 of .* root m=0 .*\[0, 1\]$"):
         cc.find_eigenvalues(cc.ModeProblem(n=1), 2)
     assert len(calls) == 4
     r = grushin._collocation_roots(cc.ModeProblem(n=1), 2)[0]
     assert max(abs(lam - r) for lam in calls) == pytest.approx(1e-8, rel=1e-6)
+
+
+def test_a_failed_integration_is_a_convergence_error():
+    # at n = 3000 the solution overflows long before x = 1, and RK45 stops
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(cc.ConvergenceError, match="^mode integration failed: "):
+            cc.shoot(cc.ModeProblem(n=3000), 3000.0)
+
+
+def test_non_increasing_roots_are_a_convergence_error(monkeypatch):
+    # both roots of mode 4 moved to 12, inside the min-max intervals of
+    # m = 0 and m = 1 there, and each confirmed by a mismatch that is zero
+    roots = grushin._collocation_roots
+    monkeypatch.setattr(grushin, "_collocation_roots", lambda problem, count: (
+        np.full(count, 12.0) if problem.n == 4 else roots(problem, count)))
+    monkeypatch.setattr(grushin, "shoot", lambda problem, lam: 0.0)
+    with pytest.raises(cc.ConvergenceError, match=r"^mode n=4 produced non-increasing"):
+        cc.build_table(4, 1)
 
 
 def test_cell_of_every_grid_point_and_its_neighbours():

@@ -41,6 +41,11 @@ def test_import_loads_no_scipy():
     assert {m for m in modules if m.startswith("ccspectral")} == {"ccspectral"}
 
 
+def test_convergence_error_loads_no_scipy():
+    # every layer raises it and cli.main catches it, scipy loaded or not
+    assert not scipy_modules(loaded_after("import ccspectral\nccspectral.ConvergenceError"))
+
+
 def test_exports_resolve_lazily():
     code = (
         "import sys, ccspectral as cc\n"
@@ -98,5 +103,5 @@ def test_the_package_table_is_the_one_list_of_public_names():
                    and obj.__module__ == mod.__name__}
         assert set(names) <= defined and (module == "cli" or defined == set(names)), module
         assert all(getattr(cc, name) is getattr(mod, name) for name in names), module
-    assert cc.SampleError.__module__ == "ccspectral.geometry"
+    assert cc.SampleError.__module__ == cc.ConvergenceError.__module__ == "ccspectral.geometry"
     assert (cc.ModeEntry, cc.CourantEntry) == (cc.grushin.ModeEntry, cc.nodal.CourantEntry)
